@@ -60,19 +60,6 @@ void striped_to_blocked(const double* striped, double* blocked, std::size_t nh,
   }
 }
 
-/// Builds the [p~|q~] matrix (Eq. 6) of one quartet from its blocked
-/// r-integrals: pq(hp, hq) = (-1)^{|q~|} R_{p~+q~}, optionally scaled.
-void assemble_pq(const double* r, const int* combined, const double* sign_cd,
-                 int nhb, int nhk, double scale, double* pq) {
-  for (int hp = 0; hp < nhb; ++hp) {
-    const int* comb = combined + static_cast<std::size_t>(hp) * nhk;
-    double* row = pq + static_cast<std::size_t>(hp) * nhk;
-    for (int hq = 0; hq < nhk; ++hq) {
-      row[hq] = scale * sign_cd[hq] * r[comb[hq]];
-    }
-  }
-}
-
 double max_abs(const double* p, std::size_t n) {
   double m = 0.0;
   for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(p[i]));
@@ -130,22 +117,21 @@ BatchStats BatchedEriEngine::compute_batch(
   MAKO_METRIC_COUNT("kernel.quartets",
                     static_cast<std::int64_t>(nq));
 
-  const int nhb = plan.nhb;
-  const int nhk = plan.nhk;
-  const int ncb = plan.ncb;
-  const int nck = plan.nck;
-  const int nht = plan.nht;
+  const std::size_t nhb = static_cast<std::size_t>(plan.nhb);
+  const std::size_t nhk = static_cast<std::size_t>(plan.nhk);
+  const std::size_t nht = static_cast<std::size_t>(plan.nht);
+  const std::size_t nsb = static_cast<std::size_t>(plan.nsb);
+  const std::size_t nsk = static_cast<std::size_t>(plan.nsk);
   const int ltot = plan.ltot;
   const std::size_t kab = static_cast<std::size_t>(key.kab);
   const std::size_t kcd = static_cast<std::size_t>(key.kcd);
+  const std::size_t kk = kab * kcd;  // primitive-pair combinations
+  const std::size_t mb = kab * nhb;  // rows of E'_AB = GEMM1 depth
+  const std::size_t mk = kcd * nhk;  // rows of E'_CD = GEMM2 depth
+  const std::size_t pq_size = mb * mk;
+  const std::size_t t_size = nsb * mk;
+  const std::size_t out_size = nsb * nsk;
 
-  // --- Per-quartet primitive pairs and E operands into the arena ------------
-  const std::size_t e_bra_sz = static_cast<std::size_t>(nhb) * ncb;
-  const std::size_t e_ket_sz = static_cast<std::size_t>(nhk) * nck;
-  scratch.bra_pairs.resize(nq * kab);
-  scratch.ket_pairs.resize(nq * kcd);
-  scratch.bra_e.resize(nq * kab * e_bra_sz);
-  scratch.ket_e.resize(nq * kcd * e_ket_sz);
   if (verify_class) {
     for (const QuartetRef& ref : batch) {
       if (ref.a->l != key.la || ref.b->l != key.lb || ref.c->l != key.lc ||
@@ -157,259 +143,226 @@ BatchStats BatchedEriEngine::compute_batch(
         throw std::invalid_argument(
             "compute_batch: contraction degree mismatch with class key");
       }
+      if ((ref.bra != nullptr && ref.bra->e.size() != mb * nsb) ||
+          (ref.ket != nullptr && ref.ket->e.size() != mk * nsk)) {
+        throw std::invalid_argument(
+            "compute_batch: pair operand shape mismatch with class key");
+      }
     }
   }
+
+  // --- Stage 0: stacked pair operands -------------------------------------
+  // Routed quartets carry their pairs' plan-owned operands; the rest are
+  // built here by the same function.  The arena only grows: shrinking it
+  // would free warmed operand storage.
+  if (scratch.ops.size() < 2 * nq) scratch.ops.resize(2 * nq);
   for (std::size_t q = 0; q < nq; ++q) {
     const QuartetRef& ref = batch[q];
-    make_prim_pairs(ref.a->center, ref.a->exponents, ref.a->coefficients,
-                    ref.b->center, ref.b->exponents, ref.b->coefficients,
-                    scratch.bra_pairs.data() + q * kab);
-    make_prim_pairs(ref.c->center, ref.c->exponents, ref.c->coefficients,
-                    ref.d->center, ref.d->exponents, ref.d->coefficients,
-                    scratch.ket_pairs.data() + q * kcd);
-    for (std::size_t jp = 0; jp < kab; ++jp) {
-      const PrimPair& pp = scratch.bra_pairs[q * kab + jp];
-      // E_AB stays in its natural [nhb x ncb] layout; GEMM1 consumes it
-      // through the packed kernel's native transpose (no copies).
-      build_e_matrix(key.la, key.lb, ref.a->center, ref.b->center, pp.alpha,
-                     pp.beta, pp.coef, scratch.e_tmp);
-      std::copy(scratch.e_tmp.data(), scratch.e_tmp.data() + e_bra_sz,
-                scratch.bra_e.data() + (q * kab + jp) * e_bra_sz);
+    if (ref.bra == nullptr) {
+      build_pair_operand(*ref.a, *ref.b, *plan.sph_bra, scratch.ops[2 * q]);
     }
-    for (std::size_t kp = 0; kp < kcd; ++kp) {
-      const PrimPair& pp = scratch.ket_pairs[q * kcd + kp];
-      build_e_matrix(key.lc, key.ld, ref.c->center, ref.d->center, pp.alpha,
-                     pp.beta, pp.coef, scratch.e_tmp);
-      std::copy(scratch.e_tmp.data(), scratch.e_tmp.data() + e_ket_sz,
-                scratch.ket_e.data() + (q * kcd + kp) * e_ket_sz);
+    if (ref.ket == nullptr) {
+      build_pair_operand(*ref.c, *ref.d, *plan.sph_ket,
+                         scratch.ops[2 * q + 1]);
     }
   }
+  const auto bra_op = [&](std::size_t q) -> const PairOperand& {
+    return batch[q].bra != nullptr ? *batch[q].bra : scratch.ops[2 * q];
+  };
+  const auto ket_op = [&](std::size_t q) -> const PairOperand& {
+    return batch[q].ket != nullptr ? *batch[q].ket : scratch.ops[2 * q + 1];
+  };
 
-  // --- Group scaling for quantized execution (Section 3.2.1) ----------------
-  // Scales are per class & per operand group; dequantization happens at the
-  // FP32->FP64 widening of each GEMM (dual-stage accumulation).
-  // Quantized execution needs the backend's reduced-precision datapath; on a
-  // backend without it every transform GEMM runs exact FP64 instead.
-  const GemmBackend& be = backend();
-  const bool quant = config_.quantized() && be.capabilities().quantized;
-  double s_bra = 1.0, s_ket = 1.0;
-  if (quant && config_.group_scaling) {
-    const double m_bra = max_abs(scratch.bra_e.data(), scratch.bra_e.size());
-    const double m_ket = max_abs(scratch.ket_e.data(), scratch.ket_e.size());
-    if (m_bra > 0.0) s_bra = 1.0 / m_bra;
-    if (m_ket > 0.0) s_ket = 1.0 / m_ket;
-    for (double& v : scratch.bra_e) v *= s_bra;
-    for (double& v : scratch.ket_e) v *= s_ket;
-  }
-
-  const GemmConfig& gc = config_.gemm;
-  const bool naive_fp16 = quant && gc.precision == Precision::kFP16 &&
-                          !config_.dual_stage_accumulation;
-
-  // --- Quantized-operand cache ----------------------------------------------
-  // The E operands are invariant across the batch: round them to the kernel
-  // precision once here, instead of once per GEMM call inside the loops.
-  const bool use_qcache = quant && !naive_fp16;
-  if (use_qcache) {
-    scratch.q_bra.resize(scratch.bra_e.size());
-    scratch.q_ket.resize(scratch.ket_e.size());
-    quantize_to_float(scratch.bra_e.data(), scratch.q_bra.data(),
-                      scratch.bra_e.size(), gc.precision);
-    quantize_to_float(scratch.ket_e.data(), scratch.q_ket.data(),
-                      scratch.ket_e.size(), gc.precision);
-    scratch.q_dyn.resize(std::max(static_cast<std::size_t>(nhb) * nhk,
-                                  static_cast<std::size_t>(ncb) * nhk));
-    // Injection site: corrupt one element of the quantized bra E-operand
-    // cache (models a faulty tensor-core operand tile).  The corruption flows
-    // through GEMM1 into every quartet sharing the tile, exactly the blast
-    // radius a real bad tile would have.
-    if (MAKO_FAULT_POINT("kernelmako.quant_e_tile")) {
-      FaultInjector::instance().corrupt("kernelmako.quant_e_tile",
-                                        scratch.q_bra.data(),
-                                        scratch.q_bra.size());
-    }
-  }
-
-  // --- Working buffers (arena-backed; no steady-state allocation) -----------
-  const std::size_t abq_stride = static_cast<std::size_t>(ncb) * nhk;
-  const std::size_t cart_stride = static_cast<std::size_t>(ncb) * nck;
-  scratch.r_striped.resize(static_cast<std::size_t>(nht) * nq);
+  // --- Stage 1: r-integrals over items (q, jp, kp) ----------------------
+  // Produced striped (item-fastest), the order a quartet-per-thread kernel
+  // writes coalesced.
+  const std::size_t nitem = nq * kk;
+  scratch.r_striped.resize(nht * nitem);
   scratch.r_blocked.resize(scratch.r_striped.size());
   scratch.r_tmp.resize(nht);
-  scratch.abq.resize(nq * abq_stride);
-  scratch.cart.assign(nq * cart_stride, 0.0);
-  scratch.pq_one.resize(static_cast<std::size_t>(nhb) * nhk);
-  // Unfused mode stages every quartet's [p~|q~] through "global memory".
-  const bool fully_fused =
-      config_.fuse_gemms && key.kab == 1 && key.kcd == 1;
-  const bool stage_pq_globally = !config_.fuse_gemms;
-  if (stage_pq_globally) scratch.pq_all.resize(nq * scratch.pq_one.size());
-
-  // GEMM1 dispatch: C[ncb x nhk] += alpha * E_AB^T x [p~|q~].  The bra
-  // operand enters through the native transpose; the quantized route reads
-  // the batch-persistent operand cache.
-  auto run_gemm1 = [&](std::size_t q, std::size_t jp, const double* pq,
-                       double* c, double alpha) {
-    const double* ea = scratch.bra_e.data() + (q * kab + jp) * e_bra_sz;
-    if (naive_fp16) {
-      be.fp16_baseline(ea, pq, c, ncb, nhk, nhb, alpha, 1.0, /*trans_a=*/true);
-    } else if (quant) {
-      quantize_to_float(pq, scratch.q_dyn.data(),
-                        static_cast<std::size_t>(nhb) * nhk, gc.precision);
-      be.mixed(scratch.q_bra.data() + (q * kab + jp) * e_bra_sz,
-               /*trans_a=*/true, scratch.q_dyn.data(), false, c, ncb, nhk, nhb,
-               alpha, 1.0, gc);
-    } else {
-      be.fp64(ea, /*trans_a=*/true, pq, false, c, ncb, nhk, nhb, alpha, 1.0,
-              gc);
-    }
-    stats.gemm_flops += gemm_flops(ncb, nhk, nhb);
-  };
-
-  // GEMM2 dispatch: C[ncb x nck] += alpha * (ab|q~] x E_CD.
-  auto run_gemm2 = [&](std::size_t q, std::size_t kp, const double* abq_slice,
-                       double* c, double alpha) {
-    const double* ek = scratch.ket_e.data() + (q * kcd + kp) * e_ket_sz;
-    if (naive_fp16) {
-      be.fp16_baseline(abq_slice, ek, c, ncb, nck, nhk, alpha, 1.0);
-    } else if (quant) {
-      quantize_to_float(abq_slice, scratch.q_dyn.data(), abq_stride,
-                        gc.precision);
-      be.mixed(scratch.q_dyn.data(), false,
-               scratch.q_ket.data() + (q * kcd + kp) * e_ket_sz, false, c, ncb,
-               nck, nhk, alpha, 1.0, gc);
-    } else {
-      be.fp64(abq_slice, false, ek, false, c, ncb, nck, nhk, alpha, 1.0, gc);
-    }
-    stats.gemm_flops += gemm_flops(ncb, nck, nhk);
-  };
-
-  for (std::size_t kp = 0; kp < kcd; ++kp) {
-    // (ab|q~] accumulates bra primitive pairs for this ket pair only.
-    std::fill(scratch.abq.begin(), scratch.abq.end(), 0.0);
+  const double two_pi_2_5 = 2.0 * std::pow(kPi, 2.5);
+  for (std::size_t q = 0; q < nq; ++q) {
+    const PairOperand& bo = bra_op(q);
+    const PairOperand& ko = ket_op(q);
     for (std::size_t jp = 0; jp < kab; ++jp) {
-      // Stage 1: r-integrals, produced striped (quartet-fastest), the order
-      // a quartet-per-thread kernel writes coalesced.
-      for (std::size_t q = 0; q < nq; ++q) {
-        const PrimPair& bra = scratch.bra_pairs[q * kab + jp];
-        const PrimPair& ket = scratch.ket_pairs[q * kcd + kp];
+      const PrimPair& bra = bo.prims[jp];
+      for (std::size_t kp = 0; kp < kcd; ++kp) {
+        const PrimPair& ket = ko.prims[kp];
         const double denom = bra.p * ket.p * std::sqrt(bra.p + ket.p);
-        const double pref = 2.0 * std::pow(kPi, 2.5) / denom;
+        const double pref = two_pi_2_5 / denom;
         const double alpha_rq = bra.p * ket.p / (bra.p + ket.p);
         const Vec3 pq_vec{bra.center[0] - ket.center[0],
                           bra.center[1] - ket.center[1],
                           bra.center[2] - ket.center[2]};
         compute_r_integrals(ltot, alpha_rq, pq_vec, pref,
                             scratch.r_tmp.data());
-        for (int h = 0; h < nht; ++h) {
-          scratch.r_striped[static_cast<std::size_t>(h) * nq + q] =
-              scratch.r_tmp[h];
+        const std::size_t item = (q * kab + jp) * kcd + kp;
+        for (std::size_t h = 0; h < nht; ++h) {
+          scratch.r_striped[h * nitem + item] = scratch.r_tmp[h];
         }
       }
-      stats.scalar_flops += static_cast<double>(nq) * nht * (ltot + 2) * 4.0;
-      stats.global_bytes += 8.0 * nq * nht;
-      stats.kernel_launches += 1;
+    }
+  }
+  stats.scalar_flops += static_cast<double>(nitem) * nht * (ltot + 2) * 4.0;
+  stats.global_bytes += 8.0 * nitem * nht;
+  stats.kernel_launches += 1;
 
-      // Stage 2: layout conversion (swizzled in-SMEM transpose vs explicit
-      // global transpose — the latter costs an extra kernel + traffic).
-      striped_to_blocked(scratch.r_striped.data(), scratch.r_blocked.data(),
-                         nht, nq, config_.use_swizzle);
-      if (!config_.use_swizzle) {
-        stats.global_bytes += 16.0 * nq * nht;
-        stats.kernel_launches += 1;
-      }
+  // --- Stage 2: layout conversion -----------------------------------------
+  // Swizzled in-SMEM transpose vs explicit global transpose (the latter
+  // costs an extra kernel + traffic).  Blocked, quartet q's r-integrals are
+  // the contiguous [kk x nht] block at q * kk * nht.
+  striped_to_blocked(scratch.r_striped.data(), scratch.r_blocked.data(), nht,
+                     nitem, config_.use_swizzle);
+  if (!config_.use_swizzle) {
+    stats.global_bytes += 16.0 * nitem * nht;
+    stats.kernel_launches += 1;
+  }
 
-      // Quantized pq scale for this primitive-pair slice.
-      double s_pq = 1.0;
-      if (quant && config_.group_scaling) {
-        const double m =
-            max_abs(scratch.r_blocked.data(), scratch.r_blocked.size());
-        if (m > 0.0) s_pq = 1.0 / m;
-      }
-      const double dequant = 1.0 / (s_pq * s_bra);
+  // --- Quantized execution (Section 3.2) ----------------------------------
+  // Needs the backend's reduced-precision datapath; on a backend without it
+  // both GEMMs run exact FP64 instead.  Scales: static per pair for E'
+  // (PairOperand::scale), per quartet for P and T; dequantization happens at
+  // the FP32->FP64 widening of each GEMM (dual-stage accumulation).
+  const GemmBackend& be = backend();
+  const GemmConfig& gc = config_.gemm;
+  const bool quant = config_.quantized() && be.capabilities().quantized;
+  const bool naive_fp16 = quant && gc.precision == Precision::kFP16 &&
+                          !config_.dual_stage_accumulation;
+  const bool scaled = quant && config_.group_scaling;
+  if (quant && !naive_fp16) {
+    scratch.q_ops.resize(mb * nsb + mk * nsk);
+    scratch.q_dyn.resize(std::max(pq_size, t_size));
+  }
+  if (naive_fp16) scratch.e_naive.resize(mb * nsb + mk * nsk);
+  scratch.t_one.resize(t_size);
 
-      // Stage 3: pq assembly + GEMM1 (Eq. 7 first transform).
-      if (stage_pq_globally) {
-        // Unfused: one kernel writes all [p~|q~] to global memory...
-        for (std::size_t q = 0; q < nq; ++q) {
-          assemble_pq(scratch.r_blocked.data() + q * nht, plan.combined.data(),
-                      plan.sign_cd.data(), nhb, nhk, s_pq,
-                      scratch.pq_all.data() + q * scratch.pq_one.size());
-        }
-        stats.global_bytes +=
-            2.0 * static_cast<double>(bytes_per_element(gc.precision)) * nq *
-            scratch.pq_one.size();
-        stats.kernel_launches += 1;
-        // ... and a second kernel runs the batched GEMM over them.
-        for (std::size_t q = 0; q < nq; ++q) {
-          run_gemm1(q, jp, scratch.pq_all.data() + q * scratch.pq_one.size(),
-                    scratch.abq.data() + q * abq_stride,
-                    quant ? dequant : 1.0);
-        }
-        stats.kernel_launches += 1;
-      } else {
-        // Fused: assembly feeds the GEMM while the tile is hot.
-        for (std::size_t q = 0; q < nq; ++q) {
-          assemble_pq(scratch.r_blocked.data() + q * nht, plan.combined.data(),
-                      plan.sign_cd.data(), nhb, nhk, s_pq,
-                      scratch.pq_one.data());
-          run_gemm1(q, jp, scratch.pq_one.data(),
-                    scratch.abq.data() + q * abq_stride,
-                    quant ? dequant : 1.0);
-          if (fully_fused) {
-            // GEMM coalescing (Eq. 11): consume (ab|q~] immediately.
-            double* slice = scratch.abq.data() + q * abq_stride;
-            double s_abq = 1.0;
-            if (quant && config_.group_scaling) {
-              const double m = max_abs(slice, abq_stride);
-              if (m > 0.0) s_abq = 1.0 / m;
-              for (std::size_t i = 0; i < abq_stride; ++i) slice[i] *= s_abq;
-            }
-            run_gemm2(q, kp, slice, scratch.cart.data() + q * cart_stride,
-                      quant ? 1.0 / (s_ket * s_abq) : 1.0);
+  // Injection site: corrupt one element of a quantized bra operand tile
+  // (models a faulty tensor-core operand tile).  The corruption goes into
+  // this call's staged copy — never the plan-owned one — and reaches every
+  // quartet of the batch that shares the tile's shell pair.
+  const PairOperand* corrupt_tile =
+      quant && !naive_fp16 && MAKO_FAULT_POINT("kernelmako.quant_e_tile")
+          ? &bra_op(0)
+          : nullptr;
+  // Quantized operand of one quartet: the owner-built copy when present,
+  // else rounded into this call's staging slot.
+  const auto quantized_operand = [&](const PairOperand& op, float* stage,
+                                     bool is_bra) -> const float* {
+    const std::vector<float>& owned = op.q[quantized_slot(gc.precision)];
+    const bool corrupt = is_bra && &op == corrupt_tile;
+    if (scaled && !owned.empty() && !corrupt) return owned.data();
+    quantize_pair_operand(op, gc.precision, scaled, stage);
+    if (corrupt) {
+      FaultInjector::instance().corrupt("kernelmako.quant_e_tile", stage,
+                                        op.e.size());
+    }
+    return stage;
+  };
+
+  // Per-quartet P scale: max|P| is max|r| over the quartet's block, since
+  // every total-order Hermite index is reachable from some (p~, q~).
+  const auto pq_scale = [&](std::size_t q) {
+    if (!scaled) return 1.0;
+    const double m = max_abs(scratch.r_blocked.data() + q * kk * nht, kk * nht);
+    return m > 0.0 ? 1.0 / m : 1.0;
+  };
+
+  // P[(jp,hp),(kp,hq)] = s * (-1)^{|q~|} R^{jp,kp}_{p~+q~} (Eq. 6).
+  const auto assemble_pq = [&](std::size_t q, double s, double* pq) {
+    const double* rq = scratch.r_blocked.data() + q * kk * nht;
+    for (std::size_t jp = 0; jp < kab; ++jp) {
+      for (std::size_t hp = 0; hp < nhb; ++hp) {
+        const int* comb = plan.combined.data() + hp * nhk;
+        double* row = pq + (jp * nhb + hp) * mk;
+        for (std::size_t kp = 0; kp < kcd; ++kp) {
+          const double* r = rq + (jp * kcd + kp) * nht;
+          double* dst = row + kp * nhk;
+          for (std::size_t hq = 0; hq < nhk; ++hq) {
+            dst[hq] = s * plan.sign_cd[hq] * r[comb[hq]];
           }
         }
-        stats.kernel_launches += 1;
       }
-      stats.scalar_flops += 2.0 * nq * nhb * nhk;
     }
+  };
 
-    // Stage 4: GEMM2 (Eq. 7 second transform), skipped when coalesced above.
-    if (!fully_fused) {
-      double s_abq = 1.0;
-      if (quant && config_.group_scaling) {
-        const double m = max_abs(scratch.abq.data(), scratch.abq.size());
-        if (m > 0.0) s_abq = 1.0 / m;
-        for (double& v : scratch.abq) v *= s_abq;
-      }
-      for (std::size_t q = 0; q < nq; ++q) {
-        run_gemm2(q, kp, scratch.abq.data() + q * abq_stride,
-                  scratch.cart.data() + q * cart_stride,
-                  quant ? 1.0 / (s_ket * s_abq) : 1.0);
-      }
-      stats.global_bytes += static_cast<double>(quant ? 4 : 8) * nq *
-                             (abq_stride + cart_stride);
-      stats.kernel_launches += 1;
+  // Scales T in place by 1 / max|T| (quantized runs only); returns the scale.
+  const auto scale_t = [&](double* t) {
+    if (!scaled) return 1.0;
+    const double m = max_abs(t, t_size);
+    const double s = m > 0.0 ? 1.0 / m : 1.0;
+    for (std::size_t i = 0; i < t_size; ++i) t[i] *= s;
+    return s;
+  };
+
+  // The two GEMMs of one quartet (Eq. 7 with the primitive sums inside the
+  // reduction):  T = E'_AB^T x P,  out = T x E'_CD.  E'_AB enters through
+  // the packed kernel's native transpose (no copies).  Destinations are
+  // zeroed first so beta = 0 never reads stale (possibly non-finite) data.
+  const auto transform = [&](std::size_t q, const double* pq, double s_pq) {
+    const PairOperand& bo = bra_op(q);
+    const PairOperand& ko = ket_op(q);
+    const double s_bra = scaled ? bo.scale : 1.0;
+    const double s_ket = scaled ? ko.scale : 1.0;
+    double* t = scratch.t_one.data();
+    std::fill(t, t + t_size, 0.0);
+    out[q].assign(out_size, 0.0);
+    double* o = out[q].data();
+    if (naive_fp16) {
+      double* eb = scratch.e_naive.data();
+      double* ek = eb + mb * nsb;
+      for (std::size_t i = 0; i < mb * nsb; ++i) eb[i] = s_bra * bo.e[i];
+      for (std::size_t i = 0; i < mk * nsk; ++i) ek[i] = s_ket * ko.e[i];
+      be.fp16_baseline(eb, pq, t, nsb, mk, mb, 1.0 / (s_bra * s_pq), 0.0,
+                       /*trans_a=*/true);
+      const double s_t = scale_t(t);
+      be.fp16_baseline(t, ek, o, nsb, nsk, mk, 1.0 / (s_t * s_ket), 0.0);
+    } else if (quant) {
+      const float* qb = quantized_operand(bo, scratch.q_ops.data(), true);
+      const float* qk =
+          quantized_operand(ko, scratch.q_ops.data() + mb * nsb, false);
+      quantize_to_float(pq, scratch.q_dyn.data(), pq_size, gc.precision);
+      be.mixed(qb, /*trans_a=*/true, scratch.q_dyn.data(), false, t, nsb, mk,
+               mb, 1.0 / (s_bra * s_pq), 0.0, gc);
+      const double s_t = scale_t(t);
+      quantize_to_float(t, scratch.q_dyn.data(), t_size, gc.precision);
+      be.mixed(scratch.q_dyn.data(), false, qk, false, o, nsb, nsk, mk,
+               1.0 / (s_t * s_ket), 0.0, gc);
+    } else {
+      be.fp64(bo.e.data(), /*trans_a=*/true, pq, false, t, nsb, mk, mb, 1.0,
+              0.0, gc);
+      be.fp64(t, false, ko.e.data(), false, o, nsb, nsk, mk, 1.0, 0.0, gc);
     }
-  }
+    stats.gemm_flops += gemm_flops(nsb, mk, mb) + gemm_flops(nsb, nsk, mk);
+  };
 
-  // Stage 5: Cartesian -> spherical, two batched GEMMs.  The transform
-  // matrices come from the class plan; the ket side runs through the native
-  // transpose instead of a materialized copy.
-  const int nsb = plan.nsb;
-  const int nsk = plan.nsk;
-  scratch.sph_tmp.resize(static_cast<std::size_t>(nsb) * nck);
-  for (std::size_t q = 0; q < nq; ++q) {
-    out[q].assign(static_cast<std::size_t>(nsb) * nsk, 0.0);
-    be.fp64(plan.sph_bra->data(), false,
-            scratch.cart.data() + q * cart_stride, false,
-            scratch.sph_tmp.data(), nsb, nck, ncb, 1.0, 0.0, gc);
-    be.fp64(scratch.sph_tmp.data(), false, plan.sph_ket->data(),
-            /*trans_b=*/true, out[q].data(), nsb, nsk, nck, 1.0, 0.0, gc);
-    stats.gemm_flops += gemm_flops(nsb, nck, ncb) + gemm_flops(nsb, nsk, nck);
+  // --- Stages 3-4: P assembly and the two GEMMs ---------------------------
+  const double bpe = static_cast<double>(bytes_per_element(gc.precision));
+  if (config_.fuse_gemms) {
+    // Coalesced (Eq. 11): each quartet's P feeds GEMM1 and T feeds GEMM2
+    // while the tiles are hot — one kernel, no intermediate traffic.
+    scratch.pq_one.resize(pq_size);
+    for (std::size_t q = 0; q < nq; ++q) {
+      const double s = pq_scale(q);
+      assemble_pq(q, s, scratch.pq_one.data());
+      transform(q, scratch.pq_one.data(), s);
+    }
+    stats.kernel_launches += 1;
+  } else {
+    // Unfused: one kernel stages every quartet's P in global memory, then
+    // GEMM1 and GEMM2 run as separate kernels with T round-tripping too.
+    scratch.pq_all.resize(nq * pq_size);
+    for (std::size_t q = 0; q < nq; ++q) {
+      assemble_pq(q, pq_scale(q), scratch.pq_all.data() + q * pq_size);
+    }
+    for (std::size_t q = 0; q < nq; ++q) {
+      transform(q, scratch.pq_all.data() + q * pq_size, pq_scale(q));
+    }
+    stats.global_bytes += 2.0 * bpe * nq * (pq_size + t_size);
+    stats.kernel_launches += 3;
   }
-  stats.kernel_launches += 2;
-  stats.global_bytes += 8.0 * nq * (cart_stride + nsb * nsk);
+  stats.scalar_flops += 2.0 * nq * kk * nhb * nhk;
+  stats.global_bytes +=
+      bpe * nq * (mb * nsb + mk * nsk) + 8.0 * nq * out_size;
 
   stats.wall_seconds = timer.seconds();
   MAKO_METRIC_OBSERVE("kernel.batch_s", stats.wall_seconds);

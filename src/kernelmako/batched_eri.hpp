@@ -1,26 +1,34 @@
 // KernelMako: the matrix-aligned batched ERI engine (Section 3.1).
 //
-// Implements Algorithm 1 of the paper: for each primitive-pair combination,
-// compute r-integrals (Eq. 4-5), assemble two-index Hermite [p~|q~] matrices
-// (Eq. 6), and execute the Hermite->AO basis transformation as GEMMs
-// (Eq. 7):
+// Every quartet runs as exactly two GEMMs, whatever its class and
+// contraction degree (Eq. 7 with the primitive sums inside the GEMM
+// reduction):
 //
-//     (ab|q~]  += E_AB^T x [p~|q~]        (per bra primitive pair)
-//     (ab|cd)  += (ab|q~] x E_CD          (per ket primitive pair)
+//     T       = E'_AB^T x P        [nsb x K_CD*nhk]
+//     (ab|cd) = T x E'_CD          [nsb x nsk], already spherical
 //
-// The three operator-level optimizations are all present and toggleable so
-// the Fig-7 ablation can isolate them:
-//   * Implicit instruction parallelism — the GEMM micro-kernels carry a
-//     CUTLASS-style unroll factor (GemmConfig::ilp);
+// E'_AB is the shell pair's stacked operand (PairOperand): the Hermite->
+// Cartesian matrices of all K_AB primitive pairs stacked row-wise, with the
+// Cartesian->spherical transform folded in.  P is the quartet's Hermite
+// matrix indexed [(jp,hp),(kp,hq)] = (-1)^{|q~|} R^{jp,kp}_{p~+q~} (Eq. 6),
+// built from the batch's r-integrals (Eq. 4-5).  Stacked operands are
+// iteration-invariant: FockPlan builds them once per shell pair and routed
+// quartets point at them; direct callers pass none and the engine builds the
+// same operands into its scratch arena.
+//
+// The operator-level optimizations stay toggleable for the Fig-7 ablation:
 //   * Lightweight layout swizzle — the batch's r-integrals are produced in
 //     striped layout (the coalesced-write order) and converted to the
 //     blocked layout MatMul requires through XOR-swizzled tiles;
-//   * GEMM coalescing — for K_AB = K_CD = 1 classes the two GEMMs fuse,
-//     keeping (ab|q~] in a hot on-chip-sized staging tile (Eq. 11).
+//   * GEMM coalescing — P assembly, GEMM1 and GEMM2 of a quartet run
+//     back-to-back while the tiles are hot (Eq. 11); unfused, every P of the
+//     batch is staged first and the GEMMs run as separate passes.
 //
 // Quantized execution (QuantMako, Section 3.2) plugs in through the same
-// config: the basis-transformation GEMMs run at FP16/TF32 with group scaling
-// and FP32 accumulation; r/pq stages stay FP64 (stage-aware quantization).
+// pipeline: both GEMMs run at FP16/TF32 with FP32 accumulation; E' carries a
+// static per-pair scale, P and T per-quartet scales, so results do not depend
+// on how quartets are batched.  r/pq stages stay FP64 (stage-aware
+// quantization).
 #pragma once
 
 #include <span>
@@ -35,20 +43,24 @@
 namespace mako {
 
 /// One shell quartet to evaluate.  All quartets of a batch must share the
-/// same EriClassKey.
+/// same EriClassKey.  `bra`/`ket` are the stacked operands of (a, b) and
+/// (c, d) when the caller owns them (FockPlan); null operands are built by
+/// the engine.
 struct QuartetRef {
   const Shell* a = nullptr;
   const Shell* b = nullptr;
   const Shell* c = nullptr;
   const Shell* d = nullptr;
+  const PairOperand* bra = nullptr;
+  const PairOperand* ket = nullptr;
 };
 
 /// Kernel configuration (what CompilerMako tunes).
 struct KernelConfig {
   GemmConfig gemm{};            ///< tile shape + ILP factor + precision
-  bool fuse_gemms = true;       ///< GEMM coalescing when K_AB == K_CD == 1
+  bool fuse_gemms = true;       ///< per-quartet P -> GEMM1 -> GEMM2 (Eq. 11)
   bool use_swizzle = true;      ///< swizzled striped->blocked conversion
-  bool group_scaling = true;    ///< per-class scaling in quantized mode
+  bool group_scaling = true;    ///< per-pair / per-quartet quantization scales
   /// FP32 in-kernel accumulation with FP64 hand-off (Section 3.2.2).  When
   /// false in FP16 mode, the Table-2 "Baseline FP16" kernel (naive binary16
   /// accumulator) runs instead.

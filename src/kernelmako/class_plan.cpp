@@ -1,10 +1,13 @@
 #include "kernelmako/class_plan.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
 
 #include "basis/spherical.hpp"
+#include "linalg/backend.hpp"
 
 namespace mako {
 
@@ -58,6 +61,78 @@ const EriClassPlan& EriPlanCache::get(const EriClassKey& key) {
 std::size_t EriPlanCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return plans_.size();
+}
+
+void build_pair_operand(const Shell& a, const Shell& b, const MatrixD& sph,
+                        PairOperand& out) {
+  const int la = a.l;
+  const int lb = b.l;
+  const std::size_t nh = static_cast<std::size_t>(nherm(la + lb));
+  const std::size_t nc = static_cast<std::size_t>(ncart(la)) * ncart(lb);
+  const std::size_t ns = sph.rows();
+  const std::size_t kab = static_cast<std::size_t>(a.nprim()) * b.nprim();
+
+  // Column-compressed nonzeros of the cart->sph transform: each Cartesian
+  // pair component feeds only a few spherical ones.  Thread-local storage
+  // keeps warm calls allocation-free.
+  static thread_local std::vector<std::size_t> nz_start, nz_row;
+  static thread_local std::vector<double> nz_val;
+  nz_start.clear();
+  nz_row.clear();
+  nz_val.clear();
+  for (std::size_t c = 0; c < nc; ++c) {
+    nz_start.push_back(nz_row.size());
+    for (std::size_t s = 0; s < ns; ++s) {
+      if (sph(s, c) != 0.0) {
+        nz_row.push_back(s);
+        nz_val.push_back(sph(s, c));
+      }
+    }
+  }
+  nz_start.push_back(nz_row.size());
+
+  out.prims.resize(kab);
+  make_prim_pairs(a.center, a.exponents, a.coefficients, b.center,
+                  b.exponents, b.coefficients, out.prims.data());
+  out.e.assign(kab * nh * ns, 0.0);
+
+  // Fold: E'_jp(h, s) = sum_c E_jp(h, c) * S(s, c), summed in ascending c.
+  static thread_local MatrixD e_jp;
+  for (std::size_t jp = 0; jp < kab; ++jp) {
+    const PrimPair& pp = out.prims[jp];
+    build_e_matrix(la, lb, a.center, b.center, pp.alpha, pp.beta, pp.coef,
+                   e_jp);
+    double* block = out.e.data() + jp * nh * ns;
+    for (std::size_t h = 0; h < nh; ++h) {
+      double* row = block + h * ns;
+      for (std::size_t c = 0; c < nc; ++c) {
+        const double v = e_jp(h, c);
+        for (std::size_t z = nz_start[c]; z < nz_start[c + 1]; ++z) {
+          row[nz_row[z]] += v * nz_val[z];
+        }
+      }
+    }
+  }
+
+  double m = 0.0;
+  for (double v : out.e) m = std::max(m, std::fabs(v));
+  out.scale = m > 0.0 ? 1.0 / m : 1.0;
+}
+
+void quantize_pair_operand(const PairOperand& op, Precision p, bool scaled,
+                           float* dst) {
+  if (!scaled) {
+    quantize_to_float(op.e.data(), dst, op.e.size(), p);
+    return;
+  }
+  // Scale through a stack buffer so the rounding is quantize_to_float's.
+  constexpr std::size_t kChunk = 512;
+  double buf[kChunk];
+  for (std::size_t off = 0; off < op.e.size(); off += kChunk) {
+    const std::size_t n = std::min(kChunk, op.e.size() - off);
+    for (std::size_t i = 0; i < n; ++i) buf[i] = op.scale * op.e[off + i];
+    quantize_to_float(buf, dst + off, n, p);
+  }
 }
 
 const EriClassPlan& EriClassPlan::get(const EriClassKey& key) {

@@ -8,21 +8,28 @@
 // Eq. 6, the cart->sph pair transforms — and is cached process-wide, so
 // BatchedEriEngine::compute_batch does no per-batch table rebuilding.
 //
+// PairOperand is the per-shell-pair counterpart: the stacked, spherical
+// E' operand every quartet of the pair multiplies by.  FockPlan owns one per
+// significant pair; direct callers get them built into the scratch arena.
+//
 // EriScratch is the companion per-thread workspace arena: every working
 // buffer of a batch execution lives here and is reused across batches, which
 // makes the steady-state hot path allocation-free (asserted by the
 // allocation-count test).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "basis/basis_set.hpp"
 #include "integrals/hermite.hpp"
 #include "kernelmako/eri_class.hpp"
 #include "linalg/matrix.hpp"
+#include "util/precision.hpp"
 
 namespace mako {
 
@@ -90,23 +97,56 @@ class EriPlanCache {
   std::map<EriClassKey, std::unique_ptr<EriClassPlan>> plans_;
 };
 
+/// Stacked GEMM operand of one shell pair (a, b): its primitive pairs and
+///
+///   e[(jp*nh + h) * ns + s] = sum_c E_jp(h, c) * S(s, c),
+///
+/// with nh = nherm(la+lb), ns = nsph(la)*nsph(lb), E_jp the Hermite->
+/// Cartesian matrix of primitive pair jp (build_e_matrix) and S the pair's
+/// cart->sph transform.  Depends only on the pair, never on the quartet.
+struct PairOperand {
+  std::vector<PrimPair> prims;  ///< the K = nprim(a)*nprim(b) primitive pairs
+  std::vector<double> e;        ///< [(K*nh) x ns], row-major
+  double scale = 1.0;           ///< static quantization scale 1 / max|e|
+  /// scale * e rounded through FP32 / TF32 / FP16 (quantized_slot), widened
+  /// to float.  Empty unless the owner built that precision; see
+  /// FockPlan::prepare_quantized.
+  std::array<std::vector<float>, 3> q;
+};
+
+/// Index of a reduced precision in PairOperand::q (kFP64 has none).
+constexpr std::size_t quantized_slot(Precision p) noexcept {
+  return static_cast<std::size_t>(p) - 1;
+}
+
+/// Builds the stacked operand of pair (a, b) into `out`, reusing its storage
+/// (allocation-free once warm).  `sph` is cart_to_sph_pair(a.l, b.l).
+void build_pair_operand(const Shell& a, const Shell& b, const MatrixD& sph,
+                        PairOperand& out);
+
+/// Rounds op.scale * op.e through `p` into `dst` (op.e.size() floats) — the
+/// quantized copy of a stacked operand.  With `scaled == false` the static
+/// scale is not applied (the no-group-scaling ablation).
+void quantize_pair_operand(const PairOperand& op, Precision p, bool scaled,
+                           float* dst);
+
 /// Reusable working-buffer arena for one thread's batch executions.  Buffers
 /// grow to the high-water mark of the classes seen and are never shrunk;
 /// after warm-up, compute_batch performs zero heap allocations.
 struct EriScratch {
-  // Per-quartet primitive-pair tables, flat [nq * kab] / [nq * kcd].
-  std::vector<PrimPair> bra_pairs, ket_pairs;
-  // E operand arenas: bra_e stores E_AB row-major [nhb x ncb] per (q, jp)
-  // (consumed through the GEMM's native transpose — never copied), ket_e
-  // stores E_CD row-major [nhk x nck] per (q, kp).
-  std::vector<double> bra_e, ket_e;
-  // Quantized-operand caches: the E arenas rounded to the kernel precision
-  // once per batch instead of once per GEMM call.
-  std::vector<float> q_bra, q_ket, q_dyn;
-  // r-integral staging, [p~|q~] assembly, and transform intermediates.
-  std::vector<double> r_striped, r_blocked, r_tmp, abq, cart, pq_one, pq_all,
-      sph_tmp;
-  MatrixD e_tmp;  ///< build_e_matrix staging
+  /// Stacked operands built for quartets that arrive without them,
+  /// [2 * nq]: bra of quartet q at 2q, ket at 2q + 1.
+  std::vector<PairOperand> ops;
+  /// Per-quartet quantized operands staged for this call (bra, then ket):
+  /// operands with no owner-built copy, the unscaled ablation, and the
+  /// fault-injection copy.  Owner-built copies are never written.
+  std::vector<float> q_ops;
+  std::vector<float> q_dyn;  ///< quantized P, then T, of the current quartet
+  /// r-integral staging over items (q, jp, kp), the P matrices (one, or the
+  /// whole batch when unfused), T, and scaled double operands for the
+  /// naive-FP16 baseline.
+  std::vector<double> r_striped, r_blocked, r_tmp, pq_one, pq_all, t_one,
+      e_naive;
 };
 
 }  // namespace mako

@@ -74,7 +74,7 @@ constexpr double gemm_flops(std::size_t m, std::size_t n, std::size_t k) {
 }
 
 /// Rounds a double buffer to the storage format of `p`, widened to float —
-/// the once-per-batch operand staging of the quantized-operand cache.
+/// the operand staging of the reduced-precision GEMM paths.
 void quantize_to_float(const double* src, float* dst, std::size_t n,
                        Precision p);
 
@@ -126,7 +126,8 @@ class GemmBackend {
   /// storage format (see quantize_to_float): multiplies at FP32, accumulates
   /// at FP32, and widens alpha*(op(A)*op(B)) into the FP64 destination —
   /// stage one of dual-stage accumulation.  This is the reuse-aware path:
-  /// invariant operands are quantized once per batch, not once per call.
+  /// invariant operands are quantized once (e.g. per shell pair), not once
+  /// per call.
   void mixed(const float* qa, bool trans_a, const float* qb, bool trans_b,
              double* c, std::size_t m, std::size_t n, std::size_t k,
              double alpha, double beta, const GemmConfig& cfg) const;

@@ -51,7 +51,7 @@ void gemm_fp64_ex(const double* a, bool trans_a, const double* b, bool trans_b,
 /// (see quantize_to_float): multiplies at FP32, accumulates at FP32, and
 /// widens alpha*(op(A)*op(B)) into the FP64 destination (dual-stage
 /// accumulation).  This is the reuse-aware path: invariant operands are
-/// quantized once per batch instead of once per GEMM call.
+/// quantized once instead of once per GEMM call.
 void gemm_quantized_ops(const float* qa, bool trans_a, const float* qb,
                         bool trans_b, double* c, std::size_t m, std::size_t n,
                         std::size_t k, double alpha, double beta,

@@ -124,7 +124,6 @@ struct FockBuilder::Scratch {
     /// the shrink destroy warmed vectors would re-allocate them on the next
     /// full-size batch.
     std::vector<std::vector<double>> spare;
-    EriScratch eri;
     double eri_seconds = 0.0;
     double digest_seconds = 0.0;
     double gemm_flops = 0.0;
@@ -366,7 +365,10 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
           const std::uint32_t slot = plan.class_slot(bra->klass, ket->klass);
           Scratch::Bucket& bk =
               rs.buckets[slot * 2 + (quantized ? 1u : 0u)];
-          bk.refs.push_back(QuartetRef{bra->s1, bra->s2, ket->s1, ket->s2});
+          bk.refs.push_back(QuartetRef{
+              bra->s1, bra->s2, ket->s1, ket->s2,
+              &plan.operand(static_cast<std::size_t>(bra - pairs.data())),
+              &plan.operand(static_cast<std::size_t>(ket - pairs.data()))});
           bk.weights.push_back(weight);
         }
       }
@@ -436,6 +438,8 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
                                config, &ctx_->backend(), &ctx_->plans())
                   .first->second;
           engine.set_config(config);
+          // Routed quartets read the plan's quantized operand copies.
+          if (config.quantized()) plan.prepare_quantized(config.gemm.precision);
           const EriClassPlan& cplan = ctx_->plans().get(key);
 
           for (std::size_t start = 0; start < bk.refs.size();
@@ -483,10 +487,13 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
           shard.out.push_back(std::move(shard.spare.back()));
           shard.spare.pop_back();
         }
+        // One ERI arena per thread, not per slice: arena contents never
+        // reach the results, and 16 slice arenas would each grow to the
+        // high-water mark of the classes they see.
+        static thread_local EriScratch eri;
         Timer et;
         const BatchStats bs = task.engine->compute_batch(
-            *task.cplan, batch, shard.out, shard.eri,
-            /*verify_class=*/false);
+            *task.cplan, batch, shard.out, eri, /*verify_class=*/false);
         shard.eri_seconds += et.seconds();
         shard.gemm_flops += bs.gemm_flops;
         Timer dt;

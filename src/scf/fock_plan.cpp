@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "basis/spherical.hpp"
 #include "integrals/schwarz.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -122,6 +123,15 @@ FockPlan::FockPlan(const BasisSet& basis, ThreadPool& pool) {
               return a.i2 < b.i2;
             });
 
+  // Stacked ERI operands, one per pair, built like the Schwarz bounds: each
+  // has a unique writer, so the parallel build is deterministic.
+  operands_.resize(pairs_.size());
+  pool.parallel_for(pairs_.size(), [&](std::size_t i) {
+    const FockShellPair& pr = pairs_[i];
+    build_pair_operand(*pr.s1, *pr.s2, cart_to_sph_pair(pr.s1->l, pr.s2->l),
+                       operands_[i]);
+  });
+
   // Owner-computes partition: kOwnerSlices fixed row slices of the sorted
   // triangle, monotone and area-balanced.  These boundaries are part of the
   // plan (not per-build state) because they define where the rank boundary
@@ -167,6 +177,17 @@ FockPlan::FockPlan(const BasisSet& basis, ThreadPool& pool) {
                   pairs_.size(), classes_.size());
     span.set_args(args);
   }
+}
+
+void FockPlan::prepare_quantized(Precision p) const {
+  if (p == Precision::kFP64) return;
+  const std::size_t slot = quantized_slot(p);
+  std::call_once(quantized_once_[slot], [&] {
+    for (PairOperand& op : operands_) {
+      op.q[slot].resize(op.e.size());
+      quantize_pair_operand(op, p, /*scaled=*/true, op.q[slot].data());
+    }
+  });
 }
 
 std::uint64_t FockPlan::fingerprint(const BasisSet& basis) {

@@ -17,7 +17,12 @@
 //     ready-to-batch QuartetRefs instead of re-deriving them per iteration;
 //   * the pair-class algebra: every quartet's EriClassKey is a pure
 //     function of its (bra pair class, ket pair class), precomputed as a
-//     flat lookup table so the routing pass classifies in O(1) with no map.
+//     flat lookup table so the routing pass classifies in O(1) with no map;
+//   * one stacked ERI operand per pair (PairOperand: primitive pairs plus
+//     E'_AB with the spherical transform folded in), which routed quartets
+//     point at, so KernelMako never rebuilds E per quartet or iteration.
+//     Quantized copies are built once per precision on first use
+//     (prepare_quantized).
 //
 // Only the density-dependent work — per-shell-pair density maxima and the
 // FP64/quantized/pruned route of each surviving quartet — remains in the
@@ -31,6 +36,7 @@
 // plan.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -38,6 +44,7 @@
 #include <vector>
 
 #include "basis/basis_set.hpp"
+#include "kernelmako/class_plan.hpp"
 #include "kernelmako/eri_class.hpp"
 #include "linalg/matrix.hpp"
 
@@ -84,6 +91,17 @@ class FockPlan {
     return pairs_;
   }
 
+  /// Stacked ERI operand of pairs()[i], oriented (s1, s2).
+  [[nodiscard]] const PairOperand& operand(std::size_t i) const noexcept {
+    return operands_[i];
+  }
+
+  /// Builds every pair operand's quantized copy at `p` (no-op for kFP64 and
+  /// after the first call per precision).  Thread-safe; a caller must call
+  /// it before dispatching quantized work at `p` over these operands, which
+  /// is what makes reading PairOperand::q race-free.
+  void prepare_quantized(Precision p) const;
+
   [[nodiscard]] std::size_t num_pair_classes() const noexcept { return npc_; }
 
   /// The distinct quartet classes of this basis, indexed by class slot.
@@ -125,6 +143,10 @@ class FockPlan {
   std::vector<EriClassKey> classes_;   ///< distinct quartet classes
   std::vector<std::uint32_t> slot_;    ///< [npc_ x npc_] -> class slot
   std::vector<std::size_t> slice_rows_;  ///< kOwnerSlices+1 row boundaries
+  /// Parallel to pairs_.  Mutable only for the quantized copies, written
+  /// once per precision under quantized_once_.
+  mutable std::vector<PairOperand> operands_;
+  mutable std::array<std::once_flag, 3> quantized_once_;
 };
 
 /// Cache of FockPlans, anchored per ExecutionContext through
