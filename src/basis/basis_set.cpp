@@ -71,6 +71,16 @@ BasisSet::BasisSet(const Molecule& mol, const std::string& basis_name)
   nbf_ = offset;
 }
 
+void BasisAnchor::attach(const void* owner, std::shared_ptr<const void> data) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  attached_.emplace_back(owner, std::move(data));
+}
+
+void BasisAnchor::detach(const void* owner) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::erase_if(attached_, [owner](const auto& a) { return a.first == owner; });
+}
+
 std::vector<std::vector<std::size_t>> BasisSet::shells_by_l() const {
   std::vector<std::vector<std::size_t>> groups(max_l_ + 1);
   for (std::size_t i = 0; i < shells_.size(); ++i) {

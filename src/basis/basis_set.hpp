@@ -3,7 +3,10 @@
 // engine.
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "basis/basis_data.hpp"
@@ -39,6 +42,22 @@ double primitive_norm(double exponent, int l);
 /// (the same procedure BasisSet applies when instantiating a basis).
 void normalize_shell(Shell& shell);
 
+/// Lifetime anchor of one BasisSet.  Caches of data derived from a basis'
+/// shells (FockPlanCache: the FockPlan points into them) attach that data
+/// here, so it is freed with the basis however long the cache lives, and
+/// hold only weak references themselves.
+class BasisAnchor {
+ public:
+  /// Keeps `data` alive until the basis dies or `owner` detaches.
+  void attach(const void* owner, std::shared_ptr<const void> data);
+  /// Releases everything `owner` attached.
+  void detach(const void* owner);
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::pair<const void*, std::shared_ptr<const void>>> attached_;
+};
+
 /// A full molecular basis.
 class BasisSet {
  public:
@@ -61,11 +80,31 @@ class BasisSet {
   /// batched engines and CompilerMako group work this way.
   [[nodiscard]] std::vector<std::vector<std::size_t>> shells_by_l() const;
 
+  /// This basis' lifetime anchor: expires when the basis is destroyed.
+  /// Every instance has its own; copies never share it.
+  [[nodiscard]] const std::shared_ptr<BasisAnchor>& anchor() const noexcept {
+    return anchor_.ptr;
+  }
+
  private:
+  /// Holds a fresh anchor per instance, whether constructed, copied or
+  /// assigned (a copy has its own shells, so derived data never carries
+  /// over).  Declared last: attached data dies before the shells.
+  struct AnchorSlot {
+    AnchorSlot() = default;
+    AnchorSlot(const AnchorSlot&) {}
+    AnchorSlot& operator=(const AnchorSlot&) {
+      ptr = std::make_shared<BasisAnchor>();
+      return *this;
+    }
+    std::shared_ptr<BasisAnchor> ptr = std::make_shared<BasisAnchor>();
+  };
+
   std::string name_;
   std::vector<Shell> shells_;
   std::size_t nbf_ = 0;
   int max_l_ = 0;
+  AnchorSlot anchor_;
 };
 
 }  // namespace mako

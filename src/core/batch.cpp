@@ -250,7 +250,7 @@ std::shared_ptr<const BasisSet> BatchScheduler::pooled_basis(
   }
   // Build outside the lock (basis instantiation normalizes every shell);
   // racing builders of the same basis keep the first inserted instance so
-  // every job sees one shell-array address — the FockPlanCache key.
+  // every job sees one BasisSet — whose anchor is the FockPlanCache key.
   auto basis = std::make_shared<const BasisSet>(mol, basis_name);
   std::lock_guard<std::mutex> lock(basis_mutex_);
   return basis_pool_.try_emplace(key, std::move(basis)).first->second;

@@ -161,7 +161,7 @@ class BatchScheduler {
 
   /// Returns the pooled BasisSet for (molecule, basis-name), building it at
   /// most once per batch.  Jobs over the same chemistry share one instance —
-  /// which is what makes the address-keyed FockPlanCache hit across jobs.
+  /// which is what makes the basis-keyed FockPlanCache hit across jobs.
   std::shared_ptr<const BasisSet> pooled_basis(const Molecule& mol,
                                                const std::string& basis_name);
 

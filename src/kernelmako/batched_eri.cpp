@@ -174,12 +174,18 @@ BatchStats BatchedEriEngine::compute_batch(
   };
 
   // --- Stage 1: r-integrals over items (q, jp, kp) ----------------------
-  // Produced striped (item-fastest), the order a quartet-per-thread kernel
-  // writes coalesced.
+  // Gather every item's inputs structure-of-arrays, then one recursion pass
+  // with the item index innermost writes them striped (item-fastest): the
+  // order a quartet-per-thread kernel writes coalesced.
   const std::size_t nitem = nq * kk;
   scratch.r_striped.resize(nht * nitem);
   scratch.r_blocked.resize(scratch.r_striped.size());
-  scratch.r_tmp.resize(nht);
+  scratch.r_items.resize(5 * nitem);
+  double* alpha = scratch.r_items.data();
+  double* pqx = alpha + nitem;
+  double* pqy = pqx + nitem;
+  double* pqz = pqy + nitem;
+  double* pref = pqz + nitem;
   const double two_pi_2_5 = 2.0 * std::pow(kPi, 2.5);
   for (std::size_t q = 0; q < nq; ++q) {
     const PairOperand& bo = bra_op(q);
@@ -188,21 +194,17 @@ BatchStats BatchedEriEngine::compute_batch(
       const PrimPair& bra = bo.prims[jp];
       for (std::size_t kp = 0; kp < kcd; ++kp) {
         const PrimPair& ket = ko.prims[kp];
-        const double denom = bra.p * ket.p * std::sqrt(bra.p + ket.p);
-        const double pref = two_pi_2_5 / denom;
-        const double alpha_rq = bra.p * ket.p / (bra.p + ket.p);
-        const Vec3 pq_vec{bra.center[0] - ket.center[0],
-                          bra.center[1] - ket.center[1],
-                          bra.center[2] - ket.center[2]};
-        compute_r_integrals(ltot, alpha_rq, pq_vec, pref,
-                            scratch.r_tmp.data());
         const std::size_t item = (q * kab + jp) * kcd + kp;
-        for (std::size_t h = 0; h < nht; ++h) {
-          scratch.r_striped[h * nitem + item] = scratch.r_tmp[h];
-        }
+        pref[item] = two_pi_2_5 / (bra.p * ket.p * std::sqrt(bra.p + ket.p));
+        alpha[item] = bra.p * ket.p / (bra.p + ket.p);
+        pqx[item] = bra.center[0] - ket.center[0];
+        pqy[item] = bra.center[1] - ket.center[1];
+        pqz[item] = bra.center[2] - ket.center[2];
       }
     }
   }
+  compute_r_integrals_batch(ltot, nitem, alpha, pqx, pqy, pqz, pref,
+                            scratch.r_striped.data(), nitem, scratch.rint);
   stats.scalar_flops += static_cast<double>(nitem) * nht * (ltot + 2) * 4.0;
   stats.global_bytes += 8.0 * nitem * nht;
   stats.kernel_launches += 1;

@@ -96,17 +96,18 @@ void build_pair_operand(const Shell& a, const Shell& b, const MatrixD& sph,
                   b.exponents, b.coefficients, out.prims.data());
   out.e.assign(kab * nh * ns, 0.0);
 
-  // Fold: E'_jp(h, s) = sum_c E_jp(h, c) * S(s, c), summed in ascending c.
-  static thread_local MatrixD e_jp;
+  // Fold: E'_jp(h, s) = sum_c E_jp(h, c) * S(s, c), summed in ascending c
+  // over E_jp's structural nonzeros (the zeros add nothing).
+  static thread_local ESparse e_jp;
   for (std::size_t jp = 0; jp < kab; ++jp) {
     const PrimPair& pp = out.prims[jp];
-    build_e_matrix(la, lb, a.center, b.center, pp.alpha, pp.beta, pp.coef,
+    build_e_sparse(la, lb, a.center, b.center, pp.alpha, pp.beta, pp.coef,
                    e_jp);
     double* block = out.e.data() + jp * nh * ns;
-    for (std::size_t h = 0; h < nh; ++h) {
-      double* row = block + h * ns;
-      for (std::size_t c = 0; c < nc; ++c) {
-        const double v = e_jp(h, c);
+    for (std::size_t c = 0; c < nc; ++c) {
+      for (int i = e_jp.col_start[c]; i < e_jp.col_start[c + 1]; ++i) {
+        double* row = block + static_cast<std::size_t>(e_jp.h[i]) * ns;
+        const double v = e_jp.v[i];
         for (std::size_t z = nz_start[c]; z < nz_start[c + 1]; ++z) {
           row[nz_row[z]] += v * nz_val[z];
         }

@@ -13,9 +13,12 @@
 // significant pair; direct callers get them built into the scratch arena.
 //
 // EriScratch is the companion per-thread workspace arena: every working
-// buffer of a batch execution lives here and is reused across batches, which
-// makes the steady-state hot path allocation-free (asserted by the
-// allocation-count test).
+// buffer of a batch execution lives here — the structure-of-arrays Stage 1
+// inputs and r-integral chunk rows, the striped and blocked r-integrals, P,
+// T and quantized staging — and is reused across batches, which makes the
+// steady-state hot path allocation-free (asserted by the allocation-count
+// test).  The r-integral recursion program itself is per order, on
+// HermiteBasis.
 #pragma once
 
 #include <array>
@@ -142,11 +145,17 @@ struct EriScratch {
   /// fault-injection copy.  Owner-built copies are never written.
   std::vector<float> q_ops;
   std::vector<float> q_dyn;  ///< quantized P, then T, of the current quartet
-  /// r-integral staging over items (q, jp, kp), the P matrices (one, or the
-  /// whole batch when unfused), T, and scaled double operands for the
-  /// naive-FP16 baseline.
-  std::vector<double> r_striped, r_blocked, r_tmp, pq_one, pq_all, t_one,
-      e_naive;
+  /// Stage 1 inputs of the items (q, jp, kp), structure-of-arrays:
+  /// [alpha | PQ_x | PQ_y | PQ_z | prefactor], nitem each.
+  std::vector<double> r_items;
+  /// compute_r_integrals_batch's chunk rows (packed (m, h) recursion
+  /// storage).
+  RIntegralWorkspace rint;
+  /// r-integrals over the items, striped [nht x nitem] as Stage 1 writes
+  /// them and blocked [nitem x nht] after the layout conversion; the P
+  /// matrices (one, or the whole batch when unfused), T, and scaled double
+  /// operands for the naive-FP16 baseline.
+  std::vector<double> r_striped, r_blocked, pq_one, pq_all, t_one, e_naive;
 };
 
 }  // namespace mako

@@ -207,49 +207,53 @@ std::uint64_t FockPlan::fingerprint(const BasisSet& basis) {
   return h;
 }
 
+FockPlanCache::~FockPlanCache() {
+  for (const auto& [key, entry] : plans_) {
+    if (const auto anchor = entry.basis.lock()) anchor->detach(this);
+  }
+}
+
+std::shared_ptr<const FockPlan> FockPlanCache::find(
+    const BasisAnchor* anchor) const {
+  const auto it = plans_.find(anchor);
+  if (it == plans_.end() || it->second.basis.expired()) return nullptr;
+  return it->second.plan.lock();
+}
+
 std::shared_ptr<const FockPlan> FockPlanCache::get(const BasisSet& basis,
                                                    ThreadPool& pool) {
-  const Key key{basis.shells().data(), basis.num_shells(), basis.nbf(),
-                FockPlan::fingerprint(basis)};
+  const std::shared_ptr<BasisAnchor>& anchor = basis.anchor();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = plans_.find(key);
-    if (it != plans_.end()) {
+    if (auto plan = find(anchor.get())) {
       ++hits_;
       MAKO_METRIC_COUNT("fock.plan_cache_hits", 1);
-      return it->second;
+      return plan;
     }
   }
   // Build outside the lock: plan construction runs a parallel Schwarz pass
   // and must not serialize unrelated lookups behind it.  A concurrent build
-  // of the same basis is benign — last writer wins, both plans are correct.
+  // of the same basis is benign — the first inserted plan wins.
   auto plan = std::make_shared<const FockPlan>(basis, pool);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = plans_.try_emplace(key, plan);
-  if (!inserted) {
+  if (auto existing = find(anchor.get())) {
     ++hits_;
-    return it->second;
+    return existing;
   }
+  // Entries of dead bases hold nothing but their expired references.
+  std::erase_if(plans_, [](const auto& e) { return e.second.basis.expired(); });
+  anchor->attach(this, plan);
+  plans_[anchor.get()] = Entry{anchor, plan};
   ++builds_;
   MAKO_METRIC_COUNT("fock.plan_builds", 1);
-  // Bound the cache: drop plans no builder holds anymore.  Entries for dead
-  // bases can never be hit again (the key embeds the shell-array address and
-  // content fingerprint), so evicting them only frees memory.
-  if (plans_.size() > 64) {
-    for (auto e = plans_.begin(); e != plans_.end();) {
-      if (e->second.use_count() == 1 && e->first < key) {
-        e = plans_.erase(e);
-      } else {
-        ++e;
-      }
-    }
-  }
   return plan;
 }
 
 std::size_t FockPlanCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return plans_.size();
+  return static_cast<std::size_t>(std::count_if(
+      plans_.begin(), plans_.end(),
+      [](const auto& e) { return !e.second.basis.expired(); }));
 }
 
 std::int64_t FockPlanCache::builds() const {

@@ -30,10 +30,10 @@
 // FockBuilder).
 //
 // Plans are cached on the ExecutionContext (FockPlanCache via
-// ExecutionContext::components()), keyed by the basis identity and a content
-// fingerprint, so every FockBuilder over the same basis — including the
-// incremental-Fock rebuilds and gradient Fock builds of one run — shares one
-// plan.
+// ExecutionContext::components()), keyed by the basis' lifetime anchor, so
+// every FockBuilder over the same basis — including the incremental-Fock
+// rebuilds and gradient Fock builds of one run — shares one plan, and the
+// plan is freed with its basis.
 #pragma once
 
 #include <array>
@@ -65,8 +65,8 @@ struct FockShellPair {
 
 /// Immutable, iteration-invariant plan of one basis' Fock assembly.
 /// Thread-safe to share by const reference; holds pointers into the
-/// BasisSet's shell array, so it must not outlive the basis it was built
-/// from (the cache key guards against address reuse).
+/// BasisSet's shell array, so it must not be used after the basis it was
+/// built from dies.
 class FockPlan {
  public:
   /// Fixed owner-slice count of the Fock partition.  The pair triangle is
@@ -133,7 +133,7 @@ class FockPlan {
   }
 
   /// Content fingerprint of a basis (FNV-1a over shells + geometry); part of
-  /// the plan cache key.
+  /// the checkpoint fingerprint.
   static std::uint64_t fingerprint(const BasisSet& basis);
 
  private:
@@ -150,10 +150,12 @@ class FockPlan {
 };
 
 /// Cache of FockPlans, anchored per ExecutionContext through
-/// ExecutionContext::components().  Keyed by the shell-array address plus a
-/// content fingerprint: a re-created identical basis at a new address gets a
-/// fresh plan (the old plan's Shell pointers would dangle), while repeated
-/// FockBuilder construction over a live basis hits the cache.
+/// ExecutionContext::components().  A plan lives exactly as long as its
+/// basis: the cache attaches it to the basis' BasisAnchor and itself keeps
+/// only weak entries keyed by the anchor, so repeated FockBuilder
+/// construction over a live basis hits, and a dead basis' plan is freed at
+/// once even when the context lives on.  A new basis never hits an old
+/// plan, even at a reused address: the entry's anchor has expired.
 ///
 /// builds()/hits() are the CI-stable counters the plan-reuse ctest guard
 /// asserts on (counter-based, not timing-based).
@@ -162,11 +164,14 @@ class FockPlanCache {
   FockPlanCache() = default;
   FockPlanCache(const FockPlanCache&) = delete;
   FockPlanCache& operator=(const FockPlanCache&) = delete;
+  /// Detaches this cache's plans from the bases still alive.
+  ~FockPlanCache();
 
   /// Returns the cached plan of `basis`, building (on `pool`) at most once
   /// per live basis.  Thread-safe.
   std::shared_ptr<const FockPlan> get(const BasisSet& basis, ThreadPool& pool);
 
+  /// Number of plans held, one per live basis this cache served.
   [[nodiscard]] std::size_t size() const;
   /// Number of plan constructions performed by this cache.
   [[nodiscard]] std::int64_t builds() const;
@@ -174,22 +179,16 @@ class FockPlanCache {
   [[nodiscard]] std::int64_t hits() const;
 
  private:
-  struct Key {
-    const void* shells = nullptr;  ///< basis.shells().data()
-    std::size_t ns = 0;
-    std::size_t nbf = 0;
-    std::uint64_t fingerprint = 0;
-
-    [[nodiscard]] bool operator<(const Key& o) const {
-      if (shells != o.shells) return shells < o.shells;
-      if (ns != o.ns) return ns < o.ns;
-      if (nbf != o.nbf) return nbf < o.nbf;
-      return fingerprint < o.fingerprint;
-    }
+  struct Entry {
+    std::weak_ptr<BasisAnchor> basis;
+    std::weak_ptr<const FockPlan> plan;
   };
 
+  /// The plan of the live basis owning `anchor`, or null.  Requires mutex_.
+  std::shared_ptr<const FockPlan> find(const BasisAnchor* anchor) const;
+
   mutable std::mutex mutex_;
-  std::map<Key, std::shared_ptr<const FockPlan>> plans_;
+  std::map<const BasisAnchor*, Entry> plans_;
   std::int64_t builds_ = 0;
   std::int64_t hits_ = 0;
 };

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <tuple>
@@ -420,6 +421,60 @@ TEST(FockPlanTest, SecondBuilderOverSameBasisHitsThePlanCache) {
   third.build_jk(d_small, exact_policy(), j, k);
   EXPECT_EQ(cache.builds(), 2);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+// --- Plan cache: a plan lives exactly as long as its basis --------------------
+
+TEST(FockPlanTest, LongLivedContextHoldsNoPlanOfADeadBasis) {
+  ExecutionContextOptions ctx_opt;
+  ctx_opt.make_active = false;
+  const ExecutionContext ctx(ctx_opt);
+  FockPlanCache& cache = ctx.components().get<FockPlanCache>();
+  const Molecule w = make_water();
+
+  // Transient bases, typically reusing one address with identical content:
+  // each is a fresh plan (never a stale hit), and each plan dies with its
+  // basis although the context lives on.
+  constexpr int kBases = 6;
+  std::vector<std::weak_ptr<const FockPlan>> plans;
+  for (int i = 0; i < kBases; ++i) {
+    const BasisSet bs(w, "sto-3g");
+    const auto plan = cache.get(bs, ctx.pool());
+    EXPECT_EQ(cache.get(bs, ctx.pool()), plan);  // live basis: a hit
+    EXPECT_EQ(cache.size(), 1u);
+    plans.push_back(plan);
+  }
+  for (const auto& plan : plans) EXPECT_TRUE(plan.expired());
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.builds(), kBases);
+  EXPECT_EQ(cache.hits(), kBases);
+
+  // A copy is a different basis (its own shells): its own plan, pointing
+  // into the copy.
+  const BasisSet original(w, "sto-3g");
+  const BasisSet copy = original;
+  const auto p_original = cache.get(original, ctx.pool());
+  const auto p_copy = cache.get(copy, ctx.pool());
+  EXPECT_NE(p_original, p_copy);
+  for (const FockShellPair& pr : p_copy->pairs()) {
+    EXPECT_GE(pr.s1, copy.shells().data());
+    EXPECT_LT(pr.s1, copy.shells().data() + copy.num_shells());
+  }
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(FockPlanTest, PlanOfALiveBasisDiesWithItsContext) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "sto-3g");
+  std::weak_ptr<const FockPlan> plan;
+  {
+    ExecutionContextOptions ctx_opt;
+    ctx_opt.make_active = false;
+    const ExecutionContext ctx(ctx_opt);
+    plan = ctx.components().get<FockPlanCache>().get(bs, ctx.pool());
+    EXPECT_FALSE(plan.expired());
+  }
+  EXPECT_TRUE(plan.expired());
 }
 
 }  // namespace

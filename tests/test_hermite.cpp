@@ -1,10 +1,18 @@
 // MMD machinery tests: Hermite index bases, E coefficients and r-integrals.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "integrals/boys.hpp"
 #include "integrals/hermite.hpp"
+#include "robust/audit.hpp"
 
 namespace mako {
 namespace {
@@ -38,6 +46,68 @@ TEST_P(HermiteBasisTest, OrderedByTotalDegree) {
 
 INSTANTIATE_TEST_SUITE_P(Orders, HermiteBasisTest,
                          ::testing::Values(0, 1, 2, 4, 8, 16));
+
+TEST_P(HermiteBasisTest, RecursionProgramReducesAlongFirstNonzeroAxis) {
+  const int l = GetParam();
+  const HermiteBasis& hb = HermiteBasis::get(l);
+  const auto& prog = hb.recursion();
+  ASSERT_EQ(static_cast<int>(prog.size()), hb.size());
+  int rows = 0;
+  for (int h = 0; h < hb.size(); ++h) {
+    const auto& c = hb.component(h);
+    const auto& step = prog[h];
+    EXPECT_EQ(step.order, c[0] + c[1] + c[2]);
+    EXPECT_EQ(step.row, rows);  // packed rows: m = 1 .. L - |h| per component
+    rows += l - step.order;
+    if (h == 0) continue;
+    const int axis = c[0] > 0 ? 0 : (c[1] > 0 ? 1 : 2);
+    EXPECT_EQ(step.axis, axis);
+    std::array<int, 3> lower = c;
+    --lower[axis];
+    EXPECT_EQ(step.idx1, hb.index(lower[0], lower[1], lower[2]));
+    EXPECT_EQ(step.coeff, static_cast<double>(lower[axis]));
+    if (lower[axis] == 0) {
+      EXPECT_EQ(step.idx2, -1);
+    } else {
+      --lower[axis];
+      EXPECT_EQ(step.idx2, hb.index(lower[0], lower[1], lower[2]));
+    }
+  }
+  EXPECT_EQ(hb.recursion_rows(), rows);
+}
+
+TEST(HermiteBasisTest, ConcurrentGetIsStable) {
+  // Lookups take no lock after the first build of an order; every thread
+  // must still see one instance per order.
+  constexpr int kThreads = 8;
+  constexpr int kOrders = 17;
+  std::vector<std::array<const HermiteBasis*, kOrders>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &seen] {
+      for (int rep = 0; rep < 50; ++rep) {
+        for (int i = 0; i < kOrders; ++i) {
+          const int l = (i + t) % kOrders;  // threads race on different orders
+          const HermiteBasis* hb = &HermiteBasis::get(l);
+          if (rep == 0) seen[t][l] = hb;
+          if (hb != seen[t][l] || hb->order() != l) seen[t][l] = nullptr;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int l = 0; l < kOrders; ++l) {
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t][l], &HermiteBasis::get(l)) << "thread " << t << " l " << l;
+    }
+  }
+}
+
+TEST(HermiteBasisTest, OrderOutsideTheTableThrows) {
+  EXPECT_THROW(HermiteBasis::get(-1), std::out_of_range);
+  EXPECT_THROW(HermiteBasis::get(HermiteBasis::kMaxOrder + 1),
+               std::out_of_range);
+}
 
 TEST(HermiteCountTest, Formula) {
   EXPECT_EQ(nherm(0), 1);
@@ -173,6 +243,128 @@ TEST(RIntegralTest, SsssMatchesClosedForm) {
   compute_r_integrals(0, alpha, pq, pref, r.data());
   const double f0 = BoysTable::instance().value(0, alpha * 1.9 * 1.9);
   EXPECT_NEAR(r[0], pref * f0, 1e-13);
+}
+
+// --- Structure-of-arrays r-integrals ---------------------------------------
+
+/// Item inputs, structure-of-arrays as compute_r_integrals_batch takes them.
+struct RItems {
+  std::vector<double> alpha, x, y, z, pref;
+
+  void add(double a, const Vec3& pq, double p) {
+    alpha.push_back(a);
+    x.push_back(pq[0]);
+    y.push_back(pq[1]);
+    z.push_back(pq[2]);
+    pref.push_back(p);
+  }
+  [[nodiscard]] std::size_t size() const { return alpha.size(); }
+};
+
+/// n items cycling through Boys arguments T = alpha |PQ|^2 of 0, either side
+/// of the table/asymptotic crossover (32), large, and scattered in between.
+RItems boys_regime_items(std::size_t n) {
+  const double t_values[] = {0.0, 31.99, 32.0, 32.01, 1e3, 0.37, 7.3, 18.0};
+  RItems items;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = t_values[i % std::size(t_values)];
+    const double alpha = 0.8 + 0.01 * static_cast<double>(i % 5);
+    // Spread |PQ| over the three axes so every reduction axis is exercised.
+    const double r = std::sqrt(t / alpha);
+    const Vec3 pq{0.6 * r, -0.64 * r, 0.48 * r};
+    items.add(alpha, pq, 1.0 + 0.125 * static_cast<double>(i));
+  }
+  return items;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(RIntegralTest, BatchMatchesSingleItemCallsBitwise) {
+  RIntegralWorkspace ws;
+  for (int l = 0; l <= 16; ++l) {
+    const std::size_t nh = static_cast<std::size_t>(nherm(l));
+    for (const std::size_t n :
+         {std::size_t{1}, kRIntegralChunk - 1, kRIntegralChunk,
+          kRIntegralChunk + 1}) {
+      SCOPED_TRACE("L=" + std::to_string(l) + " n=" + std::to_string(n));
+      const RItems items = boys_regime_items(n);
+      const std::size_t stride = n + 3;  // a non-packed stride too
+      std::vector<double> out(nh * stride, -1.0);
+      compute_r_integrals_batch(l, n, items.alpha.data(), items.x.data(),
+                                items.y.data(), items.z.data(),
+                                items.pref.data(), out.data(), stride, ws);
+      std::vector<double> one(nh);
+      for (std::size_t i = 0; i < n; ++i) {
+        compute_r_integrals(l, items.alpha[i],
+                            {items.x[i], items.y[i], items.z[i]},
+                            items.pref[i], one.data());
+        for (std::size_t h = 0; h < nh; ++h) {
+          ASSERT_TRUE(same_bits(out[h * stride + i], one[h]))
+              << "item " << i << " h " << h << ": " << out[h * stride + i]
+              << " vs " << one[h];
+        }
+      }
+      // Slots past the n items are never written.
+      for (std::size_t h = 0; h < nh; ++h) {
+        for (std::size_t i = n; i < stride; ++i) {
+          ASSERT_EQ(out[h * stride + i], -1.0);
+        }
+      }
+    }
+  }
+}
+
+TEST(RIntegralTest, PoisonedItemPoisonsOnlyItself) {
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  const int l = 6;
+  const std::size_t nh = static_cast<std::size_t>(nherm(l));
+  const std::size_t n = kRIntegralChunk + 1;
+  const RItems clean = boys_regime_items(n);
+  std::vector<double> want(nh * n);
+  RIntegralWorkspace ws;
+  compute_r_integrals_batch(l, n, clean.alpha.data(), clean.x.data(),
+                            clean.y.data(), clean.z.data(), clean.pref.data(),
+                            want.data(), n, ws);
+
+  struct Poison {
+    const char* what;
+    void (*apply)(RItems&, std::size_t);
+  };
+  const Poison poisons[] = {
+      {"NaN centre", [](RItems& it, std::size_t i) { it.y[i] = nan; }},
+      {"zero alpha", [](RItems& it, std::size_t i) { it.alpha[i] = 0.0; }},
+      {"negative alpha", [](RItems& it, std::size_t i) { it.alpha[i] = -1.0; }},
+      {"infinite prefactor",
+       [](RItems& it, std::size_t i) {
+         it.pref[i] = std::numeric_limits<double>::infinity();
+       }},
+  };
+  for (const Poison& poison : poisons) {
+    for (const std::size_t bad : {std::size_t{0}, std::size_t{5}, n - 1}) {
+      SCOPED_TRACE(std::string(poison.what) + " at item " +
+                   std::to_string(bad));
+      RItems items = clean;
+      poison.apply(items, bad);
+      std::vector<double> out(nh * n);
+      const std::uint64_t faults = domain_fault_count();
+      compute_r_integrals_batch(l, n, items.alpha.data(), items.x.data(),
+                                items.y.data(), items.z.data(),
+                                items.pref.data(), out.data(), n, ws);
+      EXPECT_EQ(domain_fault_count(), faults + 1);
+      for (std::size_t h = 0; h < nh; ++h) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (i == bad) {
+            ASSERT_TRUE(std::isnan(out[h * n + i])) << "h " << h;
+          } else {
+            ASSERT_TRUE(same_bits(out[h * n + i], want[h * n + i]))
+                << "item " << i << " h " << h;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
 #include "core/execution_context.hpp"
+#include "core/mako.hpp"
 #include "integrals/one_electron.hpp"
+#include "parallel/thread_pool.hpp"
 #include "scf/scf.hpp"
 
 namespace mako {
@@ -212,6 +215,71 @@ TEST(ScfTest, DiisAcceleratesConvergence) {
     EXPECT_NEAR(r1.energy, r2.energy, 1e-5);
   }
 }
+
+// --- Thread-count invariance ------------------------------------------------
+
+/// The determinism contract of the pool: the Fock partition and every
+/// reduction order are fixed independently of the thread count, so a run on
+/// one thread and a run on four give the same bits.  Param: adaptive FP16
+/// (true) or FP64 (false).
+class ThreadCountInvarianceTest : public ::testing::TestWithParam<bool> {};
+
+bool same_bits(const MatrixD& a, const MatrixD& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST_P(ThreadCountInvarianceTest, OneThreadAndFourThreadPoolsAgreeBitForBit) {
+  const bool quantized = GetParam();
+  const Molecule w = make_water_cluster(2);
+  MakoOptions mo;
+  mo.basis = "def2-svp";
+  if (quantized) {
+    mo.quantization = true;
+    mo.precision = "adaptive";
+  }
+  ScfOptions opts = scf_options_from(mo);
+  if (quantized) opts.precision.start_fp64_threshold = 1e2;  // quantize early
+  const BasisSet bs(w, mo.basis);
+
+  const auto run = [&](std::size_t threads) {
+    ThreadPool pool(threads);
+    ExecutionContextOptions o;
+    // Quantized runs pin the quantized-capable default backend (a
+    // MAKO_BACKEND=reference leg would otherwise degrade them to FP64).
+    if (quantized) o.backend = GemmBackendRegistry::kDefaultName;
+    o.enable_quantization = quantized;
+    o.pool = &pool;
+    o.make_active = false;
+    o.ranks = 1;
+    const ExecutionContext ctx(o);
+    return run_scf(w, bs, opts, &ctx);
+  };
+  const ScfResult one = run(1);
+  const ScfResult four = run(4);
+
+  ASSERT_TRUE(one.converged);
+  if (quantized) {
+    EXPECT_GT(one.iteration_log.front().quartets_quantized, 0);
+  }
+  ASSERT_EQ(one.iteration_log.size(), four.iteration_log.size());
+  for (std::size_t i = 0; i < one.iteration_log.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&one.iteration_log[i].energy,
+                          &four.iteration_log[i].energy, sizeof(double)),
+              0)
+        << "iteration " << i;
+  }
+  EXPECT_EQ(std::memcmp(&one.energy, &four.energy, sizeof(double)), 0)
+      << one.energy << " vs " << four.energy;
+  EXPECT_TRUE(same_bits(one.density, four.density));
+}
+
+INSTANTIATE_TEST_SUITE_P(Precisions, ThreadCountInvarianceTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("AdaptiveFp16")
+                                             : std::string("Fp64");
+                         });
 
 }  // namespace
 }  // namespace mako
