@@ -35,7 +35,6 @@
 //   --precision-ladder    dynamic precision ladder: quantized work steps
 //                         FP16 -> TF32 as convergence tightens (or on a
 //                         soft fault), then FP64 for the exact polish
-//   --autotune            enable CompilerMako kernel tuning
 //   --iterations <n>      fixed SCF iteration count (benchmark mode)
 //   --max-iterations <n>  SCF iteration cap                  [60]
 //   --convergence <eps>   SCF energy threshold               [1e-7]
@@ -95,7 +94,7 @@ void print_usage() {
       "            [--engine mako|reference] [--backend NAME] [--quantize]\n"
       "            [--precision adaptive|fp64|fp32|tf32|fp16]\n"
       "            [--precision-ladder]\n"
-      "            [--autotune] [--ranks N] [--cluster NAME]\n"
+      "            [--ranks N] [--cluster NAME]\n"
       "            [--iterations N] [--max-iterations N] [--convergence EPS]\n"
       "            [--grid coarse|standard|fine] [--charge Q] [--verbose]\n"
       "            [--trace-out PATH] [--trace-all] [--metrics-json PATH]\n"
@@ -187,8 +186,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--precision-ladder") {
       options.precision_ladder = true;
-    } else if (arg == "--autotune") {
-      options.autotune = true;
     } else if (arg == "--iterations") {
       options.fixed_iterations = std::atoi(next("--iterations").c_str());
     } else if (arg == "--max-iterations") {
@@ -258,7 +255,6 @@ int main(int argc, char** argv) {
       batch_options.backend = options.backend;
       batch_options.ranks = options.ranks;
       batch_options.cluster = options.cluster;
-      batch_options.device = options.device;
       std::printf("Mako — batch mode: %zu jobs from %s, %d in flight\n",
                   jobs.size(), batch_path.c_str(), batch_jobs);
       mako::BatchScheduler scheduler(batch_options);
@@ -303,12 +299,11 @@ int main(int argc, char** argv) {
     std::printf("Mako — matrix-aligned quantum chemistry\n");
     std::printf("molecule: %s (%zu atoms, %d electrons, charge %+d)\n",
                 mol_path.c_str(), mol.size(), mol.num_electrons(), charge);
-    std::printf("method:   %s/%s, engine=%s%s%s\n\n",
+    std::printf("method:   %s/%s, engine=%s%s\n\n",
                 options.functional.c_str(), options.basis.c_str(),
                 options.engine == mako::EriEngineKind::kMako ? "mako"
                                                              : "reference",
-                options.quantization ? " +quantize" : "",
-                options.autotune ? " +autotune" : "");
+                options.quantization ? " +quantize" : "");
 
     const bool tracing = !trace_path.empty();
     if (tracing) {

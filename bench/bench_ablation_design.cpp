@@ -2,16 +2,14 @@
 // per-figure benches do not isolate on their own:
 //   (2) XOR layout swizzle — bank-conflict counts and measured conversion
 //       time vs the naive strided transpose;
-//   (7) implicit-ILP factor sweep through the GEMM micro-kernel;
 //   (+) batch-size sweep of the batched ERI engine;
 //   (+) partitioner comparison on a skewed Fock workload.
 #include <cstdio>
 #include <vector>
 
 #include "accel/tile_buffer.hpp"
-#include "compilermako/autotuner.hpp"
+#include "compilermako/registry.hpp"
 #include "kernelmako/batched_eri.hpp"
-#include "linalg/backend.hpp"
 #include "parallel/simcomm.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -49,34 +47,6 @@ void ablate_swizzle() {
                          out);
     std::printf("  (ff|ff) batch with %-8s layout conversion: %.3f ms\n",
                 swizzle ? "swizzled" : "naive", t.seconds() * 1e3);
-  }
-  std::printf("\n");
-}
-
-void ablate_ilp() {
-  std::printf("[Ablation 7] Implicit-ILP factor sweep (256^3 FP64 GEMM)\n");
-  const GemmBackend& be =
-      resolve_gemm_backend(GemmBackendRegistry::kDefaultName);
-  const std::size_t n = 256;
-  Rng rng(5);
-  std::vector<double> a(n * n), b(n * n), c(n * n);
-  for (auto& v : a) v = rng.uniform(-1, 1);
-  for (auto& v : b) v = rng.uniform(-1, 1);
-
-  std::printf("  %4s %12s\n", "ILP", "GFLOP/s");
-  for (int ilp : {1, 2, 4, 8, 16, 32}) {
-    GemmConfig cfg;
-    cfg.ilp = ilp;
-    be.fp64(a.data(), false, b.data(), false, c.data(), n, n, n, 1.0, 0.0,
-            cfg);
-    Timer t;
-    const int reps = 4;
-    for (int r = 0; r < reps; ++r) {
-      be.fp64(a.data(), false, b.data(), false, c.data(), n, n, n, 1.0, 0.0,
-              cfg);
-    }
-    std::printf("  %4d %12.2f\n", ilp,
-                reps * gemm_flops(n, n, n) / t.seconds() / 1e9);
   }
   std::printf("\n");
 }
@@ -140,7 +110,6 @@ void ablate_partitioners() {
 
 int main() {
   ablate_swizzle();
-  ablate_ilp();
   ablate_batch_size();
   ablate_partitioners();
   return 0;

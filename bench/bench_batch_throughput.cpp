@@ -1,7 +1,7 @@
 // [Batch] Multi-molecule batch throughput: jobs/s vs jobs-in-flight.
 //
 // The BatchScheduler's pitch is that N small SCF jobs sharing one execution
-// context beat N isolated runs two ways: shared plan/tuner caches (the first
+// context beat N isolated runs two ways: shared plan caches (the first
 // job pays plan construction, the rest hit), and concurrency (driver threads
 // interleave jobs at parallel_for chunk granularity).  This bench sweeps the
 // jobs-in-flight knob over a fixed mixed workload and reports throughput plus

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "compilermako/autotuner.hpp"
+#include "compilermako/registry.hpp"
 #include "integrals/eri_reference.hpp"
 #include "kernelmako/batched_eri.hpp"
 #include "linalg/backend.hpp"

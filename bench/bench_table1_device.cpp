@@ -28,7 +28,6 @@ double measure_gflops(mako::Precision precision) {
 
   GemmConfig cfg;
   cfg.precision = precision;
-  cfg.ilp = 8;
 
   // Warm up, then time a few repetitions.
   be.quantized(a.data(), b.data(), c.data(), n, n, n, 1.0, 0.0, cfg);

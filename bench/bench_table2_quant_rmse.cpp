@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "compilermako/autotuner.hpp"
+#include "compilermako/registry.hpp"
 #include "integrals/eri_reference.hpp"
 #include "kernelmako/batched_eri.hpp"
 #include "linalg/matrix.hpp"

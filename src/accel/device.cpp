@@ -32,36 +32,6 @@ double DeviceSpec::cuda_peak(Precision p) const noexcept {
 
 DeviceSpec DeviceSpec::a100() { return DeviceSpec{}; }
 
-DeviceSpec DeviceSpec::v100() {
-  DeviceSpec d;
-  d.name = "V100-SXM2-32GB";
-  d.num_sms = 80;
-  d.smem_per_sm_bytes = 96 * 1024;
-  d.hbm_bandwidth_bps = 0.9e12;
-  d.tensor_fp64_flops = 7.8e12;   // V100 has no FP64 tensor cores; FMA peak
-  d.tensor_tf32_flops = 15.7e12;  // no TF32 either; FP32 peak
-  d.tensor_fp16_flops = 125e12;
-  d.cuda_fp64_flops = 7.8e12;
-  d.cuda_fp32_flops = 15.7e12;
-  d.cuda_fp16_flops = 31.4e12;
-  return d;
-}
-
-DeviceSpec DeviceSpec::h100() {
-  DeviceSpec d;
-  d.name = "H100-SXM5-80GB";
-  d.num_sms = 132;
-  d.smem_per_sm_bytes = 228 * 1024;
-  d.hbm_bandwidth_bps = 3.35e12;
-  d.tensor_fp64_flops = 67e12;
-  d.tensor_tf32_flops = 494e12;
-  d.tensor_fp16_flops = 989e12;
-  d.cuda_fp64_flops = 34e12;
-  d.cuda_fp32_flops = 67e12;
-  d.cuda_fp16_flops = 134e12;
-  return d;
-}
-
 double modeled_kernel_seconds(const DeviceSpec& device,
                               const KernelWork& work) {
   const double tc = work.matmul_flops / device.tensor_peak(work.precision);

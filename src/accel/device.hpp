@@ -1,28 +1,19 @@
 // AI-accelerator device model.
 //
 // Substitutes for the physical A100 in this environment: it carries the
-// architectural parameters Mako's planner needs (shared-memory capacity,
-// warp size, per-precision peak throughput from Table 1 of the paper) and an
+// roofline parameters of the paper's device (memory bandwidth, launch
+// latency, per-precision peak throughput from Table 1 of the paper) and an
 // analytic roofline that converts kernel work into modeled execution time.
-// CompilerMako consumes the architectural constraints; the benchmark
-// harnesses report modeled device times next to measured host times.
+// The benchmark harnesses report modeled device times next to measured host
+// times.
 #pragma once
-
-#include <cstddef>
-#include <string>
 
 #include "util/precision.hpp"
 
 namespace mako {
 
-/// Architectural description of an accelerator.
+/// Roofline description of an accelerator.
 struct DeviceSpec {
-  std::string name = "A100-SXM4-40GB";
-  int num_sms = 108;
-  int warp_size = 32;
-  std::size_t smem_per_sm_bytes = 164 * 1024;  ///< max SMEM per threadblock
-  int smem_banks = 32;
-  int smem_bank_width_bytes = 4;
   double hbm_bandwidth_bps = 1.555e12;  ///< 1555 GB/s
   double kernel_launch_latency_s = 4e-6;
 
@@ -39,17 +30,8 @@ struct DeviceSpec {
   /// CUDA-core (general-purpose) peak for a precision mode.
   [[nodiscard]] double cuda_peak(Precision p) const noexcept;
 
-  /// The paper's Eq. 13 occupancy constraint: a fusion plan must keep its
-  /// live shared-memory footprint within half the SMEM so at least two
-  /// thread blocks stay resident per SM.
-  [[nodiscard]] std::size_t fusion_smem_budget() const noexcept {
-    return smem_per_sm_bytes / 2;
-  }
-
-  /// Built-in device catalogue for portability experiments.
+  /// The paper's device (Table 1).
   static DeviceSpec a100();
-  static DeviceSpec v100();
-  static DeviceSpec h100();
 };
 
 /// Work description of one kernel invocation.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "basis/basis_set.hpp"
+#include "kernelmako/batched_eri.hpp"
 #include "kernelmako/eri_class.hpp"
 
 namespace mako {
@@ -33,5 +34,16 @@ struct PairClass {
   }
 };
 std::vector<PairClass> enumerate_pair_classes(const BasisSet& basis);
+
+/// Builds a synthetic, geometrically plausible calibration batch for a class
+/// (shells with even-tempered exponents at jittered centers).  Shared by the
+/// microbenchmarks and the kernel tests.
+struct CalibrationBatch {
+  std::vector<Shell> shells;       ///< backing storage
+  std::vector<QuartetRef> quartets;
+};
+CalibrationBatch make_calibration_batch(const EriClassKey& key,
+                                        std::size_t num_quartets,
+                                        unsigned seed = 42);
 
 }  // namespace mako

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "basis/basis_set.hpp"
-#include "compilermako/registry.hpp"
 #include "obs/trace.hpp"
 #include "scf/fock_plan.hpp"
 #include "util/json.hpp"
@@ -90,8 +89,6 @@ void apply_manifest_keys(const json::Value& obj, BatchJobSpec& spec) {
       (void)parse_precision_mode(spec.options.precision);
     } else if (key == "precision_ladder") {
       spec.options.precision_ladder = value.as_bool();
-    } else if (key == "autotune") {
-      spec.options.autotune = value.as_bool();
     } else if (key == "grid") {
       spec.options.grid = parse_grid(value.as_string());
     } else if (key == "iterations") {
@@ -234,11 +231,9 @@ std::vector<BatchJobSpec> BatchScheduler::load_manifest(
 BatchScheduler::BatchScheduler(BatchOptions options)
     : options_(std::move(options)),
       context_(ExecutionContextOptions{.backend = options_.backend,
-                                       .device = options_.device,
                                        .make_active = options_.make_active,
                                        .ranks = options_.ranks,
-                                       .cluster = options_.cluster}),
-      tuner_(options_.device, options_.tuner, &context_.backend()) {}
+                                       .cluster = options_.cluster}) {}
 
 std::shared_ptr<const BasisSet> BatchScheduler::pooled_basis(
     const Molecule& mol, const std::string& basis_name) {
@@ -281,15 +276,6 @@ BatchJobResult BatchScheduler::run_one(const BatchJobSpec& spec,
     ScfOptions scf = scf_options_from(spec.options);
     scf.incremental_fock = spec.incremental;
     scf.incremental_rebuild_period = spec.incremental_rebuild_period;
-    if (spec.options.autotune) {
-      // Shared tuner: the first job over a class profiles it, every later
-      // job (in this batch or the next manifest) hits the cache.
-      for (const EriClassKey& key : enumerate_eri_classes(*basis)) {
-        tuner_.tune(key, Precision::kFP64);
-        if (spec.options.quantization) tuner_.tune(key, Precision::kFP16);
-      }
-      scf.fock.tuner = &tuner_;
-    }
 
     out.scf = run_scf(mol, *basis, scf, &job_ctx);
     out.ran = true;
@@ -410,7 +396,6 @@ std::vector<BatchJobResult> BatchScheduler::run(
   stats_.fock_plan_builds = fock_cache.builds() - builds_before;
   stats_.fock_plan_hits = fock_cache.hits() - hits_before;
   stats_.eri_plans = context_.plans().size();
-  stats_.tuned_configs = tuner_.cache_size();
 
   log_info(
       "batch: done in %.3fs (%.2f jobs/s); fock plans: %lld built, %lld hit",
@@ -467,7 +452,6 @@ std::string batch_results_json(const std::vector<BatchJobResult>& results,
   out << "    \"fock_plan_builds\": " << stats.fock_plan_builds << ",\n";
   out << "    \"fock_plan_hits\": " << stats.fock_plan_hits << ",\n";
   out << "    \"eri_plans\": " << stats.eri_plans << ",\n";
-  out << "    \"tuned_configs\": " << stats.tuned_configs << ",\n";
   out << "    \"scf_seconds\": " << stats.scf_seconds << ",\n";
   out << "    \"eri_seconds\": " << stats.eri_seconds << ",\n";
   out << "    \"digest_seconds\": " << stats.digest_seconds << ",\n";

@@ -2,9 +2,9 @@
 //
 // The paper's accelerator pitch is throughput: many small-to-medium SCF jobs
 // saturating one device.  Running them as N separate processes wastes exactly
-// the state that makes the steady-state fast — the ERI plan cache, the Fock
-// plan (Schwarz screen + shell-pair classes), and the autotuner's per-class
-// kernel configs are all rebuilt from scratch per process.  BatchScheduler
+// the state that makes the steady-state fast — the ERI plan cache and the
+// Fock plan (Schwarz screen + shell-pair classes) are rebuilt from scratch
+// per process.  BatchScheduler
 // runs a manifest of jobs concurrently inside ONE process over ONE shared
 // ExecutionContext, so those caches are built once and hit by every
 // subsequent job over the same basis.
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "chem/molecule.hpp"
-#include "compilermako/autotuner.hpp"
 #include "core/execution_context.hpp"
 #include "core/mako.hpp"
 #include "robust/fault_injector.hpp"
@@ -96,8 +95,6 @@ struct BatchOptions {
   /// consistent rank topology.
   int ranks = 0;
   std::string cluster;
-  DeviceSpec device = DeviceSpec::a100();
-  TunerOptions tuner{};
   /// Parent cancel token; nullptr links under CancelToken::process() so the
   /// CLI signal handlers keep cancelling the whole batch.
   CancelToken* cancel = nullptr;
@@ -123,7 +120,6 @@ struct BatchRunStats {
   std::int64_t fock_plan_builds = 0;
   std::int64_t fock_plan_hits = 0;
   std::size_t eri_plans = 0;       ///< distinct ERI class plans afterwards
-  std::size_t tuned_configs = 0;   ///< autotuner cache size afterwards
   /// Summed per-stage seconds over every SCF iteration of every job.
   double scf_seconds = 0.0;
   double eri_seconds = 0.0;
@@ -148,7 +144,6 @@ class BatchScheduler {
   [[nodiscard]] const ExecutionContext& context() const noexcept {
     return context_;
   }
-  [[nodiscard]] Autotuner& tuner() noexcept { return tuner_; }
 
   /// Parses a JSON batch manifest (see DESIGN.md, "Batch execution"):
   ///   {"defaults": {...}, "jobs": [{"name": ..., "xyz": ..., ...}]}
@@ -166,8 +161,7 @@ class BatchScheduler {
                                                const std::string& basis_name);
 
   BatchOptions options_;
-  ExecutionContext context_;  ///< before tuner_: the tuner profiles on it
-  Autotuner tuner_;
+  ExecutionContext context_;
   BatchRunStats stats_;
 
   std::mutex basis_mutex_;

@@ -6,7 +6,6 @@ namespace mako {
 
 ExecutionContext::ExecutionContext(ExecutionContextOptions options)
     : backend_(&GemmBackendRegistry::instance().resolve(options.backend)),
-      device_(options.device),
       precision_(options.precision),
       enable_quantization_(options.enable_quantization),
       pool_(options.pool != nullptr ? options.pool : &ThreadPool::global()),
@@ -34,7 +33,6 @@ ExecutionContext::ExecutionContext(ExecutionContextOptions options)
 ExecutionContext::ExecutionContext(const ExecutionContext& parent,
                                    CancelToken& cancel)
     : backend_(parent.backend_),
-      device_(parent.device_),
       precision_(parent.precision_),
       enable_quantization_(parent.enable_quantization_),
       pool_(parent.pool_),

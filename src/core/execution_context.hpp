@@ -1,7 +1,7 @@
 // ExecutionContext — the single ownership point for everything a compute
 // path needs besides its chemistry inputs.
 //
-// Before this layer existed, the device model, thread pool, plan cache,
+// Before this layer existed, the thread pool, plan cache,
 // precision policy, GEMM kernels, fault hooks, and observability sinks were
 // threaded ad hoc: some as per-call parameters, some as process singletons
 // looked up at every site.  That blocked the ROADMAP's multi-backend /
@@ -14,7 +14,6 @@
 //
 //   MakoEngine ──owns──> ExecutionContext
 //                          ├─ backend   -> GemmBackend        (registry-owned)
-//                          ├─ device    -> DeviceSpec         (by value)
 //                          ├─ pool      -> ThreadPool         (borrowed;
 //                          │                global by default)
 //                          ├─ plans     -> EriPlanCache       (borrowed;
@@ -40,7 +39,6 @@
 #include <string>
 #include <typeindex>
 
-#include "accel/device.hpp"
 #include "kernelmako/class_plan.hpp"
 #include "linalg/backend.hpp"
 #include "obs/metrics.hpp"
@@ -61,7 +59,6 @@ struct ExecutionContextOptions {
   /// GEMM backend name; "" resolves MAKO_BACKEND, then the built-in default.
   /// Unknown names throw InputError from the constructor.
   std::string backend;
-  DeviceSpec device = DeviceSpec::a100();
   /// Precision-governance configuration (mode, schedule thresholds, ladder,
   /// per-L cap) the context's governors are built from.
   PrecisionConfig precision{};
@@ -122,7 +119,7 @@ class ExecutionContext {
   explicit ExecutionContext(ExecutionContextOptions options = {});
 
   /// Per-job view for batch execution: shares every subsystem and cache of
-  /// `parent` — backend, device, pool, ERI plan cache, ComponentCache (and
+  /// `parent` — backend, pool, ERI plan cache, ComponentCache (and
   /// with it the FockPlanCache) — but polls its own CancelToken, so one
   /// job's deadline or fault cancels only that job.  The parent (and the
   /// token) must outlive the view.  Never touches the process-wide active
@@ -142,7 +139,6 @@ class ExecutionContext {
   [[nodiscard]] const GemmBackend& backend() const noexcept {
     return *backend_;
   }
-  [[nodiscard]] const DeviceSpec& device() const noexcept { return device_; }
   [[nodiscard]] ThreadPool& pool() const noexcept { return *pool_; }
   [[nodiscard]] EriPlanCache& plans() const noexcept { return *plans_; }
 
@@ -216,7 +212,6 @@ class ExecutionContext {
 
  private:
   const GemmBackend* backend_;  ///< registry-owned, never null
-  DeviceSpec device_;
   PrecisionConfig precision_;
   bool enable_quantization_;
   ThreadPool* pool_;      ///< borrowed, never null

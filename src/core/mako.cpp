@@ -3,9 +3,7 @@
 #include <sstream>
 
 #include "basis/basis_set.hpp"
-#include "compilermako/registry.hpp"
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace mako {
@@ -46,9 +44,6 @@ std::string MakoReport::summary() const {
         << scf.comm_bytes << " bytes, " << scf.comm_retries << " retries)\n";
     out.precision(4);
   }
-  if (classes_tuned > 0) {
-    out << "ERI classes tuned:      " << classes_tuned << "\n";
-  }
   return out.str();
 }
 
@@ -56,15 +51,13 @@ MakoEngine::MakoEngine(MakoOptions options)
     : options_(std::move(options)),
       context_(ExecutionContextOptions{
           .backend = options_.backend,
-          .device = options_.device,
           .precision =
               PrecisionConfig{
                   .mode = resolve_precision_mode(options_.precision),
                   .use_precision_ladder = options_.precision_ladder},
           .enable_quantization = options_.quantization,
           .ranks = options_.ranks,
-          .cluster = options_.cluster}),
-      tuner_(options_.device, options_.tuner, &context_.backend()) {}
+          .cluster = options_.cluster}) {}
 
 ScfOptions scf_options_from(const MakoOptions& options) {
   ScfOptions scf;
@@ -87,23 +80,6 @@ ScfOptions scf_options_from(const MakoOptions& options) {
   return scf;
 }
 
-int MakoEngine::tune_for(const Molecule& mol) {
-  const BasisSet basis(mol, options_.basis);
-  const auto classes = enumerate_eri_classes(basis);
-  int tuned = 0;
-  for (const EriClassKey& key : classes) {
-    tuner_.tune(key, Precision::kFP64);
-    ++tuned;
-    if (options_.quantization) {
-      tuner_.tune(key, Precision::kFP16);
-      ++tuned;
-    }
-  }
-  log_info("CompilerMako: tuned %d kernel variants for %zu ERI classes",
-           tuned, classes.size());
-  return tuned;
-}
-
 MakoReport MakoEngine::compute_energy(const Molecule& mol) {
   MAKO_TRACE_SCOPE(obs::TraceCat::kApp, "mako.compute_energy");
   Timer total;
@@ -111,19 +87,11 @@ MakoReport MakoEngine::compute_energy(const Molecule& mol) {
   report.backend = context_.backend().name();
   report.ranks = context_.comm().size();
 
-  if (options_.autotune) {
-    report.classes_tuned = tune_for(mol);
-  }
-
   const BasisSet basis(mol, options_.basis);
   report.nbf = basis.nbf();
   report.num_shells = basis.num_shells();
 
-  ScfOptions scf_options = scf_options_from(options_);
-  if (options_.autotune) {
-    scf_options.fock.tuner = &tuner_;
-  }
-  report.scf = run_scf(mol, basis, scf_options, &context_);
+  report.scf = run_scf(mol, basis, scf_options_from(options_), &context_);
   report.total_seconds = total.seconds();
   return report;
 }

@@ -2,7 +2,7 @@
 //
 // MakoEngine is the top-level entry point a downstream user touches: give it
 // a molecule and options (basis, functional, engine, quantization,
-// autotuning), get back converged energies with the per-stage performance
+// precision), get back converged energies with the per-stage performance
 // report the paper's artifact prints (total wall-clock time + average SCF
 // iteration time excluding the first).
 //
@@ -14,9 +14,7 @@
 
 #include <string>
 
-#include "accel/device.hpp"
 #include "chem/molecule.hpp"
-#include "compilermako/autotuner.hpp"
 #include "core/execution_context.hpp"
 #include "scf/scf.hpp"
 
@@ -51,13 +49,10 @@ struct MakoOptions {
   /// governor steps the quantized format up to TF32 when convergence error
   /// drops below the ladder switch threshold or a soft fault fires.
   bool precision_ladder = false;
-  bool autotune = false;           ///< CompilerMako per-class tuning
   GridSpec grid = GridSpec::coarse();
   int max_iterations = 60;
   int fixed_iterations = 0;        ///< >0: benchmark mode
   double convergence = 1e-7;       ///< SCF energy threshold (paper setting)
-  DeviceSpec device = DeviceSpec::a100();
-  TunerOptions tuner{};
   std::size_t batch_size = 32;
   /// Checkpoint/restart + wall-clock budget (see DurabilityOptions): write
   /// crash-consistent checkpoints, resume bit-identically, stop gracefully
@@ -79,7 +74,6 @@ struct MakoReport {
   double total_seconds = 0.0;
   std::size_t nbf = 0;
   std::size_t num_shells = 0;
-  int classes_tuned = 0;
   std::string backend;  ///< GEMM backend the run executed on
   int ranks = 1;        ///< communicator size the run executed with
 
@@ -95,24 +89,18 @@ class MakoEngine {
   /// Single-point energy computation.
   MakoReport compute_energy(const Molecule& mol);
 
-  /// Pre-tunes every ERI class the basis generates on this engine's device
-  /// (CompilerMako ahead-of-time compilation).  Returns classes tuned.
-  int tune_for(const Molecule& mol);
-
   [[nodiscard]] const MakoOptions& options() const noexcept {
     return options_;
   }
-  [[nodiscard]] Autotuner& tuner() noexcept { return tuner_; }
   /// The execution environment every compute path of this engine runs in
-  /// (GEMM backend, device, thread pool, plan cache, fault hooks).
+  /// (GEMM backend, thread pool, plan cache, fault hooks).
   [[nodiscard]] const ExecutionContext& context() const noexcept {
     return context_;
   }
 
  private:
   MakoOptions options_;
-  ExecutionContext context_;  ///< before tuner_: the tuner profiles on it
-  Autotuner tuner_;
+  ExecutionContext context_;
 };
 
 }  // namespace mako

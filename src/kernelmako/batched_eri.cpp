@@ -324,15 +324,14 @@ BatchStats BatchedEriEngine::compute_batch(
           quantized_operand(ko, scratch.q_ops.data() + mb * nsb, false);
       quantize_to_float(pq, scratch.q_dyn.data(), pq_size, gc.precision);
       be.mixed(qb, /*trans_a=*/true, scratch.q_dyn.data(), false, t, nsb, mk,
-               mb, 1.0 / (s_bra * s_pq), 0.0, gc);
+               mb, 1.0 / (s_bra * s_pq), 0.0);
       const double s_t = scale_t(t);
       quantize_to_float(t, scratch.q_dyn.data(), t_size, gc.precision);
       be.mixed(scratch.q_dyn.data(), false, qk, false, o, nsb, nsk, mk,
-               1.0 / (s_t * s_ket), 0.0, gc);
+               1.0 / (s_t * s_ket), 0.0);
     } else {
-      be.fp64(bo.e.data(), /*trans_a=*/true, pq, false, t, nsb, mk, mb, 1.0,
-              0.0, gc);
-      be.fp64(t, false, ko.e.data(), false, o, nsb, nsk, mk, 1.0, 0.0, gc);
+      be.fp64(bo.e.data(), /*trans_a=*/true, pq, false, t, nsb, mk, mb);
+      be.fp64(t, false, ko.e.data(), false, o, nsb, nsk, mk);
     }
     stats.gemm_flops += gemm_flops(nsb, mk, mb) + gemm_flops(nsb, nsk, mk);
   };

@@ -55,9 +55,9 @@ struct QuartetRef {
   const PairOperand* ket = nullptr;
 };
 
-/// Kernel configuration (what CompilerMako tunes).
+/// Kernel configuration: precision plus the Fig-7 ablation toggles.
 struct KernelConfig {
-  GemmConfig gemm{};            ///< tile shape + ILP factor + precision
+  GemmConfig gemm{};            ///< GEMM precision
   bool fuse_gemms = true;       ///< per-quartet P -> GEMM1 -> GEMM2 (Eq. 11)
   bool use_swizzle = true;      ///< swizzled striped->blocked conversion
   bool group_scaling = true;    ///< per-pair / per-quartet quantization scales
@@ -103,7 +103,6 @@ class BatchedEriEngine {
       : config_(config), backend_(backend), plans_(plans) {}
 
   [[nodiscard]] const KernelConfig& config() const noexcept { return config_; }
-  void set_config(const KernelConfig& config) noexcept { config_ = config; }
 
   /// The backend this engine dispatches through.
   [[nodiscard]] const GemmBackend& backend() const;

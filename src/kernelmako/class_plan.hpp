@@ -81,7 +81,7 @@ class EriClassPlan {
 /// are allocation-free.
 ///
 /// ExecutionContext owns the cache used by a run (normally the process-wide
-/// instance so tuned plans are shared across engines); isolated instances
+/// instance so plans are shared across engines); isolated instances
 /// exist for tests that need cache-size determinism.
 class EriPlanCache {
  public:

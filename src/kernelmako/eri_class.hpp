@@ -3,7 +3,7 @@
 // ERIs sharing an angular-momentum pattern and contraction degrees follow the
 // same static execution pattern (Section 3.3): same intermediate shapes, same
 // GEMM dimensions, same reuse structure.  The class key is what CompilerMako
-// plans/tunes against and what KernelMako batches over.
+// plans against and what KernelMako batches over.
 #pragma once
 
 #include <string>

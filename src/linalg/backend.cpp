@@ -28,25 +28,16 @@ GemmBackend::~GemmBackend() = default;
 
 void GemmBackend::fp64(const double* a, bool trans_a, const double* b,
                        bool trans_b, double* c, std::size_t m, std::size_t n,
-                       std::size_t k, double alpha, double beta,
-                       const GemmConfig& cfg) const {
+                       std::size_t k, double alpha, double beta) const {
   dispatches_->add();
-  do_fp64(a, trans_a, b, trans_b, c, m, n, k, alpha, beta, cfg);
-}
-
-void GemmBackend::fp32(const float* a, const float* b, float* c, std::size_t m,
-                       std::size_t n, std::size_t k, float alpha, float beta,
-                       const GemmConfig& cfg) const {
-  dispatches_->add();
-  do_fp32(a, b, c, m, n, k, alpha, beta, cfg);
+  do_fp64(a, trans_a, b, trans_b, c, m, n, k, alpha, beta);
 }
 
 void GemmBackend::mixed(const float* qa, bool trans_a, const float* qb,
                         bool trans_b, double* c, std::size_t m, std::size_t n,
-                        std::size_t k, double alpha, double beta,
-                        const GemmConfig& cfg) const {
+                        std::size_t k, double alpha, double beta) const {
   dispatches_->add();
-  do_mixed(qa, trans_a, qb, trans_b, c, m, n, k, alpha, beta, cfg);
+  do_mixed(qa, trans_a, qb, trans_b, c, m, n, k, alpha, beta);
 }
 
 void GemmBackend::quantized(const double* a, const double* b, double* c,
@@ -82,7 +73,7 @@ void GemmBackend::do_quantized(const double* a, const double* b, double* c,
     if (!caps_.quantized && cfg.precision != Precision::kFP64) {
       degrades_->add();
     }
-    do_fp64(a, false, b, false, c, m, n, k, alpha, beta, cfg);
+    do_fp64(a, false, b, false, c, m, n, k, alpha, beta);
     return;
   }
   // Round operands through the target storage format once, then run the
@@ -93,7 +84,7 @@ void GemmBackend::do_quantized(const double* a, const double* b, double* c,
   qb.resize(k * n);
   quantize_to_float(a, qa.data(), m * k, cfg.precision);
   quantize_to_float(b, qb.data(), k * n, cfg.precision);
-  do_mixed(qa.data(), false, qb.data(), false, c, m, n, k, alpha, beta, cfg);
+  do_mixed(qa.data(), false, qb.data(), false, c, m, n, k, alpha, beta);
 }
 
 namespace {
@@ -114,14 +105,13 @@ class ReferenceBackend final : public GemmBackend {
  public:
   ReferenceBackend()
       : GemmBackend("reference",
-                    {/*quantized=*/false, /*register_blocked=*/false,
+                    {/*quantized=*/false,
                      "naive triple-loop kernels (numerical oracle)"}) {}
 
  protected:
   void do_fp64(const double* a, bool trans_a, const double* b, bool trans_b,
                double* c, std::size_t m, std::size_t n, std::size_t k,
-               double alpha, double beta,
-               const GemmConfig& /*cfg*/) const override {
+               double alpha, double beta) const override {
     const std::size_t lda = trans_a ? m : k;
     const std::size_t ldb = trans_b ? k : n;
     for (std::size_t i = 0; i < m; ++i) {
@@ -135,22 +125,9 @@ class ReferenceBackend final : public GemmBackend {
     }
   }
 
-  void do_fp32(const float* a, const float* b, float* c, std::size_t m,
-               std::size_t n, std::size_t k, float alpha, float beta,
-               const GemmConfig& /*cfg*/) const override {
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (std::size_t p = 0; p < k; ++p) acc += a[i * k + p] * b[p * n + j];
-        c[i * n + j] = beta * c[i * n + j] + alpha * acc;
-      }
-    }
-  }
-
   void do_mixed(const float* qa, bool trans_a, const float* qb, bool trans_b,
                 double* c, std::size_t m, std::size_t n, std::size_t k,
-                double alpha, double beta,
-                const GemmConfig& /*cfg*/) const override {
+                double alpha, double beta) const override {
     const std::size_t lda = trans_a ? m : k;
     const std::size_t ldb = trans_b ? k : n;
     for (std::size_t i = 0; i < m; ++i) {
@@ -168,16 +145,15 @@ class ReferenceBackend final : public GemmBackend {
 
 // --- blocked: the PR-1 register-blocked kernels -----------------------------
 //
-// Routes to the packed BLIS-style kernels in gemm.cpp (honoring
-// GemmConfig::packed so the ablation harness can still select the legacy
-// unpacked tile path).  No reduced-precision capability: `quantized` degrades
-// to FP64 via the base-class default, exactly like the reference ERI engine.
+// Routes to the packed BLIS-style kernels in gemm.cpp.  No reduced-precision
+// capability: `quantized` degrades to FP64 via the base-class default,
+// exactly like the reference ERI engine.
 class BlockedBackend : public GemmBackend {
  public:
   BlockedBackend()
       : GemmBackend("blocked",
-                    {/*quantized=*/false, /*register_blocked=*/true,
-                     "register-blocked packed kernels, FP64/FP32 only"}) {}
+                    {/*quantized=*/false,
+                     "register-blocked packed kernels, FP64 only"}) {}
 
  protected:
   BlockedBackend(std::string name, GemmCapabilities caps)
@@ -185,20 +161,14 @@ class BlockedBackend : public GemmBackend {
 
   void do_fp64(const double* a, bool trans_a, const double* b, bool trans_b,
                double* c, std::size_t m, std::size_t n, std::size_t k,
-               double alpha, double beta, const GemmConfig& cfg) const final {
-    gemm_fp64_ex(a, trans_a, b, trans_b, c, m, n, k, alpha, beta, cfg);
-  }
-
-  void do_fp32(const float* a, const float* b, float* c, std::size_t m,
-               std::size_t n, std::size_t k, float alpha, float beta,
-               const GemmConfig& cfg) const final {
-    gemm_fp32(a, b, c, m, n, k, alpha, beta, cfg);
+               double alpha, double beta) const final {
+    gemm_fp64_ex(a, trans_a, b, trans_b, c, m, n, k, alpha, beta);
   }
 
   void do_mixed(const float* qa, bool trans_a, const float* qb, bool trans_b,
                 double* c, std::size_t m, std::size_t n, std::size_t k,
-                double alpha, double beta, const GemmConfig& cfg) const final {
-    gemm_quantized_ops(qa, trans_a, qb, trans_b, c, m, n, k, alpha, beta, cfg);
+                double alpha, double beta) const final {
+    gemm_quantized_ops(qa, trans_a, qb, trans_b, c, m, n, k, alpha, beta);
   }
 };
 
@@ -212,7 +182,7 @@ class BlockedQuantizedBackend final : public BlockedBackend {
   BlockedQuantizedBackend()
       : BlockedBackend(
             GemmBackendRegistry::kDefaultName,
-            {/*quantized=*/true, /*register_blocked=*/true,
+            {/*quantized=*/true,
              "register-blocked kernels + FP16/TF32 dual-stage datapath"}) {}
 };
 

@@ -6,7 +6,7 @@
 // how Mako inherits CUTLASS/cuBLAS scalability by construction.
 //
 // The layer has three parts:
-//   * GemmBackend     — the kernel contract: fp64/fp32/mixed/quantized entry
+//   * GemmBackend     — the kernel contract: fp64/mixed/quantized entry
 //                       points plus a capability descriptor.  Entry points
 //                       are NVI wrappers that bump the per-backend dispatch
 //                       counter ("gemm.dispatch.<name>") before forwarding.
@@ -20,8 +20,8 @@
 // Thread-safety contract: backends are immutable after registration and all
 // entry points are safe to call concurrently from thread-pool workers
 // (per-call scratch is thread_local inside the kernels).  Accumulation
-// precision guarantees are per entry point: fp64/fp32 accumulate at operand
-// precision; mixed/quantized multiply at the storage precision of the
+// precision guarantees are per entry point: fp64 accumulates at FP64;
+// mixed/quantized multiply at the storage precision of the
 // operands and accumulate at FP32, then widen into the FP64 destination
 // (stage one of dual-stage accumulation).  Operands are dense row-major with
 // no alignment requirement beyond the element type's.
@@ -46,25 +46,10 @@ class Counter;
 
 namespace mako {
 
-/// CUTLASS-style kernel configuration explored by CompilerMako.
+/// Per-call GEMM configuration.  Only the precision varies: every backend
+/// picks its own blocking.
 struct GemmConfig {
-  int tile_m = 48;  ///< rows of C computed per block tile
-  int tile_n = 48;  ///< cols of C computed per block tile
-  int tile_k = 32;  ///< reduction depth staged per iteration
-  int ilp = 4;      ///< inner-loop unroll (implicit instruction parallelism)
   Precision precision = Precision::kFP64;
-  /// Packed register-blocked execution: operands are staged into contiguous
-  /// MR/NR panels (the host analogue of CUTLASS shared-memory staging) and a
-  /// register-resident micro-kernel keeps the C fragment out of memory for
-  /// the whole K loop.  `false` selects the legacy unpacked tile kernel,
-  /// retained as the ablation/equivalence baseline.  Backends may ignore
-  /// fields that do not apply to them (the reference backend ignores all).
-  bool packed = true;
-
-  [[nodiscard]] bool operator==(const GemmConfig& o) const noexcept {
-    return tile_m == o.tile_m && tile_n == o.tile_n && tile_k == o.tile_k &&
-           ilp == o.ilp && precision == o.precision && packed == o.packed;
-  }
 };
 
 /// FLOP count of an (m,n,k) GEMM (2*m*n*k).
@@ -78,7 +63,7 @@ constexpr double gemm_flops(std::size_t m, std::size_t n, std::size_t k) {
 void quantize_to_float(const double* src, float* dst, std::size_t n,
                        Precision p);
 
-/// What a backend can do, beyond the universal fp64/fp32 contract.
+/// What a backend can do, beyond the universal fp64 contract.
 struct GemmCapabilities {
   /// True when the backend executes reduced-precision (FP16/TF32) multiplies
   /// natively with FP32 accumulation (the tensor-core contract).  Backends
@@ -86,9 +71,6 @@ struct GemmCapabilities {
   /// scheduler must not route quantized work at them (ExecutionContext gates
   /// this; see ExecutionContext::quantized_execution_allowed).
   bool quantized = false;
-  /// Register-blocked packed execution with native operand transposes (no
-  /// materialized transpose copies).
-  bool register_blocked = false;
   /// One-line human description, printed by `mako --help`-adjacent surfaces.
   std::string description;
 };
@@ -114,13 +96,7 @@ class GemmBackend {
   /// FP64 GEMM with FP64 accumulation.
   void fp64(const double* a, bool trans_a, const double* b, bool trans_b,
             double* c, std::size_t m, std::size_t n, std::size_t k,
-            double alpha = 1.0, double beta = 0.0,
-            const GemmConfig& cfg = {}) const;
-
-  /// FP32 GEMM with FP32 accumulation (no transposes — no caller needs them).
-  void fp32(const float* a, const float* b, float* c, std::size_t m,
-            std::size_t n, std::size_t k, float alpha = 1.0f,
-            float beta = 0.0f, const GemmConfig& cfg = {}) const;
+            double alpha = 1.0, double beta = 0.0) const;
 
   /// Mixed-precision GEMM over operands already rounded to the target
   /// storage format (see quantize_to_float): multiplies at FP32, accumulates
@@ -130,7 +106,7 @@ class GemmBackend {
   /// per call.
   void mixed(const float* qa, bool trans_a, const float* qb, bool trans_b,
              double* c, std::size_t m, std::size_t n, std::size_t k,
-             double alpha, double beta, const GemmConfig& cfg) const;
+             double alpha, double beta) const;
 
   /// Quantized GEMM: double inputs are rounded through `cfg.precision` on
   /// entry, then executed as `mixed`.  Backends without the quantized
@@ -155,16 +131,10 @@ class GemmBackend {
 
   virtual void do_fp64(const double* a, bool trans_a, const double* b,
                        bool trans_b, double* c, std::size_t m, std::size_t n,
-                       std::size_t k, double alpha, double beta,
-                       const GemmConfig& cfg) const = 0;
-  virtual void do_fp32(const float* a, const float* b, float* c,
-                       std::size_t m, std::size_t n, std::size_t k,
-                       float alpha, float beta,
-                       const GemmConfig& cfg) const = 0;
+                       std::size_t k, double alpha, double beta) const = 0;
   virtual void do_mixed(const float* qa, bool trans_a, const float* qb,
                         bool trans_b, double* c, std::size_t m, std::size_t n,
-                        std::size_t k, double alpha, double beta,
-                        const GemmConfig& cfg) const = 0;
+                        std::size_t k, double alpha, double beta) const = 0;
   /// Default: quantize operands to cfg.precision then do_mixed when the
   /// backend has the quantized capability, else do_fp64.
   virtual void do_quantized(const double* a, const double* b, double* c,

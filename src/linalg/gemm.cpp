@@ -22,104 +22,6 @@ inline void annotate_gemm_span(obs::TraceSpan& span, std::size_t m,
   }
 }
 
-// Inner micro-kernel: processes one block tile with the K loop unrolled by U.
-// The unroll factor is the host-side realization of the paper's implicit
-// instruction parallelism: independent K iterations are fused so the
-// out-of-order core (standing in for the warp scheduler) can overlap them.
-template <typename T, int U>
-void tile_kernel(const T* a, const T* b, T* c, std::size_t lda, std::size_t ldb,
-                 std::size_t ldc, std::size_t mi, std::size_t ni,
-                 std::size_t ki) {
-  for (std::size_t i = 0; i < mi; ++i) {
-    const T* arow = a + i * lda;
-    T* crow = c + i * ldc;
-    std::size_t k = 0;
-    for (; k + U <= ki; k += U) {
-      T aval[U];
-      for (int u = 0; u < U; ++u) aval[u] = arow[k + u];
-      const T* brow[U];
-      for (int u = 0; u < U; ++u) brow[u] = b + (k + u) * ldb;
-      for (std::size_t j = 0; j < ni; ++j) {
-        T acc = crow[j];
-        for (int u = 0; u < U; ++u) acc += aval[u] * brow[u][j];
-        crow[j] = acc;
-      }
-    }
-    for (; k < ki; ++k) {
-      const T aval = arow[k];
-      const T* brow = b + k * ldb;
-      for (std::size_t j = 0; j < ni; ++j) crow[j] += aval * brow[j];
-    }
-  }
-}
-
-template <typename T>
-void tile_dispatch(int ilp, const T* a, const T* b, T* c, std::size_t lda,
-                   std::size_t ldb, std::size_t ldc, std::size_t mi,
-                   std::size_t ni, std::size_t ki) {
-  switch (ilp) {
-    case 1:
-      tile_kernel<T, 1>(a, b, c, lda, ldb, ldc, mi, ni, ki);
-      break;
-    case 2:
-      tile_kernel<T, 2>(a, b, c, lda, ldb, ldc, mi, ni, ki);
-      break;
-    case 4:
-      tile_kernel<T, 4>(a, b, c, lda, ldb, ldc, mi, ni, ki);
-      break;
-    case 8:
-      tile_kernel<T, 8>(a, b, c, lda, ldb, ldc, mi, ni, ki);
-      break;
-    case 16:
-      tile_kernel<T, 16>(a, b, c, lda, ldb, ldc, mi, ni, ki);
-      break;
-    case 32:
-      tile_kernel<T, 32>(a, b, c, lda, ldb, ldc, mi, ni, ki);
-      break;
-    default:
-      tile_kernel<T, 4>(a, b, c, lda, ldb, ldc, mi, ni, ki);
-      break;
-  }
-}
-
-template <typename T>
-void gemm_tiled(const T* a, const T* b, T* c, std::size_t m, std::size_t n,
-                std::size_t k, T alpha, T beta, const GemmConfig& cfg) {
-  // Apply beta scaling once up front.
-  if (beta == T{0}) {
-    std::fill(c, c + m * n, T{0});
-  } else if (beta != T{1}) {
-    for (std::size_t i = 0; i < m * n; ++i) c[i] *= beta;
-  }
-  if (alpha == T{0} || m == 0 || n == 0 || k == 0) return;
-
-  const std::size_t tm = static_cast<std::size_t>(std::max(cfg.tile_m, 1));
-  const std::size_t tn = static_cast<std::size_t>(std::max(cfg.tile_n, 1));
-  const std::size_t tk = static_cast<std::size_t>(std::max(cfg.tile_k, 1));
-
-  // Scale A once into a staging tile when alpha != 1 so the micro-kernel
-  // stays a pure multiply-accumulate.
-  std::vector<T> scaled_a;
-  const T* a_eff = a;
-  if (alpha != T{1}) {
-    scaled_a.assign(a, a + m * k);
-    for (auto& v : scaled_a) v *= alpha;
-    a_eff = scaled_a.data();
-  }
-
-  for (std::size_t i0 = 0; i0 < m; i0 += tm) {
-    const std::size_t mi = std::min(tm, m - i0);
-    for (std::size_t k0 = 0; k0 < k; k0 += tk) {
-      const std::size_t ki = std::min(tk, k - k0);
-      for (std::size_t j0 = 0; j0 < n; j0 += tn) {
-        const std::size_t ni = std::min(tn, n - j0);
-        tile_dispatch<T>(cfg.ilp, a_eff + i0 * k + k0, b + k0 * n + j0,
-                         c + i0 * n + j0, k, n, n, mi, ni, ki);
-      }
-    }
-  }
-}
-
 // --- Packed register-blocked path -------------------------------------------
 //
 // BLIS-style structure: B is packed into contiguous NR-wide panels and A into
@@ -342,39 +244,12 @@ void gemm_packed(const T* a, bool trans_a, const T* b, bool trans_b, T* c,
 
 }  // namespace
 
-void gemm_fp64(const double* a, const double* b, double* c, std::size_t m,
-               std::size_t n, std::size_t k, double alpha, double beta,
-               const GemmConfig& cfg) {
-  obs::TraceSpan span(obs::TraceCat::kGemm, "gemm_fp64");
-  annotate_gemm_span(span, m, n, k);
-  MAKO_METRIC_COUNT("gemm.calls", 1);
-  if (cfg.packed) {
-    gemm_packed<double>(a, false, b, false, c, m, n, k, alpha, beta);
-  } else {
-    gemm_tiled<double>(a, b, c, m, n, k, alpha, beta, cfg);
-  }
-}
-
-void gemm_fp32(const float* a, const float* b, float* c, std::size_t m,
-               std::size_t n, std::size_t k, float alpha, float beta,
-               const GemmConfig& cfg) {
-  if (cfg.packed) {
-    gemm_packed<float>(a, false, b, false, c, m, n, k, alpha, beta);
-  } else {
-    gemm_tiled<float>(a, b, c, m, n, k, alpha, beta, cfg);
-  }
-}
-
 void gemm_fp64_ex(const double* a, bool trans_a, const double* b, bool trans_b,
                   double* c, std::size_t m, std::size_t n, std::size_t k,
-                  double alpha, double beta, const GemmConfig& cfg) {
+                  double alpha, double beta) {
   obs::TraceSpan span(obs::TraceCat::kGemm, "gemm_fp64_ex");
   annotate_gemm_span(span, m, n, k);
   MAKO_METRIC_COUNT("gemm.calls", 1);
-  if (!cfg.packed && !trans_a && !trans_b) {
-    gemm_tiled<double>(a, b, c, m, n, k, alpha, beta, cfg);
-    return;
-  }
   gemm_packed<double>(a, trans_a, b, trans_b, c, m, n, k, alpha, beta);
 }
 
@@ -400,8 +275,7 @@ void quantize_to_float(const double* src, float* dst, std::size_t n,
 
 void gemm_quantized_ops(const float* qa, bool trans_a, const float* qb,
                         bool trans_b, double* c, std::size_t m, std::size_t n,
-                        std::size_t k, double alpha, double beta,
-                        const GemmConfig& cfg) {
+                        std::size_t k, double alpha, double beta) {
   obs::TraceSpan span(obs::TraceCat::kGemm, "gemm_quantized_ops");
   annotate_gemm_span(span, m, n, k);
   MAKO_METRIC_COUNT("gemm.calls", 1);
@@ -410,40 +284,12 @@ void gemm_quantized_ops(const float* qa, bool trans_a, const float* qb,
   // pre-rounded operands.
   static thread_local std::vector<float> acc;
   acc.assign(m * n, 0.0f);
-  if (cfg.packed || trans_a || trans_b) {
-    gemm_packed<float>(qa, trans_a, qb, trans_b, acc.data(), m, n, k, 1.0f,
-                       0.0f);
-  } else {
-    GemmConfig fcfg = cfg;
-    fcfg.precision = Precision::kFP32;
-    gemm_tiled<float>(qa, qb, acc.data(), m, n, k, 1.0f, 0.0f, fcfg);
-  }
+  gemm_packed<float>(qa, trans_a, qb, trans_b, acc.data(), m, n, k, 1.0f,
+                     0.0f);
   // Stage two: widen into the FP64 destination.
   for (std::size_t i = 0; i < m * n; ++i) {
     c[i] = beta * c[i] + alpha * static_cast<double>(acc[i]);
   }
-}
-
-void gemm_quantized(const double* a, const double* b, double* c, std::size_t m,
-                    std::size_t n, std::size_t k, double alpha, double beta,
-                    const GemmConfig& cfg) {
-  if (cfg.precision == Precision::kFP64) {
-    gemm_fp64(a, b, c, m, n, k, alpha, beta, cfg);
-    return;
-  }
-
-  // Stage operands at the requested precision.  The product of two FP16
-  // values is exactly representable in FP32, so rounding on entry followed by
-  // an FP32 kernel reproduces tensor-core FP16-multiply/FP32-accumulate.
-  // Thread-local scratch keeps per-call staging allocation-free in the hot
-  // batched-ERI loops.
-  static thread_local std::vector<float> qa, qb;
-  qa.resize(m * k);
-  qb.resize(k * n);
-  quantize_to_float(a, qa.data(), m * k, cfg.precision);
-  quantize_to_float(b, qb.data(), k * n, cfg.precision);
-  gemm_quantized_ops(qa.data(), false, qb.data(), false, c, m, n, k, alpha,
-                     beta, cfg);
 }
 
 void gemm_fp16_naive(const double* a, const double* b, double* c,

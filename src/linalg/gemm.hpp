@@ -1,12 +1,11 @@
-// Multi-precision tiled GEMM micro-kernels.
+// Multi-precision GEMM kernels, private to src/linalg/.
 //
 // This is the host-side analogue of the CUTLASS kernels Mako instantiates on
-// GPUs.  The kernels are parameterized exactly like a CUTLASS threadblock
-// tile: (tile_m, tile_n, tile_k) block shape plus an inner-loop unroll factor
-// that plays the role of the paper's implicit-ILP scheduling factor
-// (Section 3.1.1).  CompilerMako's autotuner searches this configuration
-// space empirically, just as the paper's Algorithm 2 does over CUTLASS
-// primitives.
+// GPUs: one BLIS-style kernel in which operands are packed into MR/NR panels
+// (the host counterpart of shared-memory staging) and a register-resident
+// MR x NR micro-kernel keeps the C fragment out of memory for the whole K
+// loop.  L1-resident problems skip the packing and run the same register
+// blocking directly on the operands.
 //
 // Precision behaviour mirrors tensor cores: FP16 and TF32 operands are
 // rounded with round-to-nearest-even on entry and all products are
@@ -21,22 +20,12 @@
 
 #include <cstddef>
 
-#include "linalg/backend.hpp"  // GemmConfig, quantize_to_float
+#include "linalg/backend.hpp"  // quantize_to_float
 #include "util/precision.hpp"
 
 namespace mako {
 
 // --- Raw pointer kernels (row-major, C = alpha*op(A)*op(B) + beta*C) --------
-
-/// FP64 GEMM, C[MxN] += A[MxK] * B[KxN].  Tiling/unroll from `cfg`.
-void gemm_fp64(const double* a, const double* b, double* c, std::size_t m,
-               std::size_t n, std::size_t k, double alpha = 1.0,
-               double beta = 0.0, const GemmConfig& cfg = {});
-
-/// FP32 GEMM with FP32 accumulation.
-void gemm_fp32(const float* a, const float* b, float* c, std::size_t m,
-               std::size_t n, std::size_t k, float alpha = 1.0f,
-               float beta = 0.0f, const GemmConfig& cfg = {});
 
 /// FP64 GEMM with native operand transposes: C = alpha*op(A)*op(B) + beta*C
 /// where op(X) = X or X^T.  Operands are dense row-major as stored, i.e. A is
@@ -44,8 +33,7 @@ void gemm_fp32(const float* a, const float* b, float* c, std::size_t m,
 /// packing stage — no materialized transpose copy is ever made.
 void gemm_fp64_ex(const double* a, bool trans_a, const double* b, bool trans_b,
                   double* c, std::size_t m, std::size_t n, std::size_t k,
-                  double alpha = 1.0, double beta = 0.0,
-                  const GemmConfig& cfg = {});
+                  double alpha = 1.0, double beta = 0.0);
 
 /// Quantized GEMM over operands already rounded through the target precision
 /// (see quantize_to_float): multiplies at FP32, accumulates at FP32, and
@@ -54,17 +42,7 @@ void gemm_fp64_ex(const double* a, bool trans_a, const double* b, bool trans_b,
 /// quantized once instead of once per GEMM call.
 void gemm_quantized_ops(const float* qa, bool trans_a, const float* qb,
                         bool trans_b, double* c, std::size_t m, std::size_t n,
-                        std::size_t k, double alpha, double beta,
-                        const GemmConfig& cfg);
-
-/// Quantized GEMM: double inputs are rounded through `cfg.precision`
-/// (FP16/TF32/FP32) on entry, multiplied at that precision, and accumulated
-/// in FP32; the FP32 result is then widened into the FP64 output.  This is
-/// QuantMako's dual-stage accumulation building block: in-kernel FP32
-/// accumulation followed by FP64 accumulation at the Fock stage.
-void gemm_quantized(const double* a, const double* b, double* c, std::size_t m,
-                    std::size_t n, std::size_t k, double alpha, double beta,
-                    const GemmConfig& cfg);
+                        std::size_t k, double alpha, double beta);
 
 /// Naive FP16 GEMM: operands AND the running accumulator are rounded to
 /// binary16 at every step.  This is the "Baseline FP16" kernel of the

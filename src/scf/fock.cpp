@@ -422,22 +422,14 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
           KernelConfig config = options_.kernel;
           config.gemm.precision =
               quantized ? policy.quant_precision : Precision::kFP64;
-          if (options_.tuner != nullptr) {
-            if (auto tuned =
-                    options_.tuner->lookup(key, config.gemm.precision)) {
-              const bool gs = config.group_scaling;
-              config = tuned->config;
-              config.group_scaling = gs;
-            }
-          }
-          // Engines are bound to the context's backend and plan cache at
-          // construction; only the config is re-resolved per build.
-          BatchedEriEngine& engine =
+          // Engines are bound to the context's backend, plan cache and
+          // config at construction: options_.kernel is fixed for the
+          // builder's lifetime and the precision is part of the key.
+          const BatchedEriEngine& engine =
               engines_
                   .try_emplace(std::make_pair(key, config.gemm.precision),
                                config, &ctx_->backend(), &ctx_->plans())
                   .first->second;
-          engine.set_config(config);
           // Routed quartets read the plan's quantized operand copies.
           if (config.quantized()) plan.prepare_quantized(config.gemm.precision);
           const EriClassPlan& cplan = ctx_->plans().get(key);

@@ -21,7 +21,6 @@
 #include <utility>
 
 #include "basis/basis_set.hpp"
-#include "compilermako/autotuner.hpp"
 #include "integrals/schwarz.hpp"
 #include "kernelmako/batched_eri.hpp"
 #include "linalg/matrix.hpp"
@@ -43,7 +42,6 @@ enum class EriEngineKind {
 struct FockOptions {
   EriEngineKind engine = EriEngineKind::kMako;
   KernelConfig kernel{};          ///< base config for the Mako engine
-  Autotuner* tuner = nullptr;     ///< optional per-class tuned configs
   std::size_t batch_size = 32;    ///< quartets per Mako batch
   int max_engine_l = 6;           ///< reference-engine angular momentum cap
   /// Shard the routing pass, Mako batch evaluation, and J/K digestion across
@@ -136,10 +134,9 @@ class FockBuilder {
   FockOptions options_;
   const ExecutionContext* ctx_;  ///< never null after construction
   std::shared_ptr<const FockPlan> plan_;  ///< cache-shared, never null
-  /// One Mako engine per (class, precision), reused across buckets and
-  /// successive build_jk calls (configs are re-resolved each call; the
-  /// engine identity — and with it the per-thread scratch warm-up — is
-  /// preserved).  Mutated only in the serial section of build_jk.
+  /// One Mako engine per (class, precision), created on first use and
+  /// reused across buckets and successive build_jk calls.  Mutated only in
+  /// the serial section of build_jk.
   mutable std::map<std::pair<EriClassKey, Precision>, BatchedEriEngine>
       engines_;
   mutable std::unique_ptr<Scratch> scratch_;

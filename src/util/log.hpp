@@ -1,4 +1,4 @@
-// Minimal leveled logger.  Mako components report planning/tuning decisions
+// Minimal leveled logger.  Mako components report planning decisions
 // through this interface so end-to-end runs can be audited.
 //
 // The printf-style entry points carry the compiler's `format(printf, ...)`

@@ -1,5 +1,5 @@
-// Wall-clock timing utilities used by the SCF driver, the CompilerMako
-// autotuner and every benchmark harness.
+// Wall-clock timing utilities used by the SCF driver and every benchmark
+// harness.
 #pragma once
 
 #include <chrono>

@@ -253,6 +253,13 @@ TEST_F(BatchTest, ManifestRejectsUnknownAndMisplacedKeys) {
       "noxyz.json", "{\"jobs\": [{\"name\": \"x\"}]}");
   EXPECT_THROW(BatchScheduler::load_manifest(noxyz), InputError);
 
+  // A removed key (the host kernel tuner's switch): an old manifest that
+  // still sets it must fail loudly rather than be silently ignored.
+  const std::string autotune = write_file(
+      "autotune.json",
+      "{\"jobs\": [{\"xyz\": \"w.xyz\", \"autotune\": true}]}");
+  EXPECT_THROW(BatchScheduler::load_manifest(autotune), InputError);
+
   const std::string garbage = write_file("garbage.json", "{\"jobs\": [");
   EXPECT_THROW(BatchScheduler::load_manifest(garbage), InputError);
 

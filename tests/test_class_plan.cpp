@@ -1,10 +1,11 @@
 // Execution-plan layer tests: plan-cache semantics, equivalence of the
-// packed/planned engine against both the reference engine and the legacy
-// unpacked GEMM path across precisions and fusion modes, and the
-// steady-state allocation-freedom contract of compute_batch.
+// packed/planned engine against the reference engine across precisions and
+// fusion modes, bit-identity of the kernel under its layout toggles and batch
+// splits, and the steady-state allocation-freedom contract of compute_batch.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "chem/builders.hpp"
-#include "compilermako/autotuner.hpp"
 #include "compilermako/registry.hpp"
 #include "integrals/eri_reference.hpp"
 #include "kernelmako/batched_eri.hpp"
@@ -106,7 +106,7 @@ TEST(ClassPlanTest, PrewarmCoversBasisClasses) {
   }
 }
 
-// --- Equivalence: planned/packed engine vs reference and legacy GEMM --------
+// --- Equivalence: planned/packed engine vs reference -------------------------
 
 struct EquivParam {
   EriClassKey key;
@@ -115,32 +115,6 @@ struct EquivParam {
 };
 
 class PlanEquivalenceTest : public ::testing::TestWithParam<EquivParam> {};
-
-TEST_P(PlanEquivalenceTest, PackedMatchesUnpackedGemmPath) {
-  const EquivParam p = GetParam();
-  const CalibrationBatch batch = make_calibration_batch(p.key, 3, 17);
-
-  KernelConfig packed;
-  packed.gemm.precision = p.precision;
-  packed.fuse_gemms = p.fuse;
-  KernelConfig unpacked = packed;
-  unpacked.gemm.packed = false;
-
-  const auto out_packed = run_batch(p.key, packed, batch);
-  const auto out_unpacked = run_batch(p.key, unpacked, batch);
-
-  // Identical operand quantization; only the FP accumulation order differs
-  // between the register-blocked and legacy tiled kernels.
-  const double tol = (p.precision == Precision::kFP64) ? 1e-12 : 1e-5;
-  ASSERT_EQ(out_packed.size(), out_unpacked.size());
-  for (std::size_t q = 0; q < out_packed.size(); ++q) {
-    ASSERT_EQ(out_packed[q].size(), out_unpacked[q].size());
-    for (std::size_t i = 0; i < out_packed[q].size(); ++i) {
-      EXPECT_NEAR(out_packed[q][i], out_unpacked[q][i], tol)
-          << p.key.name() << " q=" << q << " i=" << i;
-    }
-  }
-}
 
 TEST_P(PlanEquivalenceTest, PackedMatchesReference) {
   const EquivParam p = GetParam();
@@ -161,6 +135,70 @@ TEST_P(PlanEquivalenceTest, PackedMatchesReference) {
       EXPECT_NEAR(out[q][i], expected[i], tol) << p.key.name() << " i=" << i;
     }
   }
+}
+
+void expect_bitwise_equal(const std::vector<std::vector<double>>& a,
+                          const std::vector<std::vector<double>>& b,
+                          const EriClassKey& key) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t q = 0; q < a.size(); ++q) {
+    ASSERT_EQ(a[q].size(), b[q].size());
+    for (std::size_t i = 0; i < a[q].size(); ++i) {
+      // Bit patterns, not values: NaN == NaN and -0 != +0 here.
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[q][i]),
+                std::bit_cast<std::uint64_t>(b[q][i]))
+          << key.name() << " q=" << q << " i=" << i;
+    }
+  }
+}
+
+// fuse_gemms only changes where P is staged (one quartet's P kept hot vs every
+// P staged before the GEMMs); the arithmetic is the same, so are the bits.
+TEST_P(PlanEquivalenceTest, StagedPMatchesFusedPath) {
+  const EquivParam p = GetParam();
+  const CalibrationBatch batch = make_calibration_batch(p.key, 3, 17);
+  KernelConfig config;
+  config.gemm.precision = p.precision;
+  config.fuse_gemms = p.fuse;
+  KernelConfig flipped = config;
+  flipped.fuse_gemms = !p.fuse;
+  expect_bitwise_equal(run_batch(p.key, config, batch),
+                       run_batch(p.key, flipped, batch), p.key);
+}
+
+// use_swizzle picks the striped->blocked transpose (swizzled tile vs strided
+// gather); both move the same r-integrals, so the results are bit-identical.
+TEST_P(PlanEquivalenceTest, StridedGatherMatchesSwizzledTranspose) {
+  const EquivParam p = GetParam();
+  const CalibrationBatch batch = make_calibration_batch(p.key, 3, 17);
+  KernelConfig config;
+  config.gemm.precision = p.precision;
+  config.fuse_gemms = p.fuse;
+  KernelConfig gather = config;
+  gather.use_swizzle = false;
+  expect_bitwise_equal(run_batch(p.key, config, batch),
+                       run_batch(p.key, gather, batch), p.key);
+}
+
+// Every scale (E' per pair, P and T per quartet) is local to a quartet, so a
+// quartet's integrals do not depend on which batch it was computed in.
+TEST_P(PlanEquivalenceTest, SingleQuartetBatchesMatchWholeBatch) {
+  const EquivParam p = GetParam();
+  const CalibrationBatch batch = make_calibration_batch(p.key, 3, 17);
+  KernelConfig config;
+  config.gemm.precision = p.precision;
+  config.fuse_gemms = p.fuse;
+  const auto whole = run_batch(p.key, config, batch);
+
+  BatchedEriEngine engine(config);
+  std::vector<std::vector<double>> singles;
+  std::vector<std::vector<double>> one;
+  for (const QuartetRef& q : batch.quartets) {
+    engine.compute_batch(p.key, std::span<const QuartetRef>(&q, 1), one);
+    ASSERT_EQ(one.size(), 1u);
+    singles.push_back(one[0]);
+  }
+  expect_bitwise_equal(whole, singles, p.key);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -29,20 +29,6 @@ TEST(DeviceSpecTest, Fp16TensorIs16xFp64Tensor) {
               16.0, 0.1);
 }
 
-TEST(DeviceSpecTest, FusionBudgetIsHalfSmem) {
-  const DeviceSpec a100 = DeviceSpec::a100();
-  EXPECT_EQ(a100.fusion_smem_budget(), a100.smem_per_sm_bytes / 2);
-}
-
-TEST(DeviceSpecTest, CatalogueDiffers) {
-  EXPECT_LT(DeviceSpec::v100().tensor_peak(Precision::kFP16),
-            DeviceSpec::a100().tensor_peak(Precision::kFP16));
-  EXPECT_GT(DeviceSpec::h100().tensor_peak(Precision::kFP16),
-            DeviceSpec::a100().tensor_peak(Precision::kFP16));
-  EXPECT_GT(DeviceSpec::h100().smem_per_sm_bytes,
-            DeviceSpec::v100().smem_per_sm_bytes);
-}
-
 TEST(KernelModelTest, ComputeBoundScalesWithFlops) {
   const DeviceSpec dev = DeviceSpec::a100();
   KernelWork w;

@@ -6,7 +6,7 @@
 
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
-#include "compilermako/autotuner.hpp"
+#include "compilermako/registry.hpp"
 #include "integrals/eri_reference.hpp"
 #include "integrals/schwarz.hpp"
 

@@ -1,5 +1,6 @@
-// GEMM micro-kernel tests: correctness across tile/ILP configurations and
-// the numerical contracts of the quantized (tensor-core-emulating) path.
+// GEMM kernel tests: correctness across shapes (direct and packed regimes,
+// register-tile fringes) and the numerical contracts of the quantized
+// (tensor-core-emulating) path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,45 +32,6 @@ std::vector<double> random_buffer(std::size_t n, Rng& rng, double lo = -1.0,
   return v;
 }
 
-// --- Parameterized over (m, n, k, tile_m, tile_n, tile_k, ilp) --------------
-
-using GemmParam = std::tuple<int, int, int, int, int, int, int>;
-
-class GemmConfigTest : public ::testing::TestWithParam<GemmParam> {};
-
-TEST_P(GemmConfigTest, MatchesNaive) {
-  const auto [m, n, k, tm, tn, tk, ilp] = GetParam();
-  Rng rng(m * 1000003 + n * 7919 + k * 13 + ilp);
-  const auto a = random_buffer(static_cast<std::size_t>(m) * k, rng);
-  const auto b = random_buffer(static_cast<std::size_t>(k) * n, rng);
-  auto c = random_buffer(static_cast<std::size_t>(m) * n, rng);
-  auto expected = c;
-
-  GemmConfig cfg;
-  cfg.tile_m = tm;
-  cfg.tile_n = tn;
-  cfg.tile_k = tk;
-  cfg.ilp = ilp;
-
-  gemm_fp64(a.data(), b.data(), c.data(), m, n, k, 1.0, 1.0, cfg);
-  naive_gemm(a, b, expected, m, n, k, 1.0, 1.0);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    EXPECT_NEAR(c[i], expected[i], 1e-11) << "i=" << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ShapesAndTiles, GemmConfigTest,
-    ::testing::Values(
-        GemmParam{1, 1, 1, 16, 16, 16, 1}, GemmParam{3, 5, 7, 16, 16, 16, 2},
-        GemmParam{17, 19, 23, 8, 8, 8, 4}, GemmParam{32, 32, 32, 16, 16, 16, 8},
-        GemmParam{50, 40, 60, 48, 48, 32, 16},
-        GemmParam{65, 65, 65, 32, 32, 32, 32},
-        GemmParam{128, 16, 33, 48, 16, 16, 4},
-        GemmParam{9, 81, 25, 16, 48, 32, 2}));
-
-// --- Native-transpose entry point (packed + direct register-blocked paths) --
-
 void naive_gemm_ex(const std::vector<double>& a, bool ta,
                    const std::vector<double>& b, bool tb,
                    std::vector<double>& c, std::size_t m, std::size_t n,
@@ -86,6 +48,91 @@ void naive_gemm_ex(const std::vector<double>& a, bool ta,
     }
   }
 }
+
+// --- Parameterized over (m, n, k) ---------------------------------------------
+//
+// The shapes straddle the MR x NR register tile (fringes included) and both
+// the direct (L1-resident) and the packed (panel-staged) dispatch; beta = 1
+// checks accumulation into C.
+
+using GemmParam = std::tuple<int, int, int>;
+
+class GemmConfigTest : public ::testing::TestWithParam<GemmParam> {};
+
+TEST_P(GemmConfigTest, MatchesNaive) {
+  const auto [m, n, k] = GetParam();
+  Rng rng(m * 1000003 + n * 7919 + k * 13);
+  const auto a = random_buffer(static_cast<std::size_t>(m) * k, rng);
+  const auto b = random_buffer(static_cast<std::size_t>(k) * n, rng);
+  auto c = random_buffer(static_cast<std::size_t>(m) * n, rng);
+  auto expected = c;
+
+  gemm_fp64_ex(a.data(), false, b.data(), false, c.data(), m, n, k, 1.0, 1.0);
+  naive_gemm(a, b, expected, m, n, k, 1.0, 1.0);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    EXPECT_NEAR(c[i], expected[i], 1e-11) << "i=" << i;
+  }
+}
+
+// The FP32 kernel under every quantized GEMM, over the same shapes, with A
+// stored both ways (the ERI kernel's first GEMM reads E'_AB transposed).
+// Products of FP16-rounded operands are exact in FP32, so the only error is
+// FP32 accumulation: |err| <= gamma_k * sum_l |a_il| |b_lj|, u = 2^-24.
+TEST_P(GemmConfigTest, QuantizedOpsMatchNaiveOnRoundedOperands) {
+  const auto [m, n, k] = GetParam();
+  Rng rng(m * 7919 + n * 13 + k * 1000003);
+  const std::size_t mk = static_cast<std::size_t>(m) * k;
+  const std::size_t kn = static_cast<std::size_t>(k) * n;
+  const auto a = random_buffer(mk, rng);
+  const auto b = random_buffer(kn, rng);
+  const auto c0 = random_buffer(static_cast<std::size_t>(m) * n, rng);
+  std::vector<float> qa(mk), qb(kn);
+  quantize_to_float(a.data(), qa.data(), mk, Precision::kFP16);
+  quantize_to_float(b.data(), qb.data(), kn, Precision::kFP16);
+  const std::vector<double> ra(qa.begin(), qa.end());
+  const std::vector<double> rb(qb.begin(), qb.end());
+
+  const double u = std::ldexp(1.0, -24);
+  const double gamma = k * u / (1.0 - k * u);
+  for (const bool ta : {false, true}) {
+    // A stored [K x M] when transposed.
+    std::vector<float> qa_stored = qa;
+    std::vector<double> ra_stored = ra;
+    if (ta) {
+      for (int i = 0; i < m; ++i) {
+        for (int l = 0; l < k; ++l) {
+          qa_stored[l * m + i] = qa[i * k + l];
+          ra_stored[l * m + i] = ra[i * k + l];
+        }
+      }
+    }
+    auto c = c0;
+    auto expected = c0;
+    gemm_quantized_ops(qa_stored.data(), ta, qb.data(), false, c.data(), m, n,
+                       k, 2.0, 1.0);
+    naive_gemm_ex(ra_stored, ta, rb, false, expected, m, n, k, 2.0, 1.0);
+    for (int i = 0; i < m; ++i) {
+      for (int j = 0; j < n; ++j) {
+        double abs_sum = 0.0;
+        for (int l = 0; l < k; ++l) {
+          abs_sum += std::abs(ra[i * k + l] * rb[l * n + j]);
+        }
+        const std::size_t idx = static_cast<std::size_t>(i) * n + j;
+        EXPECT_NEAR(c[idx], expected[idx], 2.0 * gamma * abs_sum + 1e-15)
+            << "trans_a=" << ta << " i=" << i << " j=" << j;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmConfigTest,
+    ::testing::Values(GemmParam{1, 1, 1}, GemmParam{3, 5, 7},
+                      GemmParam{17, 19, 23}, GemmParam{32, 32, 32},
+                      GemmParam{50, 40, 60}, GemmParam{65, 65, 65},
+                      GemmParam{128, 16, 33}, GemmParam{9, 81, 25}));
+
+// --- Native-transpose entry point (packed + direct register-blocked paths) --
 
 using GemmExParam = std::tuple<int, int, int, bool, bool>;
 
@@ -124,7 +171,8 @@ TEST(GemmTest, AlphaBetaSemantics) {
   const auto b = random_buffer(k * n, rng);
   auto c = random_buffer(m * n, rng);
   auto expected = c;
-  gemm_fp64(a.data(), b.data(), c.data(), m, n, k, -2.5, 0.75);
+  gemm_fp64_ex(a.data(), false, b.data(), false, c.data(), m, n, k, -2.5,
+               0.75);
   naive_gemm(a, b, expected, m, n, k, -2.5, 0.75);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], expected[i], 1e-12);
 }
@@ -133,7 +181,7 @@ TEST(GemmTest, BetaZeroIgnoresGarbage) {
   const int m = 4, n = 4, k = 4;
   std::vector<double> a(m * k, 1.0), b(k * n, 1.0);
   std::vector<double> c(m * n, std::nan(""));
-  gemm_fp64(a.data(), b.data(), c.data(), m, n, k, 1.0, 0.0);
+  gemm_fp64_ex(a.data(), false, b.data(), false, c.data(), m, n, k, 1.0, 0.0);
   for (double v : c) EXPECT_DOUBLE_EQ(v, 4.0);
 }
 
@@ -156,6 +204,13 @@ TEST(GemmTest, MatrixWrappers) {
 }
 
 // --- Quantized path ----------------------------------------------------------
+//
+// Through the default backend's `quantized` entry point, which rounds the
+// double operands through cfg.precision and accumulates at FP32.
+
+const GemmBackend& quantized_backend() {
+  return resolve_gemm_backend(GemmBackendRegistry::kDefaultName);
+}
 
 class QuantGemmTest : public ::testing::TestWithParam<Precision> {};
 
@@ -169,7 +224,8 @@ TEST_P(QuantGemmTest, ErrorWithinFormatBound) {
 
   GemmConfig cfg;
   cfg.precision = prec;
-  gemm_quantized(a.data(), b.data(), c.data(), m, n, k, 1.0, 0.0, cfg);
+  quantized_backend().quantized(a.data(), b.data(), c.data(), m, n, k,
+                                1.0, 0.0, cfg);
   naive_gemm(a, b, expected, m, n, k, 1.0, 0.0);
 
   // Operand rounding error ~2^-11 (FP16/TF32) or 2^-24 (FP32), amplified by
@@ -194,7 +250,8 @@ TEST(QuantGemmTest, Fp64PathIsExact) {
   std::vector<double> c(m * n, 0.0), expected(m * n, 0.0);
   GemmConfig cfg;
   cfg.precision = Precision::kFP64;
-  gemm_quantized(a.data(), b.data(), c.data(), m, n, k, 1.0, 0.0, cfg);
+  quantized_backend().quantized(a.data(), b.data(), c.data(), m, n, k,
+                                1.0, 0.0, cfg);
   naive_gemm(a, b, expected, m, n, k, 1.0, 0.0);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], expected[i], 1e-13);
 }
@@ -207,7 +264,8 @@ TEST(QuantGemmTest, DualStageAccumulationBeatsNaiveFp16Sum) {
   std::vector<double> c(1, 0.0);
   GemmConfig cfg;
   cfg.precision = Precision::kFP16;
-  gemm_quantized(a.data(), b.data(), c.data(), 1, 1, k, 1.0, 0.0, cfg);
+  quantized_backend().quantized(a.data(), b.data(), c.data(), 1, 1, k,
+                                1.0, 0.0, cfg);
   EXPECT_NEAR(c[0], 4096.0, 1.0);  // naive FP16 accumulation would give 2048
 }
 
@@ -218,7 +276,8 @@ TEST(QuantGemmTest, Fp16OverflowsWithoutScaling) {
   std::vector<double> c(1, 0.0);
   GemmConfig cfg;
   cfg.precision = Precision::kFP16;
-  gemm_quantized(a.data(), b.data(), c.data(), 1, 1, 1, 1.0, 0.0, cfg);
+  quantized_backend().quantized(a.data(), b.data(), c.data(), 1, 1, 1,
+                                1.0, 0.0, cfg);
   EXPECT_TRUE(std::isinf(c[0]));
 }
 

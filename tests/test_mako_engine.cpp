@@ -45,25 +45,6 @@ TEST(MakoEngineTest, ReferenceEngineRole) {
   EXPECT_NEAR(report.scf.energy, -74.963, 1e-2);
 }
 
-TEST(MakoEngineTest, AutotunePathRuns) {
-  MakoOptions options;
-  options.basis = "sto-3g";
-  options.autotune = true;
-  options.tuner.tile_m = {48};
-  options.tuner.tile_n = {48};
-  options.tuner.tile_k = {32};
-  options.tuner.ilp_factors = {4};
-  options.tuner.calibration_batch = 1;
-  MakoEngine engine(options);
-  Molecule h2;
-  h2.add_atom(1, 0, 0, 0);
-  h2.add_atom(1, 0, 0, 1.4);
-  const MakoReport report = engine.compute_energy(h2);
-  EXPECT_GT(report.classes_tuned, 0);
-  EXPECT_GT(engine.tuner().cache_size(), 0u);
-  EXPECT_NEAR(report.scf.energy, -1.1167, 1e-3);
-}
-
 TEST(MakoEngineTest, FixedIterationBenchmarkMode) {
   MakoOptions options;
   options.basis = "sto-3g";

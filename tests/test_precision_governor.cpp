@@ -15,12 +15,12 @@ namespace mako {
 namespace {
 
 GemmCapabilities quantized_caps() {
-  return GemmCapabilities{/*quantized=*/true, /*register_blocked=*/true,
+  return GemmCapabilities{/*quantized=*/true,
                           "test backend with a quantized datapath"};
 }
 
 GemmCapabilities fp64_only_caps() {
-  return GemmCapabilities{/*quantized=*/false, /*register_blocked=*/false,
+  return GemmCapabilities{/*quantized=*/false,
                           "test backend without a quantized datapath"};
 }
 

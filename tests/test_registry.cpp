@@ -1,4 +1,5 @@
-// ERI class registry tests: combinatorial growth with angular momentum.
+// ERI class registry tests: combinatorial growth with angular momentum, and
+// the synthetic calibration batches the kernel tests and benches share.
 #include <gtest/gtest.h>
 
 #include "basis/basis_set.hpp"
@@ -66,6 +67,23 @@ TEST(RegistryTest, KeyDimensionHelpers) {
   EXPECT_GT(key.gemm1_flops(), 0.0);
   EXPECT_DOUBLE_EQ(key.gemm_flops_per_quartet(),
                    key.gemm1_flops() + key.gemm2_flops());
+}
+
+TEST(CalibrationBatchTest, RespectsClassKey) {
+  const EriClassKey key{2, 1, 1, 0, 6, 3};
+  const CalibrationBatch batch = make_calibration_batch(key, 5, 9);
+  EXPECT_EQ(batch.quartets.size(), 5u);
+  for (const QuartetRef& q : batch.quartets) {
+    EXPECT_EQ(BatchedEriEngine::classify(q), key);
+  }
+}
+
+TEST(CalibrationBatchTest, Deterministic) {
+  const EriClassKey key{1, 1, 1, 1, 2, 2};
+  const CalibrationBatch a = make_calibration_batch(key, 2, 42);
+  const CalibrationBatch b = make_calibration_batch(key, 2, 42);
+  EXPECT_EQ(a.shells[0].exponents, b.shells[0].exponents);
+  EXPECT_EQ(a.shells[3].coefficients, b.shells[3].coefficients);
 }
 
 }  // namespace

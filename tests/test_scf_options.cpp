@@ -51,8 +51,7 @@ TEST(IncrementalFockTest, WorksWithQuantization) {
 }
 
 TEST(PrecisionLadderTest, StepsFp16ToTf32) {
-  const GemmCapabilities caps{/*quantized=*/true, /*register_blocked=*/true,
-                              "test"};
+  const GemmCapabilities caps{/*quantized=*/true, "test"};
   PrecisionConfig ladder_cfg;
   ladder_cfg.use_precision_ladder = true;
   PrecisionGovernor plain(PrecisionConfig{}, /*enable_quantization=*/true,
