@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 namespace mako {
@@ -18,128 +20,236 @@ constexpr char kMagic[8] = {'M', 'A', 'K', 'O', 'C', 'K', 'P', 'T'};
 // Version 2 appended the precision-governor ladder stage to META.
 constexpr std::uint32_t kFormatVersion = 2;
 
-/// Section tags (fourcc, host-endian u32).
+/// Section tag (fourcc, host-endian u32).
 constexpr std::uint32_t fourcc(const char (&s)[5]) {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(s[0])) |
          static_cast<std::uint32_t>(static_cast<unsigned char>(s[1])) << 8 |
          static_cast<std::uint32_t>(static_cast<unsigned char>(s[2])) << 16 |
          static_cast<std::uint32_t>(static_cast<unsigned char>(s[3])) << 24;
 }
-constexpr std::uint32_t kTagMeta = fourcc("META");
-constexpr std::uint32_t kTagDensity = fourcc("DENS");
-constexpr std::uint32_t kTagFock = fourcc("FOCK");
-constexpr std::uint32_t kTagCoef = fourcc("COEF");
-constexpr std::uint32_t kTagYOcc = fourcc("YOCC");
-constexpr std::uint32_t kTagDPrev = fourcc("DPRV");
-constexpr std::uint32_t kTagJPrev = fourcc("JPRV");
-constexpr std::uint32_t kTagKPrev = fourcc("KPRV");
-constexpr std::uint32_t kTagEvals = fourcc("EVAL");
-constexpr std::uint32_t kTagErrHist = fourcc("EHST");
-constexpr std::uint32_t kTagDiis = fourcc("DIIS");
-constexpr std::uint32_t kTagRecoveryLog = fourcc("RLOG");
-constexpr std::uint32_t kTagRng = fourcc("RNGS");
 
-/// Growable byte sink with primitive appenders.  Doubles are written as
-/// their exact 8-byte representation, so a round-trip is bitwise.
+/// Smallest encodings of list items, for bounding counts by payload size:
+/// a DIIS pair is two (rows, cols) headers; a recovery event is iteration,
+/// fault, action and the detail length.
+constexpr std::size_t kDiisPairMinBytes = 4 * sizeof(std::uint64_t);
+constexpr std::size_t kEventMinBytes = 3 * sizeof(std::uint32_t) +
+                                       sizeof(std::uint64_t);
+
+[[noreturn]] void corrupt(const char* what) {
+  throw InputError(FaultKind::kCheckpointCorrupt, what);
+}
+
+void append(std::vector<unsigned char>& out, const void* p, std::size_t n) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  out.insert(out.end(), b, b + n);
+}
+
+/// The checkpoint's one field list: every ScfState field, named once, in its
+/// section and its position in the format-v2 payload.  `Io` is a ByteSink
+/// (with `State` = const ScfState) when saving and a ByteSource when loading.
+template <class Io, class State>
+void visit(Io& io, State& s) {
+  io.section(fourcc("META"), [&] {
+    io.scalar(s.next_iteration);
+    io.scalar(s.force_exact);
+    io.flag(s.converged);
+    io.scalar(s.ladder_rung);
+    io.flag(s.damping);
+    io.scalar(s.fp64_latched);
+    io.flag(s.direct_diag);
+    io.flag(s.full_rebuild);
+    io.scalar(s.cooldown_until);
+    io.scalar(s.rise_streak);
+    io.scalar(s.last_energy);
+    io.scalar(s.last_error);
+    io.scalar(s.energy);
+    io.scalar(s.e_nuclear);
+    io.scalar(s.e_one_electron);
+    io.scalar(s.e_coulomb);
+    io.scalar(s.e_exact_exchange);
+    io.scalar(s.e_xc);
+    io.scalar(s.governor_ladder_stage);
+  });
+  io.section(fourcc("DENS"), [&] { io.matrix(s.density); });
+  io.section(fourcc("FOCK"), [&] { io.matrix(s.fock); });
+  io.section(fourcc("COEF"), [&] { io.matrix(s.coefficients); });
+  io.section(fourcc("YOCC"), [&] { io.matrix(s.prev_y_occ); });
+  io.section(fourcc("DPRV"), [&] { io.matrix(s.d_prev); });
+  io.section(fourcc("JPRV"), [&] { io.matrix(s.j_prev); });
+  io.section(fourcc("KPRV"), [&] { io.matrix(s.k_prev); });
+  io.section(fourcc("EVAL"), [&] { io.vec(s.orbital_energies); });
+  io.section(fourcc("EHST"), [&] { io.vec(s.err_hist); });
+  io.section(fourcc("DIIS"), [&] {
+    const std::uint64_t k =
+        io.count(std::min(s.diis_focks.size(), s.diis_errors.size()), 1024,
+                 kDiisPairMinBytes);
+    io.resize(s.diis_focks, k);
+    io.resize(s.diis_errors, k);
+    for (std::uint64_t i = 0; i < k; ++i) {
+      io.matrix(s.diis_focks[i]);
+      io.matrix(s.diis_errors[i]);
+    }
+  });
+  io.section(fourcc("RLOG"), [&] {
+    const std::uint64_t k =
+        io.count(s.recovery_log.size(), 1u << 20, kEventMinBytes);
+    io.resize(s.recovery_log, k);
+    for (auto& e : s.recovery_log) {
+      io.scalar(e.iteration);
+      io.enum32(e.fault);
+      io.enum32(e.action);
+      io.text(e.detail);
+    }
+  });
+}
+
+/// Saving side of visit(): appends each field to the payload of the section
+/// being written, and seals each section with its tag, length and CRC32.
+/// Doubles are written as their exact 8-byte representation, so a round-trip
+/// is bitwise.
 struct ByteSink {
-  std::vector<unsigned char> bytes;
+  std::vector<unsigned char> body;     ///< sealed sections, in order
+  std::vector<unsigned char> payload;  ///< the section being written
+  std::uint32_t sections = 0;
 
-  void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    bytes.insert(bytes.end(), b, b + n);
+  template <class F>
+  void section(std::uint32_t tag, F&& fields) {
+    payload.clear();
+    fields();
+    const std::uint64_t len = payload.size();
+    const std::uint32_t crc = crc32(payload.data(), payload.size());
+    append(body, &tag, sizeof tag);
+    append(body, &len, sizeof len);
+    append(body, &crc, sizeof crc);
+    body.insert(body.end(), payload.begin(), payload.end());
+    ++sections;
   }
-  void u8(std::uint8_t v) { raw(&v, 1); }
-  void i32(std::int32_t v) { raw(&v, sizeof v); }
-  void u32(std::uint32_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void f64(double v) { raw(&v, sizeof v); }
+  void raw(const void* p, std::size_t n) { append(payload, p, n); }
+  template <class T>
+  void scalar(T v) {
+    static_assert(std::is_arithmetic_v<T>);
+    raw(&v, sizeof v);
+  }
+  void flag(bool v) { scalar<std::uint8_t>(v ? 1 : 0); }
+  template <class E>
+  void enum32(E e) {
+    scalar(static_cast<std::uint32_t>(e));
+  }
+  std::uint64_t count(std::uint64_t k, std::uint64_t, std::size_t) {
+    scalar(k);
+    return k;
+  }
+  template <class T>
+  void resize(const std::vector<T>&, std::uint64_t) {}  // sizes are given
   void matrix(const MatrixD& m) {
-    u64(m.rows());
-    u64(m.cols());
+    scalar<std::uint64_t>(m.rows());
+    scalar<std::uint64_t>(m.cols());
     raw(m.data(), m.size() * sizeof(double));
   }
   void vec(const VectorD& v) {
-    u64(v.size());
+    scalar<std::uint64_t>(v.size());
     raw(v.data(), v.size() * sizeof(double));
+  }
+  void text(const std::string& t) {
+    scalar<std::uint64_t>(t.size());
+    raw(t.data(), t.size());
   }
 };
 
-/// Bounds-checked cursor over a section payload.  Throws the corrupt-
-/// checkpoint InputError on any overrun — truncated sections are corruption,
-/// not defaults.
+/// Loading side of visit(): a bounds-checked cursor, first over the file
+/// header and then over one CRC-verified section payload at a time.  Throws
+/// the corrupt-checkpoint InputError on any overrun, and on any size or count
+/// field larger than the bytes left, before anything is allocated —
+/// truncated sections are corruption, not defaults.
 struct ByteSource {
   const unsigned char* p = nullptr;
   std::size_t n = 0;
   std::size_t off = 0;
+  const unsigned char* file = nullptr;
+  const char* path = "";
+  /// tag -> (offset in file, payload bytes) of every CRC-verified section.
+  std::map<std::uint32_t, std::pair<std::size_t, std::size_t>> sections;
 
-  void need(std::size_t k) const {
-    if (off + k > n) {
-      throw InputError(FaultKind::kCheckpointCorrupt,
-                       "checkpoint: section payload truncated");
+  template <class F>
+  void section(std::uint32_t tag, F&& fields) {
+    const auto it = sections.find(tag);
+    if (it == sections.end()) {
+      char msg[512];
+      std::snprintf(msg, sizeof msg,
+                    "checkpoint: '%s' is missing a required section "
+                    "(truncated or corrupt)",
+                    path);
+      corrupt(msg);
     }
+    p = file + it->second.first;
+    n = it->second.second;
+    off = 0;
+    fields();
+  }
+  [[nodiscard]] std::size_t left() const noexcept { return n - off; }
+  void need(std::size_t k) const {
+    if (k > left()) corrupt("checkpoint: section payload truncated");
   }
   void raw(void* out, std::size_t k) {
     need(k);
     std::memcpy(out, p + off, k);
     off += k;
   }
-  std::uint8_t u8() {
-    std::uint8_t v;
-    raw(&v, 1);
-    return v;
-  }
-  std::int32_t i32() {
-    std::int32_t v;
+  template <class T>
+  void scalar(T& v) {
+    static_assert(std::is_arithmetic_v<T>);
     raw(&v, sizeof v);
+  }
+  template <class T>
+  T take() {
+    T v;
+    scalar(v);
     return v;
   }
-  std::uint32_t u32() {
-    std::uint32_t v;
-    raw(&v, sizeof v);
-    return v;
+  void flag(bool& v) { v = take<std::uint8_t>() != 0; }
+  template <class E>
+  void enum32(E& e) {
+    e = static_cast<E>(take<std::uint32_t>());
   }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    raw(&v, sizeof v);
-    return v;
-  }
-  double f64() {
-    double v;
-    raw(&v, sizeof v);
-    return v;
-  }
-  MatrixD matrix() {
-    const std::uint64_t r = u64();
-    const std::uint64_t c = u64();
-    if (r > (1u << 20) || c > (1u << 20)) {
-      throw InputError(FaultKind::kCheckpointCorrupt,
-                       "checkpoint: implausible matrix dimensions "
-                       "(corrupt size field)");
+  std::uint64_t count(std::uint64_t, std::uint64_t max,
+                      std::size_t min_item_bytes) {
+    const auto k = take<std::uint64_t>();
+    if (k > max || k > left() / min_item_bytes) {
+      corrupt("checkpoint: implausible list length (corrupt count field)");
     }
-    MatrixD m(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+    return k;
+  }
+  template <class T>
+  void resize(std::vector<T>& v, std::uint64_t k) {
+    v.resize(static_cast<std::size_t>(k));
+  }
+  void matrix(MatrixD& m) {
+    const auto r = take<std::uint64_t>();
+    const auto c = take<std::uint64_t>();
+    if (r > (1u << 20) || c > (1u << 20) ||
+        r * c > left() / sizeof(double)) {
+      corrupt("checkpoint: implausible matrix dimensions (corrupt size "
+              "field)");
+    }
+    m = MatrixD(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
     raw(m.data(), m.size() * sizeof(double));
-    return m;
   }
-  VectorD vec() {
-    const std::uint64_t k = u64();
-    if (k > (1u << 28)) {
-      throw InputError(FaultKind::kCheckpointCorrupt,
-                       "checkpoint: implausible vector length "
-                       "(corrupt size field)");
+  void vec(VectorD& v) {
+    const auto k = take<std::uint64_t>();
+    if (k > (1u << 28) || k > left() / sizeof(double)) {
+      corrupt("checkpoint: implausible vector length (corrupt size field)");
     }
-    VectorD v(static_cast<std::size_t>(k));
+    v.resize(static_cast<std::size_t>(k));
     raw(v.data(), v.size() * sizeof(double));
-    return v;
+  }
+  void text(std::string& t) {
+    const auto k = take<std::uint64_t>();
+    need(static_cast<std::size_t>(k));
+    t.assign(reinterpret_cast<const char*>(p + off),
+             static_cast<std::size_t>(k));
+    off += static_cast<std::size_t>(k);
   }
 };
-
-void append_section(ByteSink& file, std::uint32_t tag,
-                    const std::vector<unsigned char>& payload) {
-  file.u32(tag);
-  file.u64(payload.size());
-  file.u32(crc32(payload.data(), payload.size()));
-  file.raw(payload.data(), payload.size());
-}
 
 std::uint32_t crc_table_entry(std::uint32_t i) noexcept {
   std::uint32_t c = i;
@@ -164,82 +274,16 @@ std::uint32_t crc32(const void* data, std::size_t n,
   return c ^ 0xFFFFFFFFu;
 }
 
-Status save_checkpoint(const std::string& path,
-                       const ScfCheckpointState& state) {
-  // --- serialize every section into one buffer ---------------------------
-  ByteSink file;
-  file.raw(kMagic, sizeof kMagic);
-  file.u32(kFormatVersion);
-  file.u64(state.fingerprint);
-
-  std::vector<std::pair<std::uint32_t, std::vector<unsigned char>>> sections;
-  auto add_section = [&sections](std::uint32_t tag, auto&& fill) {
-    ByteSink s;
-    fill(s);
-    sections.emplace_back(tag, std::move(s.bytes));
-  };
-
-  add_section(kTagMeta, [&](ByteSink& s) {
-    s.i32(state.next_iteration);
-    s.u8(state.force_exact);
-    s.u8(state.converged);
-    s.i32(state.ladder_rung);
-    s.u8(state.damping);
-    s.u8(state.fp64_latched);
-    s.u8(state.direct_diag);
-    s.u8(state.full_rebuild);
-    s.i32(state.cooldown_until);
-    s.i32(state.rise_streak);
-    s.f64(state.last_energy);
-    s.f64(state.last_error);
-    s.f64(state.energy);
-    s.f64(state.e_nuclear);
-    s.f64(state.e_one_electron);
-    s.f64(state.e_coulomb);
-    s.f64(state.e_exact_exchange);
-    s.f64(state.e_xc);
-    s.i32(state.governor_ladder_stage);
-  });
-  const std::pair<std::uint32_t, const MatrixD*> mats[] = {
-      {kTagDensity, &state.density},  {kTagFock, &state.fock},
-      {kTagCoef, &state.coefficients}, {kTagYOcc, &state.prev_y_occ},
-      {kTagDPrev, &state.d_prev},     {kTagJPrev, &state.j_prev},
-      {kTagKPrev, &state.k_prev},
-  };
-  for (const auto& [tag, m] : mats) {
-    add_section(tag, [&](ByteSink& s) { s.matrix(*m); });
-  }
-  add_section(kTagEvals,
-              [&](ByteSink& s) { s.vec(state.orbital_energies); });
-  add_section(kTagErrHist, [&](ByteSink& s) { s.vec(state.err_hist); });
-  add_section(kTagDiis, [&](ByteSink& s) {
-    const std::size_t nv =
-        std::min(state.diis_focks.size(), state.diis_errors.size());
-    s.u64(nv);
-    for (std::size_t i = 0; i < nv; ++i) {
-      s.matrix(state.diis_focks[i]);
-      s.matrix(state.diis_errors[i]);
-    }
-  });
-  add_section(kTagRecoveryLog, [&](ByteSink& s) {
-    s.u64(state.recovery_log.size());
-    for (const RecoveryEvent& e : state.recovery_log) {
-      s.i32(e.iteration);
-      s.u32(static_cast<std::uint32_t>(e.fault));
-      s.u32(static_cast<std::uint32_t>(e.action));
-      s.u64(e.detail.size());
-      s.raw(e.detail.data(), e.detail.size());
-    }
-  });
-  add_section(kTagRng, [&](ByteSink& s) {
-    s.u64(state.rng_state.size());
-    s.raw(state.rng_state.data(), state.rng_state.size());
-  });
-
-  file.u32(static_cast<std::uint32_t>(sections.size()));
-  for (const auto& [tag, payload] : sections) {
-    append_section(file, tag, payload);
-  }
+Status save_checkpoint(const std::string& path, const ScfState& state) {
+  ByteSink sink;
+  visit(sink, state);
+  std::vector<unsigned char> bytes;
+  bytes.reserve(sizeof kMagic + 16 + sink.body.size());
+  append(bytes, kMagic, sizeof kMagic);
+  append(bytes, &kFormatVersion, sizeof kFormatVersion);
+  append(bytes, &state.fingerprint, sizeof state.fingerprint);
+  append(bytes, &sink.sections, sizeof sink.sections);
+  bytes.insert(bytes.end(), sink.body.begin(), sink.body.end());
 
   // --- atomic write: temp + fsync + rename + fsync(dir) ------------------
   // The staging name is unique per WRITE, not just per process: concurrent
@@ -258,8 +302,7 @@ Status save_checkpoint(const std::string& path,
     return Status::fault(FaultKind::kCheckpointError, msg);
   }
   const bool wrote =
-      std::fwrite(file.bytes.data(), 1, file.bytes.size(), f) ==
-      file.bytes.size();
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
   const bool flushed = wrote && std::fflush(f) == 0;
   const bool synced = flushed && ::fsync(::fileno(f)) == 0;
   std::fclose(f);
@@ -290,8 +333,8 @@ Status save_checkpoint(const std::string& path,
   return Status::ok();
 }
 
-ScfCheckpointState load_checkpoint(const std::string& path,
-                                   std::uint64_t expected_fingerprint) {
+ScfState load_checkpoint(const std::string& path,
+                         std::uint64_t expected_fingerprint) {
   char msg[512];
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -313,7 +356,10 @@ ScfCheckpointState load_checkpoint(const std::string& path,
   }
   std::fclose(f);
 
-  ByteSource src{bytes.data(), bytes.size(), 0};
+  ByteSource src;
+  src.p = src.file = bytes.data();
+  src.n = bytes.size();
+  src.path = path.c_str();
   char magic[8];
   try {
     src.raw(magic, sizeof magic);
@@ -330,7 +376,7 @@ ScfCheckpointState load_checkpoint(const std::string& path,
                   path.c_str());
     throw InputError(FaultKind::kCheckpointCorrupt, msg);
   }
-  const std::uint32_t version = src.u32();
+  const auto version = src.take<std::uint32_t>();
   if (version != kFormatVersion) {
     std::snprintf(msg, sizeof msg,
                   "checkpoint: '%s' has format version %u; this build reads "
@@ -338,8 +384,8 @@ ScfCheckpointState load_checkpoint(const std::string& path,
                   path.c_str(), version, kFormatVersion);
     throw InputError(FaultKind::kCheckpointCorrupt, msg);
   }
-  ScfCheckpointState state;
-  state.fingerprint = src.u64();
+  ScfState state;
+  state.fingerprint = src.take<std::uint64_t>();
   if (expected_fingerprint != 0 &&
       state.fingerprint != expected_fingerprint) {
     std::snprintf(
@@ -353,15 +399,15 @@ ScfCheckpointState load_checkpoint(const std::string& path,
     throw InputError(FaultKind::kCheckpointMismatch, msg);
   }
 
-  const std::uint32_t nsections = src.u32();
-  std::map<std::uint32_t, std::pair<std::size_t, std::size_t>> sections;
+  // Verify every section's CRC up front; sections this build does not read
+  // (such as the retired "RNGS") are checked and then ignored.
+  const auto nsections = src.take<std::uint32_t>();
   for (std::uint32_t i = 0; i < nsections; ++i) {
-    const std::uint32_t tag = src.u32();
-    const std::uint64_t len = src.u64();
-    const std::uint32_t crc = src.u32();
+    const auto tag = src.take<std::uint32_t>();
+    const auto len = src.take<std::uint64_t>();
+    const auto crc = src.take<std::uint32_t>();
     src.need(static_cast<std::size_t>(len));
-    const std::size_t off = src.off;
-    if (crc32(src.p + off, static_cast<std::size_t>(len)) != crc) {
+    if (crc32(src.p + src.off, static_cast<std::size_t>(len)) != crc) {
       std::snprintf(msg, sizeof msg,
                     "checkpoint: '%s' section '%c%c%c%c' failed its CRC32 "
                     "check — the file is corrupt; delete it and restart "
@@ -372,101 +418,10 @@ ScfCheckpointState load_checkpoint(const std::string& path,
                     static_cast<char>((tag >> 24) & 0xFF));
       throw InputError(FaultKind::kCheckpointCorrupt, msg);
     }
-    sections[tag] = {off, static_cast<std::size_t>(len)};
+    src.sections[tag] = {src.off, static_cast<std::size_t>(len)};
     src.off += static_cast<std::size_t>(len);
   }
-
-  auto open_section = [&](std::uint32_t tag) -> ByteSource {
-    auto it = sections.find(tag);
-    if (it == sections.end()) {
-      std::snprintf(msg, sizeof msg,
-                    "checkpoint: '%s' is missing a required section "
-                    "(truncated or corrupt)",
-                    path.c_str());
-      throw InputError(FaultKind::kCheckpointCorrupt, msg);
-    }
-    return ByteSource{bytes.data() + it->second.first, it->second.second, 0};
-  };
-
-  {
-    ByteSource s = open_section(kTagMeta);
-    state.next_iteration = s.i32();
-    state.force_exact = s.u8();
-    state.converged = s.u8();
-    state.ladder_rung = s.i32();
-    state.damping = s.u8();
-    state.fp64_latched = s.u8();
-    state.direct_diag = s.u8();
-    state.full_rebuild = s.u8();
-    state.cooldown_until = s.i32();
-    state.rise_streak = s.i32();
-    state.last_energy = s.f64();
-    state.last_error = s.f64();
-    state.energy = s.f64();
-    state.e_nuclear = s.f64();
-    state.e_one_electron = s.f64();
-    state.e_coulomb = s.f64();
-    state.e_exact_exchange = s.f64();
-    state.e_xc = s.f64();
-    state.governor_ladder_stage = s.i32();
-  }
-  const std::pair<std::uint32_t, MatrixD*> mats[] = {
-      {kTagDensity, &state.density},  {kTagFock, &state.fock},
-      {kTagCoef, &state.coefficients}, {kTagYOcc, &state.prev_y_occ},
-      {kTagDPrev, &state.d_prev},     {kTagJPrev, &state.j_prev},
-      {kTagKPrev, &state.k_prev},
-  };
-  for (const auto& [tag, m] : mats) {
-    ByteSource s = open_section(tag);
-    *m = s.matrix();
-  }
-  {
-    ByteSource s = open_section(kTagEvals);
-    state.orbital_energies = s.vec();
-  }
-  {
-    ByteSource s = open_section(kTagErrHist);
-    state.err_hist = s.vec();
-  }
-  {
-    ByteSource s = open_section(kTagDiis);
-    const std::uint64_t nv = s.u64();
-    if (nv > 1024) {
-      throw InputError(FaultKind::kCheckpointCorrupt,
-                       "checkpoint: implausible DIIS history length");
-    }
-    for (std::uint64_t i = 0; i < nv; ++i) {
-      state.diis_focks.push_back(s.matrix());
-      state.diis_errors.push_back(s.matrix());
-    }
-  }
-  {
-    ByteSource s = open_section(kTagRecoveryLog);
-    const std::uint64_t nev = s.u64();
-    if (nev > (1u << 20)) {
-      throw InputError(FaultKind::kCheckpointCorrupt,
-                       "checkpoint: implausible recovery-log length");
-    }
-    for (std::uint64_t i = 0; i < nev; ++i) {
-      RecoveryEvent e;
-      e.iteration = s.i32();
-      e.fault = static_cast<FaultKind>(s.u32());
-      e.action = static_cast<RecoveryAction>(s.u32());
-      const std::uint64_t len = s.u64();
-      s.need(static_cast<std::size_t>(len));
-      e.detail.assign(reinterpret_cast<const char*>(s.p + s.off),
-                      static_cast<std::size_t>(len));
-      s.off += static_cast<std::size_t>(len);
-      state.recovery_log.push_back(std::move(e));
-    }
-  }
-  {
-    ByteSource s = open_section(kTagRng);
-    const std::uint64_t len = s.u64();
-    s.need(static_cast<std::size_t>(len));
-    state.rng_state.assign(reinterpret_cast<const char*>(s.p + s.off),
-                           static_cast<std::size_t>(len));
-  }
+  visit(src, state);
   return state;
 }
 

@@ -1,6 +1,9 @@
 #include "scf/diis.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <exception>
 
 #include "linalg/backend.hpp"
 #include "linalg/eigen.hpp"
@@ -15,20 +18,27 @@ MatrixD diis_error_matrix(const MatrixD& f, const MatrixD& d, const MatrixD& s,
   return matmul(matmul(x, Trans::kYes, fds, Trans::kNo, backend), x, backend);
 }
 
-MatrixD Diis::extrapolate(const MatrixD& fock, const MatrixD& error) {
-  last_error_ = 0.0;
+double diis_error_norm(const MatrixD& error) {
+  double m = 0.0;
   for (std::size_t i = 0; i < error.size(); ++i) {
-    last_error_ = std::max(last_error_, std::fabs(error.data()[i]));
+    m = std::max(m, std::fabs(error.data()[i]));
   }
+  return m;
+}
 
-  focks_.push_back(fock);
-  errors_.push_back(error);
-  while (focks_.size() > max_vectors_) {
-    focks_.pop_front();
-    errors_.pop_front();
-  }
+MatrixD diis_extrapolate(std::vector<MatrixD>& focks,
+                         std::vector<MatrixD>& errors, const MatrixD& fock,
+                         const MatrixD& error, std::size_t max_vectors) {
+  focks.push_back(fock);
+  errors.push_back(error);
+  auto drop_oldest = [&](std::size_t k) {
+    focks.erase(focks.begin(), focks.begin() + static_cast<std::ptrdiff_t>(k));
+    errors.erase(errors.begin(),
+                 errors.begin() + static_cast<std::ptrdiff_t>(k));
+  };
+  if (focks.size() > max_vectors) drop_oldest(focks.size() - max_vectors);
 
-  const std::size_t n = focks_.size();
+  const std::size_t n = focks.size();
   if (n < 2) return fock;
 
   // B matrix of pairwise error overlaps, bordered by the -1 constraint row.
@@ -36,9 +46,9 @@ MatrixD Diis::extrapolate(const MatrixD& fock, const MatrixD& error) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t jj = i; jj < n; ++jj) {
       double dot = 0.0;
-      const double* pi = errors_[i].data();
-      const double* pj = errors_[jj].data();
-      for (std::size_t e = 0; e < errors_[i].size(); ++e) dot += pi[e] * pj[e];
+      const double* pi = errors[i].data();
+      const double* pj = errors[jj].data();
+      for (std::size_t e = 0; e < errors[i].size(); ++e) dot += pi[e] * pj[e];
       b(i, jj) = dot;
       b(jj, i) = dot;
     }
@@ -54,43 +64,18 @@ MatrixD Diis::extrapolate(const MatrixD& fock, const MatrixD& error) {
   } catch (const std::exception&) {
     // Singular B (linearly dependent errors): drop the oldest pair and
     // return the raw Fock this cycle.
-    focks_.pop_front();
-    errors_.pop_front();
+    drop_oldest(1);
     return fock;
   }
 
   MatrixD out(fock.rows(), fock.cols(), 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const double c = coef[i];
-    const double* src = focks_[i].data();
+    const double* src = focks[i].data();
     double* dst = out.data();
     for (std::size_t e = 0; e < out.size(); ++e) dst[e] += c * src[e];
   }
   return out;
-}
-
-void Diis::reset() {
-  focks_.clear();
-  errors_.clear();
-  last_error_ = 1.0;
-}
-
-void Diis::export_state(std::vector<MatrixD>& focks,
-                        std::vector<MatrixD>& errors,
-                        double& last_error) const {
-  focks.assign(focks_.begin(), focks_.end());
-  errors.assign(errors_.begin(), errors_.end());
-  last_error = last_error_;
-}
-
-void Diis::import_state(const std::vector<MatrixD>& focks,
-                        const std::vector<MatrixD>& errors,
-                        double last_error) {
-  focks_.assign(focks.begin(), focks.end());
-  errors_.assign(errors.begin(), errors.end());
-  while (focks_.size() > max_vectors_) focks_.pop_front();
-  while (errors_.size() > max_vectors_) errors_.pop_front();
-  last_error_ = last_error;
 }
 
 }  // namespace mako

@@ -1,7 +1,7 @@
 // DIIS (Pulay) convergence acceleration for the SCF procedure.
 #pragma once
 
-#include <deque>
+#include <cstddef>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -12,34 +12,20 @@ class GemmBackend;
 
 /// Classic commutator-DIIS: extrapolates the Fock matrix from the history of
 /// (F, error) pairs with error = FDS - SDF expressed in an orthonormal basis.
-class Diis {
- public:
-  explicit Diis(std::size_t max_vectors = 8) : max_vectors_(max_vectors) {}
+/// The caller owns the history (two parallel vectors, oldest first), so the
+/// SCF driver keeps it in its ScfState and a checkpoint carries it verbatim.
+///
+/// Appends (fock, error), trims the history to its newest `max_vectors`
+/// pairs (also when it was loaded longer than that), and returns the
+/// extrapolated Fock matrix.  Returns the raw Fock while fewer than 2 pairs
+/// are stored, and when the error overlaps are singular (the oldest pair is
+/// then dropped).
+MatrixD diis_extrapolate(std::vector<MatrixD>& focks,
+                         std::vector<MatrixD>& errors, const MatrixD& fock,
+                         const MatrixD& error, std::size_t max_vectors = 8);
 
-  /// Adds a (Fock, error) pair and returns the extrapolated Fock matrix.
-  /// Falls back to the raw Fock while fewer than 2 vectors are stored.
-  MatrixD extrapolate(const MatrixD& fock, const MatrixD& error);
-
-  /// Max-abs element of the most recent error matrix (convergence metric).
-  [[nodiscard]] double last_error() const noexcept { return last_error_; }
-
-  void reset();
-
-  /// Checkpoint support: copy out / restore the full extrapolation state
-  /// (history oldest-first + last error).  import_state truncates to
-  /// max_vectors_ keeping the newest entries, so a resumed run extrapolates
-  /// from exactly the subspace the interrupted run held.
-  void export_state(std::vector<MatrixD>& focks, std::vector<MatrixD>& errors,
-                    double& last_error) const;
-  void import_state(const std::vector<MatrixD>& focks,
-                    const std::vector<MatrixD>& errors, double last_error);
-
- private:
-  std::size_t max_vectors_;
-  std::deque<MatrixD> focks_;
-  std::deque<MatrixD> errors_;
-  double last_error_ = 1.0;
-};
+/// Max-abs element of a DIIS error matrix: the SCF convergence metric.
+[[nodiscard]] double diis_error_norm(const MatrixD& error);
 
 /// Builds the DIIS error matrix  X^T (F D S - S D F) X  (X orthogonalizer).
 /// GEMMs route through `backend` (the run's ExecutionContext backend), or

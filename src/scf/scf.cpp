@@ -1,6 +1,7 @@
 #include "scf/scf.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -39,20 +40,6 @@ MatrixD build_density(const MatrixD& c, std::size_t nocc) {
   return d;
 }
 
-/// Runtime state of the staged recovery ladder (see ResilienceOptions).
-/// Rung 3 (FP64 latch) lives in the PrecisionGovernor, not here: the ladder
-/// *requests* precision changes through the governor rather than owning an
-/// out-of-band latch.
-struct LadderState {
-  int rung = 0;
-  bool damping = false;       ///< rung 2 active
-  bool direct_diag = false;   ///< rung 4 latched
-  bool full_rebuild = false;  ///< rung 5 latched
-  /// Soft detectors stay quiet until this iteration, giving each escalation
-  /// a window to take effect before the next one is considered.
-  int cooldown_until = 0;
-};
-
 inline void fnv1a(std::uint64_t& h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < n; ++i) {
@@ -62,9 +49,10 @@ inline void fnv1a(std::uint64_t& h, const void* data, std::size_t n) {
 }
 
 /// Content fingerprint of everything that shapes the SCF trajectory: the
-/// basis (via FockPlan::fingerprint), molecule, backend, and every
-/// trajectory-shaping option.  A checkpoint restore validates this — resuming
-/// against a different problem must fail loudly, never compute garbage.
+/// basis (via FockPlan::fingerprint), molecule, backend, rank count, XC
+/// functional and grid, ERI engine, and every trajectory-shaping option.  A
+/// checkpoint restore validates this — resuming against a different problem
+/// must fail loudly, never compute garbage.
 std::uint64_t scf_fingerprint(const Molecule& mol, const BasisSet& basis,
                               const ScfOptions& options,
                               const std::string& backend_name, int ranks) {
@@ -119,6 +107,18 @@ std::uint64_t scf_fingerprint(const Molecule& mol, const BasisSet& basis,
       options.precision.ladder_switch_error,
   };
   fnv1a(h, doubles, sizeof doubles);
+  // The XC quadrature and the ERI engine shape the trajectory too (engines
+  // are not bit-identical).  They joined the hash after format v2 shipped,
+  // so they are mixed in only when they differ from the ScfOptions defaults:
+  // a checkpoint written under the defaults before then still restores,
+  // while a restore across any grid or engine change is refused.
+  const auto grid_engine = [](const ScfOptions& o) {
+    return std::array<std::int32_t, 5>{
+        o.grid.radial_points, o.grid.theta_points, o.grid.phi_points,
+        o.grid.becke_k, static_cast<std::int32_t>(o.fock.engine)};
+  };
+  const auto ge = grid_engine(options);
+  if (ge != grid_engine(ScfOptions{})) fnv1a(h, ge.data(), sizeof ge);
   return h;
 }
 
@@ -185,7 +185,6 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
   Communicator& comm = exec.comm();
 
   ScfResult result;
-  result.e_nuclear = mol.nuclear_repulsion();
 
   // One-electron pieces and the orthogonalizer.
   const MatrixD s = overlap_matrix(basis);
@@ -202,7 +201,6 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
 
   // Fock builder over the chosen ERI engine.
   FockBuilder fock_builder(basis, options.fock, &exec);
-  Diis diis;
 
   // The run's precision authority: every per-iteration plan — thresholds,
   // kernel format, allow_quantized verdict, per-L cap — comes from here.
@@ -234,154 +232,73 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
       durable ? scf_fingerprint(mol, basis, options, be->name(), comm.size())
               : 0;
 
-  double last_energy = 0.0;
-  double last_error = 1.0;
-  // Once the SCF meets its thresholds under quantized kernels, one final
-  // pure-FP64 iteration polishes the result (the endpoint of the paper's
-  // convergence-aware schedule: FP64-level accuracy at convergence); the
-  // governor tracks this as its exact-final latch.
-  // Incremental-Fock state.
-  MatrixD d_prev, j_prev, k_prev;
-  // Recovery-ladder and soft-detector state.
-  LadderState ladder;
-  int rise_streak = 0;
-  std::vector<double> err_hist;
-  // Occupied ortho-basis eigenvectors of the previous iteration; used by the
-  // rung-2 level shift to push virtuals away from the occupied block.
-  MatrixD prev_y_occ;
+  // Every loop-carried datum of the run (robust/checkpoint.hpp).  The loop
+  // reads and writes it directly; a checkpoint is this struct serialized.
+  // The governor owns its own latches (TF32 step, FP64 latch, exact-final
+  // polish) and they join the state at each capture.
+  ScfState st;
   bool aborted = false;
   bool cancelled_stop = false;
-  int start_iter = 0;
 
   if (!dur.restore_path.empty()) {
     // Throws InputError (kCheckpointCorrupt / kCheckpointMismatch) on a bad
     // or foreign file — a restore never silently restarts from scratch.
-    const ScfCheckpointState ck =
-        load_checkpoint(dur.restore_path, fingerprint);
-    start_iter = ck.next_iteration;
-    result.resumed_from = ck.next_iteration;
-    last_energy = ck.last_energy;
-    last_error = ck.last_error;
-    governor.restore(GovernorState{ck.governor_ladder_stage, ck.fp64_latched,
-                                   ck.force_exact});
-    result.energy = ck.energy;
-    result.e_one_electron = ck.e_one_electron;
-    result.e_coulomb = ck.e_coulomb;
-    result.e_exact_exchange = ck.e_exact_exchange;
-    result.e_xc = ck.e_xc;
-    result.density = ck.density;
-    result.fock = ck.fock;
-    result.coefficients = ck.coefficients;
-    result.orbital_energies = ck.orbital_energies;
-    ladder.rung = ck.ladder_rung;
-    ladder.damping = ck.damping != 0;
-    ladder.direct_diag = ck.direct_diag != 0;
-    ladder.full_rebuild = ck.full_rebuild != 0;
-    ladder.cooldown_until = ck.cooldown_until;
-    result.fp64_latched = governor.fp64_latched();
-    result.diagonalizer_fallback = ladder.direct_diag;
-    result.full_rebuild_latched = ladder.full_rebuild;
-    rise_streak = ck.rise_streak;
-    err_hist.assign(ck.err_hist.begin(), ck.err_hist.end());
-    prev_y_occ = ck.prev_y_occ;
-    d_prev = ck.d_prev;
-    j_prev = ck.j_prev;
-    k_prev = ck.k_prev;
-    diis.import_state(ck.diis_focks, ck.diis_errors, ck.last_error);
-    result.recovery_log = ck.recovery_log;
+    st = load_checkpoint(dur.restore_path, fingerprint);
+    governor.restore(GovernorState{st.governor_ladder_stage, st.fp64_latched,
+                                   st.force_exact});
     MAKO_METRIC_COUNT("scf.restores", 1);
     log_info("run_scf: restored checkpoint '%s' at iteration %d (E=%.10f)",
-             dur.restore_path.c_str(), start_iter, last_energy);
-    if (ck.converged != 0) {
-      // The interrupted run had already converged; nothing left to iterate.
-      result.converged = true;
-      result.health = result.recovered() ? Health::kRecovered : Health::kOk;
-      return result;
-    }
+             dur.restore_path.c_str(), st.next_iteration, st.last_energy);
   } else {
     // Core-Hamiltonian initial guess.
     MatrixD f0 = matmul(matmul(x, Trans::kYes, hcore, Trans::kNo, be), x, be);
     EigenResult es = eigh(f0);
-    result.coefficients = matmul(x, es.eigenvectors, be);
-    result.orbital_energies = es.eigenvalues;
-    result.density = build_density(result.coefficients, nocc);
+    st.coefficients = matmul(x, es.eigenvectors, be);
+    st.orbital_energies = es.eigenvalues;
+    st.density = build_density(st.coefficients, nocc);
     if (comm.size() > 1) {
       // Every rank iterates from rank 0's guess.  With in-process ranks the
       // canonical buffer IS the payload, so a successful broadcast leaves it
       // unchanged while exercising verified delivery and charging the
       // modeled time; an exhausted retry budget means the ranks never agreed
       // on a starting density, which is unrecoverable for this run.
-      result.comm_seconds += comm.broadcast(result.density, 0);
+      result.comm_seconds += comm.broadcast(st.density, 0);
       const Status bst = comm.last_status();
       if (!bst.is_ok()) {
         result.status = bst;
-        result.health = Health::kFault;
-        result.recovery_log.push_back(
+        st.recovery_log.push_back(
             {0, bst.kind(), RecoveryAction::kAbort, bst.message()});
         log_error("run_scf: initial-guess broadcast failed: %s",
                   bst.message().c_str());
-        return result;
+        aborted = true;
       }
     }
   }
+  st.fingerprint = fingerprint;
+  st.e_nuclear = mol.nuclear_repulsion();
+  const int start_iter = st.next_iteration;
+  result.resumed_from = start_iter;
 
-  // Checkpoint capture: snapshot every loop-carried datum at the end of a
-  // completed iteration.  The latest snapshot is written periodically and —
-  // whatever the exit path — once more at the end, so a kill or budget stop
-  // always leaves a resumable file describing the last completed iteration.
-  ScfCheckpointState last_ckpt;
-  bool have_ckpt = false;
-  int saved_next = -1;
-  auto capture_ckpt = [&](int next_iter, bool conv) {
-    ScfCheckpointState ck;
-    ck.fingerprint = fingerprint;
-    ck.next_iteration = next_iter;
-    ck.last_energy = last_energy;
-    ck.last_error = last_error;
-    ck.force_exact = governor.exact_final() ? 1 : 0;
-    ck.converged = conv ? 1 : 0;
-    ck.energy = result.energy;
-    ck.e_nuclear = result.e_nuclear;
-    ck.e_one_electron = result.e_one_electron;
-    ck.e_coulomb = result.e_coulomb;
-    ck.e_exact_exchange = result.e_exact_exchange;
-    ck.e_xc = result.e_xc;
-    ck.density = result.density;
-    ck.fock = result.fock;
-    ck.coefficients = result.coefficients;
-    ck.orbital_energies = result.orbital_energies;
-    ck.ladder_rung = ladder.rung;
-    ck.damping = ladder.damping ? 1 : 0;
-    ck.fp64_latched = governor.fp64_latched() ? 1 : 0;
-    ck.direct_diag = ladder.direct_diag ? 1 : 0;
-    ck.full_rebuild = ladder.full_rebuild ? 1 : 0;
-    ck.cooldown_until = ladder.cooldown_until;
-    ck.governor_ladder_stage = governor.state().ladder_stage;
-    ck.rise_streak = rise_streak;
-    ck.err_hist.assign(err_hist.begin(), err_hist.end());
-    ck.prev_y_occ = prev_y_occ;
-    ck.d_prev = d_prev;
-    ck.j_prev = j_prev;
-    ck.k_prev = k_prev;
-    double diis_err = 0.0;
-    diis.export_state(ck.diis_focks, ck.diis_errors, diis_err);
-    (void)diis_err;  // ck.last_error (the driver's metric) already covers it
-    ck.recovery_log = result.recovery_log;
-    return ck;
-  };
-  auto write_ckpt = [&](const ScfCheckpointState& ck) {
-    const Status st = save_checkpoint(dur.checkpoint_path, ck);
-    if (st.is_ok()) {
-      saved_next = ck.next_iteration;
+  // Checkpoint capture: a copy of the state at the end of each completed
+  // iteration.  The latest copy is written periodically and — whatever the
+  // exit path — once more at the end, so a kill or budget stop always
+  // leaves a resumable file describing the last completed iteration.
+  ScfState last_ckpt;
+  bool ckpt_unsaved = false;
+  auto write_ckpt = [&] {
+    const Status wst = save_checkpoint(dur.checkpoint_path, last_ckpt);
+    if (wst.is_ok()) {
+      ckpt_unsaved = false;
       MAKO_METRIC_COUNT("scf.checkpoints_written", 1);
     } else {
       // Never take down a healthy run over a failed checkpoint write.
-      log_warn("run_scf: %s", st.message().c_str());
+      log_warn("run_scf: %s", wst.message().c_str());
       MAKO_METRIC_COUNT("scf.checkpoint_write_failures", 1);
     }
   };
 
-  for (int iter = start_iter; iter < niter; ++iter) {
+  for (int iter = start_iter; iter < niter && !st.converged && !aborted;
+       ++iter) {
     if (cancel.cancelled()) {
       cancelled_stop = true;
       break;
@@ -422,7 +339,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
       t.eri_seconds = fs.eri_seconds;
       t.digest_seconds = fs.digest_seconds;
       t.route_seconds = fs.route_seconds;
-      t.ladder_rung = ladder.rung;
+      t.ladder_rung = st.ladder_rung;
       t.retries = record.retries;
       t.domain_faults = record.domain_faults;
       t.comm_retries = fs.comm_retries;
@@ -441,55 +358,54 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
       // (noisy kernels are the first suspect); otherwise a no-op.
       governor.observe_fault(fault);
       target = std::min(target, 5);
-      while (ladder.rung < target) {
-        ++ladder.rung;
+      while (st.ladder_rung < target) {
+        ++st.ladder_rung;
         RecoveryAction action = RecoveryAction::kNone;
-        switch (ladder.rung) {
+        switch (st.ladder_rung) {
           case 1:
-            diis.reset();
+            st.diis_focks.clear();
+            st.diis_errors.clear();
             action = RecoveryAction::kDiisReset;
             break;
           case 2:
-            ladder.damping = true;
+            st.damping = true;
             action = RecoveryAction::kDamping;
             break;
           case 3:
             // Rung 3 requests FP64 through the governor — the SCF loop never
             // mutates precision state directly.
             governor.latch_fp64();
-            result.fp64_latched = true;
             action = RecoveryAction::kPrecisionEscalation;
             break;
           case 4:
-            ladder.direct_diag = true;
-            result.diagonalizer_fallback = true;
+            st.direct_diag = true;
             action = RecoveryAction::kDiagonalizerFallback;
             break;
           case 5:
-            ladder.full_rebuild = true;
-            result.full_rebuild_latched = true;
+            st.full_rebuild = true;
             action = RecoveryAction::kFockRebuild;
             break;
           default:
             break;
         }
         record.recovery_mask |= recovery_bit(action);
-        result.recovery_log.push_back({iter, fault, action, detail});
+        st.recovery_log.push_back({iter, fault, action, detail});
         log_warn("scf iter %d: recovery rung %d (%s) after %s fault", iter,
-                 ladder.rung, to_string(action), to_string(fault));
+                 st.ladder_rung, to_string(action), to_string(fault));
       }
     };
 
     // --- Fock build, with in-iteration retry on hard numeric faults -------
     MatrixD j, k;
-    bool force_full_this_iter = ladder.full_rebuild;
+    bool force_full_this_iter = st.full_rebuild;
     bool built_ok = false;
     for (int attempt = 0; attempt <= robust.max_retries_per_iteration;
          ++attempt) {
       // Precision plan for this attempt.  The governor folds in everything
       // that used to be scattered: the convergence-aware schedule, the
       // capability gate, the rung-3 FP64 latch, and the exact-final polish.
-      policy = governor.plan_for_iteration(iter, iter == 0 ? 1.0 : last_error);
+      policy =
+          governor.plan_for_iteration(iter, iter == 0 ? 1.0 : st.last_error);
 
       const std::uint64_t domain_before = domain_fault_count();
       const bool do_incremental =
@@ -498,8 +414,8 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
           (iter % std::max(options.incremental_rebuild_period, 1) != 0);
       if (do_incremental) {
         // Two-electron response of the density change only.
-        MatrixD delta = result.density;
-        delta -= d_prev;
+        MatrixD delta = st.density;
+        delta -= st.d_prev;
         MatrixD dj, dk;
         fs = fock_builder.build_jk(delta, policy, dj, dk);
         if (MAKO_FAULT_POINT("scf.incremental_drift")) {
@@ -509,12 +425,12 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
               exec.faults().armed_spec("scf.incremental_drift");
           dj(0, 0) += spec.magnitude;
         }
-        j = j_prev;
+        j = st.j_prev;
         j += dj;
-        k = k_prev;
+        k = st.k_prev;
         k += dk;
       } else {
-        fs = fock_builder.build_jk(result.density, policy, j, k);
+        fs = fock_builder.build_jk(st.density, policy, j, k);
       }
       record.domain_faults +=
           static_cast<std::int64_t>(domain_fault_count() - domain_before);
@@ -532,35 +448,35 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
       // J/K unusable in a way no sentinel can detect — a partial J is still
       // symmetric and finite — so comm health routes into the same
       // hard-fault retry path as the numeric audits.
-      Status st = fs.comm_status;
-      if (st.is_ok() && robust.sentinels) {
-        st = audit_finite(j, "J");
-        if (st.is_ok()) st = audit_finite(k, "K");
-        if (st.is_ok()) st = audit_symmetry(j, "J", robust.symmetry_tol);
-        if (st.is_ok()) st = audit_symmetry(k, "K", robust.symmetry_tol);
+      Status audit = fs.comm_status;
+      if (audit.is_ok() && robust.sentinels) {
+        audit = audit_finite(j, "J");
+        if (audit.is_ok()) audit = audit_finite(k, "K");
+        if (audit.is_ok()) audit = audit_symmetry(j, "J", robust.symmetry_tol);
+        if (audit.is_ok()) audit = audit_symmetry(k, "K", robust.symmetry_tol);
       }
-      if (st.is_ok()) {
+      if (audit.is_ok()) {
         built_ok = true;
         break;
       }
-      record.fault_mask |= fault_bit(st.kind());
-      log_warn("scf iter %d: %s", iter, st.message().c_str());
+      record.fault_mask |= fault_bit(audit.kind());
+      log_warn("scf iter %d: %s", iter, audit.message().c_str());
       if (!robust.recovery || attempt == robust.max_retries_per_iteration) {
-        result.status = st;
+        result.status = audit;
         break;
       }
       // Hard numeric fault: jump to the precision-escalation rung (or the
       // next rung up if already there) and rebuild within this iteration.
-      escalate(st.kind(), std::max(3, ladder.rung + 1), st.message());
+      escalate(audit.kind(), std::max(3, st.ladder_rung + 1), audit.message());
       force_full_this_iter = true;
       ++record.retries;
     }
     if (cancelled_stop) break;  // discard the partial iteration
     if (!built_ok) {
       record.recovery_mask |= recovery_bit(RecoveryAction::kAbort);
-      result.recovery_log.push_back({iter, result.status.kind(),
-                                     RecoveryAction::kAbort,
-                                     result.status.message()});
+      st.recovery_log.push_back({iter, result.status.kind(),
+                                 RecoveryAction::kAbort,
+                                 result.status.message()});
       log_error("scf iter %d: unrecoverable fault, aborting: %s", iter,
                 result.status.message().c_str());
       record.seconds = iter_timer.seconds();
@@ -570,9 +486,9 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
       aborted = true;
       break;
     }
-    d_prev = result.density;
-    j_prev = j;
-    k_prev = k;
+    st.d_prev = st.density;
+    st.j_prev = j;
+    st.k_prev = k;
     record.quartets_fp64 = fs.quartets_fp64;
     record.quartets_quantized = fs.quartets_quantized;
     record.quartets_pruned = fs.quartets_pruned;
@@ -583,7 +499,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     XcResult xres;
     if (grid) {
       MAKO_TRACE_SCOPE(obs::TraceCat::kScf, "scf.xc");
-      xres = integrate_xc(basis, *grid, xc, result.density, be, &cancel);
+      xres = integrate_xc(basis, *grid, xc, st.density, be, &cancel);
       MAKO_METRIC_COUNT("scf.xc_builds", 1);
       if (xres.cancelled) {
         cancelled_stop = true;  // partial quadrature; discard the iteration
@@ -604,20 +520,20 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     // Energy decomposition.  Locals until the iteration commits: a
     // cancellation between here and the commit point must return a result
     // whose energy terms all describe the same (previous) iteration.
-    const double e_one = trace_product(result.density, hcore);
-    const double e_coul = 0.5 * trace_product(result.density, j);
-    const double e_xx = -0.25 * cx * trace_product(result.density, k);
+    const double e_one = trace_product(st.density, hcore);
+    const double e_coul = 0.5 * trace_product(st.density, j);
+    const double e_xx = -0.25 * cx * trace_product(st.density, k);
     const double e_elec = e_one + e_coul + e_xx + xres.energy;
-    const double energy = e_elec + result.e_nuclear;
+    const double energy = e_elec + st.e_nuclear;
 
     if (robust.sentinels && !std::isfinite(energy)) {
       record.fault_mask |= fault_bit(FaultKind::kNonFinite);
       result.status = Status::fault(FaultKind::kNonFinite,
                                     "run_scf: total energy is non-finite");
       record.recovery_mask |= recovery_bit(RecoveryAction::kAbort);
-      result.recovery_log.push_back({iter, FaultKind::kNonFinite,
-                                     RecoveryAction::kAbort,
-                                     result.status.message()});
+      st.recovery_log.push_back({iter, FaultKind::kNonFinite,
+                                 RecoveryAction::kAbort,
+                                 result.status.message()});
       record.seconds = iter_timer.seconds();
       result.iteration_log.push_back(record);
       append_telemetry();
@@ -630,11 +546,11 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     MatrixD f_use = fock;
     if (options.use_diis) {
       MAKO_TRACE_SCOPE(obs::TraceCat::kScf, "scf.diis");
-      const MatrixD err = diis_error_matrix(fock, result.density, s, x, be);
-      f_use = diis.extrapolate(fock, err);
-      last_error = diis.last_error();
+      const MatrixD err = diis_error_matrix(fock, st.density, s, x, be);
+      f_use = diis_extrapolate(st.diis_focks, st.diis_errors, fock, err);
+      st.last_error = diis_error_norm(err);
     } else {
-      last_error = std::fabs(energy - last_energy);
+      st.last_error = std::fabs(energy - st.last_energy);
     }
 
     // Diagonalize in the orthonormal basis.
@@ -644,11 +560,11 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     // virtual block, suppressing occupied/virtual mixing while the run is
     // still far from converged.  Tapers off near convergence so final
     // orbital energies are unshifted.
-    if (ladder.damping && prev_y_occ.rows() == f_ortho.rows() &&
-        last_error > 10.0 * options.diis_convergence &&
+    if (st.damping && st.prev_y_occ.rows() == f_ortho.rows() &&
+        st.last_error > 10.0 * options.diis_convergence &&
         robust.level_shift > 0.0) {
       MatrixD p_occ =
-          matmul(prev_y_occ, Trans::kNo, prev_y_occ, Trans::kYes, be);
+          matmul(st.prev_y_occ, Trans::kNo, st.prev_y_occ, Trans::kYes, be);
       p_occ *= robust.level_shift;
       for (std::size_t i = 0; i < f_ortho.rows(); ++i) {
         f_ortho(i, i) += robust.level_shift;
@@ -665,7 +581,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     EigenResult es;
     bool used_subspace = false;
     if (options.diagonalizer == Diagonalizer::kSubspace &&
-        !ladder.direct_diag) {
+        !st.direct_diag) {
       // MatMul-aligned iterative path: only the occupied block (plus a
       // small buffer) is solved for.
       const std::size_t nev =
@@ -697,7 +613,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
         log_warn("scf iter %d: %s", iter, dst.message().c_str());
         if (robust.recovery) {
           // Diagonalizer fault: fall back to the direct solver immediately.
-          escalate(dst.kind(), std::max(4, ladder.rung + 1), dst.message());
+          escalate(dst.kind(), std::max(4, st.ladder_rung + 1), dst.message());
           es = eigh(f_ortho);
           ++record.retries;
         }
@@ -707,38 +623,38 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     MAKO_METRIC_OBSERVE("scf.diag_s", diag_timer.seconds());
     // Save the occupied ortho-basis block for the next level shift.
     if (es.eigenvectors.cols() >= nocc) {
-      prev_y_occ.resize(es.eigenvectors.rows(), nocc, 0.0);
+      st.prev_y_occ.resize(es.eigenvectors.rows(), nocc, 0.0);
       for (std::size_t i = 0; i < es.eigenvectors.rows(); ++i) {
         for (std::size_t o = 0; o < nocc; ++o) {
-          prev_y_occ(i, o) = es.eigenvectors(i, o);
+          st.prev_y_occ(i, o) = es.eigenvectors(i, o);
         }
       }
     }
 
-    result.coefficients = matmul(x, es.eigenvectors, be);
-    result.orbital_energies = es.eigenvalues;
-    MatrixD d_new = build_density(result.coefficients, nocc);
-    if (ladder.damping) {
+    st.coefficients = matmul(x, es.eigenvectors, be);
+    st.orbital_energies = es.eigenvalues;
+    MatrixD d_new = build_density(st.coefficients, nocc);
+    if (st.damping) {
       // Rung-2 static damping: mix back a fraction of the previous density.
       const double a = robust.damping_factor;
       d_new *= (1.0 - a);
-      MatrixD d_old = result.density;
+      MatrixD d_old = st.density;
       d_old *= a;
       d_new += d_old;
     }
-    result.density = std::move(d_new);
+    st.density = std::move(d_new);
     if (MAKO_FAULT_POINT("scf.density_perturb")) {
       // Symmetric, finite perturbation of the next-iteration density: the
       // soft sentinels (oscillation/stagnation) must catch this — no hard
       // audit will.
       const FaultSpec spec = exec.faults().armed_spec("scf.density_perturb");
-      result.density(0, 0) *= (1.0 + spec.magnitude);
+      st.density(0, 0) *= (1.0 + spec.magnitude);
     }
-    result.fock = std::move(fock);
-    result.e_one_electron = e_one;
-    result.e_coulomb = e_coul;
-    result.e_exact_exchange = e_xx;
-    result.e_xc = xres.energy;
+    st.fock = std::move(fock);
+    st.e_one_electron = e_one;
+    st.e_coulomb = e_coul;
+    st.e_exact_exchange = e_xx;
+    st.e_xc = xres.energy;
 
     // Iteration boundary: ranks synchronize before the convergence test.
     // DIIS and diagonalization are replicated, so the barrier only charges
@@ -746,39 +662,39 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     if (comm.size() > 1) result.comm_seconds += comm.barrier();
 
     record.energy = energy;
-    record.error = last_error;
+    record.error = st.last_error;
     record.seconds = iter_timer.seconds();
 
     // --- Soft sentinels: divergence / oscillation / stagnation ------------
     if (robust.sentinels && options.fixed_iterations <= 0) {
-      if (iter > 0 && energy > last_energy + robust.divergence_tol) {
-        ++rise_streak;
+      if (iter > 0 && energy > st.last_energy + robust.divergence_tol) {
+        ++st.rise_streak;
       } else {
-        rise_streak = 0;
+        st.rise_streak = 0;
       }
-      err_hist.push_back(last_error);
+      st.err_hist.push_back(st.last_error);
       const std::size_t w =
           static_cast<std::size_t>(std::max(robust.stagnation_window, 1));
-      if (iter >= ladder.cooldown_until &&
-          rise_streak >= robust.divergence_window) {
+      if (iter >= st.cooldown_until &&
+          st.rise_streak >= robust.divergence_window) {
         record.fault_mask |= fault_bit(FaultKind::kDivergence);
         char detail[128];
         std::snprintf(detail, sizeof detail,
                       "energy rose %d consecutive iterations (now %.10f)",
-                      rise_streak, energy);
-        escalate(FaultKind::kDivergence, ladder.rung + 1, detail);
-        rise_streak = 0;
-        ladder.cooldown_until = iter + robust.divergence_window + 1;
-      } else if (iter >= ladder.cooldown_until && err_hist.size() > w) {
-        const double err_then = err_hist[err_hist.size() - 1 - w];
-        if (last_error > robust.stagnation_factor * err_then &&
-            last_error > options.diis_convergence) {
+                      st.rise_streak, energy);
+        escalate(FaultKind::kDivergence, st.ladder_rung + 1, detail);
+        st.rise_streak = 0;
+        st.cooldown_until = iter + robust.divergence_window + 1;
+      } else if (iter >= st.cooldown_until && st.err_hist.size() > w) {
+        const double err_then = st.err_hist[st.err_hist.size() - 1 - w];
+        if (st.last_error > robust.stagnation_factor * err_then &&
+            st.last_error > options.diis_convergence) {
           // Classify: oscillation if the error bounced within the window,
           // stagnation if it sat flat.
           int rises = 0;
-          for (std::size_t i = err_hist.size() - w; i < err_hist.size();
+          for (std::size_t i = st.err_hist.size() - w; i < st.err_hist.size();
                ++i) {
-            if (err_hist[i] > err_hist[i - 1]) ++rises;
+            if (st.err_hist[i] > st.err_hist[i - 1]) ++rises;
           }
           const FaultKind fk = (2 * rises >= static_cast<int>(w))
                                    ? FaultKind::kOscillation
@@ -788,9 +704,9 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
           std::snprintf(detail, sizeof detail,
                         "DIIS error %.3e made no progress over %zu "
                         "iterations (was %.3e)",
-                        last_error, w, err_then);
-          escalate(fk, ladder.rung + 1, detail);
-          ladder.cooldown_until = iter + static_cast<int>(w);
+                        st.last_error, w, err_then);
+          escalate(fk, st.ladder_rung + 1, detail);
+          st.cooldown_until = iter + static_cast<int>(w);
         }
       }
     }
@@ -798,49 +714,64 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     result.iteration_log.push_back(record);
     append_telemetry();
     result.iterations = iter + 1 - start_iter;
-    result.energy = energy;
+    st.energy = energy;
 
     log_debug("scf iter %2d  E=%.10f  err=%.3e  (%lld fp64 / %lld quant / "
               "%lld pruned)",
-              iter, energy, last_error,
+              iter, energy, st.last_error,
               static_cast<long long>(record.quartets_fp64),
               static_cast<long long>(record.quartets_quantized),
               static_cast<long long>(record.quartets_pruned));
 
-    bool converged_now = false;
     if (options.fixed_iterations <= 0 && iter > 0 &&
-        std::fabs(energy - last_energy) < options.energy_convergence &&
-        last_error < options.diis_convergence) {
+        std::fabs(energy - st.last_energy) < options.energy_convergence &&
+        st.last_error < options.diis_convergence) {
       if (record.quartets_quantized > 0 && !governor.exact_final()) {
         // Converged on quantized kernels: re-run the final iteration exact.
         governor.request_exact_final();
       } else {
-        converged_now = true;
-        result.converged = true;
+        st.converged = true;
       }
     }
-    last_energy = energy;
+    st.last_energy = energy;
 
-    // End-of-iteration checkpoint: the snapshot describes a run that is
-    // ready to start iteration iter+1 (or is finished).  Written to disk on
-    // the configured cadence and on convergence; the post-loop final write
+    // End-of-iteration capture: the copy describes a run that is ready to
+    // start iteration iter+1 (or is finished).  Written to disk on the
+    // configured cadence and on convergence; the post-loop final write
     // covers every other exit path.
+    st.next_iteration = iter + 1;
     if (!dur.checkpoint_path.empty()) {
-      last_ckpt = capture_ckpt(iter + 1, converged_now);
-      have_ckpt = true;
+      const GovernorState& g = governor.state();
+      st.governor_ladder_stage = g.ladder_stage;
+      st.fp64_latched = g.fp64_latched;
+      st.force_exact = g.exact_final;
+      last_ckpt = st;
+      ckpt_unsaved = true;
       const int every = std::max(dur.checkpoint_interval, 1);
-      if (converged_now || (iter + 1) % every == 0) {
-        write_ckpt(last_ckpt);
-      }
+      if (st.converged || (iter + 1) % every == 0) write_ckpt();
     }
-    if (converged_now) break;
   }
 
   // Final checkpoint: whatever the exit path (budget, signal, abort,
   // iteration cap), the last completed iteration is on disk before we return.
-  if (have_ckpt && saved_next != last_ckpt.next_iteration) {
-    write_ckpt(last_ckpt);
-  }
+  if (ckpt_unsaved) write_ckpt();
+
+  // The state is the run's answer: hand its result snapshot over.
+  result.converged = st.converged;
+  result.energy = st.energy;
+  result.e_nuclear = st.e_nuclear;
+  result.e_one_electron = st.e_one_electron;
+  result.e_coulomb = st.e_coulomb;
+  result.e_exact_exchange = st.e_exact_exchange;
+  result.e_xc = st.e_xc;
+  result.density = std::move(st.density);
+  result.fock = std::move(st.fock);
+  result.coefficients = std::move(st.coefficients);
+  result.orbital_energies = std::move(st.orbital_energies);
+  result.recovery_log = std::move(st.recovery_log);
+  result.fp64_latched = governor.fp64_latched();
+  result.diagonalizer_fallback = st.direct_diag;
+  result.full_rebuild_latched = st.full_rebuild;
 
   // Terminal health classification — the CLI exit-code contract.  A cancel
   // that lands after the run already finished its work does not demote a
@@ -880,7 +811,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
                     "run_scf: no convergence within %d iterations "
                     "(last error %.3e); see ScfResult::recovery_log for what "
                     "the resilience ladder attempted",
-                    result.iterations, last_error);
+                    result.iterations, st.last_error);
       result.status = Status::fault(FaultKind::kStagnation, msg);
     }
   } else if (result.recovered()) {

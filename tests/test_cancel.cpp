@@ -179,7 +179,7 @@ TEST(ScfCancelTest, BudgetExpiryLeavesALoadableCheckpoint) {
   }
   EXPECT_NE(r.energy, 0.0);  // best-so-far snapshot, not a zeroed result
 
-  const ScfCheckpointState s = load_checkpoint(ck);
+  const ScfState s = load_checkpoint(ck);
   EXPECT_EQ(s.next_iteration, r.iterations);
   EXPECT_EQ(s.last_energy, r.energy);
 

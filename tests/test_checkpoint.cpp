@@ -5,19 +5,25 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
 #include "core/execution_context.hpp"
 #include "robust/checkpoint.hpp"
+#include "robust/fault_injector.hpp"
 #include "robust/status.hpp"
 #include "scf/scf.hpp"
 
@@ -32,6 +38,7 @@ std::string scratch_path(const std::string& name) {
 class CheckpointTest : public ::testing::Test {
  protected:
   void TearDown() override {
+    FaultInjector::instance().disarm_all();
     for (const std::string& p : cleanup_) std::remove(p.c_str());
   }
 
@@ -57,6 +64,81 @@ class CheckpointTest : public ::testing::Test {
   std::vector<std::string> cleanup_;
 };
 
+// --- raw file images, for tests that forge checkpoints -------------------
+
+/// A checkpoint file's bytes plus where each section sits in them.
+struct CkptImage {
+  struct Section {
+    std::uint32_t tag;
+    std::size_t header;   ///< offset of [tag][len][crc]
+    std::size_t payload;  ///< offset of the payload
+    std::size_t len;
+  };
+  std::string bytes;
+  std::vector<Section> sections;
+
+  static constexpr std::size_t kCountOffset = 8 + 4 + 8;  // magic, ver, fp
+  static constexpr std::size_t kSectionHeader = 4 + 8 + 4;
+
+  static CkptImage read(const std::string& path) {
+    CkptImage im;
+    std::ifstream in(path, std::ios::binary);
+    im.bytes.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    std::uint32_t count = 0;
+    std::memcpy(&count, im.bytes.data() + kCountOffset, sizeof count);
+    std::size_t at = kCountOffset + sizeof count;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      Section sec{};
+      sec.header = at;
+      std::uint64_t len = 0;
+      std::memcpy(&sec.tag, im.bytes.data() + at, 4);
+      std::memcpy(&len, im.bytes.data() + at + 4, 8);
+      sec.payload = at + kSectionHeader;
+      sec.len = static_cast<std::size_t>(len);
+      im.sections.push_back(sec);
+      at = sec.payload + sec.len;
+    }
+    return im;
+  }
+
+  [[nodiscard]] const Section& find(const char (&tag)[5]) const {
+    std::uint32_t t = 0;
+    std::memcpy(&t, tag, 4);
+    for (const Section& sec : sections) {
+      if (sec.tag == t) return sec;
+    }
+    throw std::runtime_error(std::string("no section ") + tag);
+  }
+
+  void put_u64(std::size_t at, std::uint64_t v) {
+    std::memcpy(&bytes[at], &v, sizeof v);
+  }
+
+  /// Re-stamps a section's CRC so a forged payload passes the CRC check and
+  /// reaches the payload parser.
+  void restamp(const Section& sec) {
+    const std::uint32_t crc = crc32(bytes.data() + sec.payload, sec.len);
+    std::memcpy(&bytes[sec.header + 12], &crc, sizeof crc);
+  }
+
+  void write(const std::string& path) const {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+};
+
+/// Expects `path` to be refused as a corrupt checkpoint (typed InputError,
+/// not std::bad_alloc or a crash).
+void expect_corrupt(const std::string& path) {
+  try {
+    (void)load_checkpoint(path);
+    ADD_FAILURE() << "forged checkpoint loaded without error";
+  } catch (const InputError& e) {
+    EXPECT_EQ(e.kind(), FaultKind::kCheckpointCorrupt) << e.what();
+  }
+}
+
 TEST_F(CheckpointTest, Crc32MatchesKnownVector) {
   // The IEEE 802.3 check value for the ASCII string "123456789".
   EXPECT_EQ(0xCBF43926u, crc32("123456789", 9));
@@ -64,7 +146,7 @@ TEST_F(CheckpointTest, Crc32MatchesKnownVector) {
 }
 
 TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
-  ScfCheckpointState s;
+  ScfState s;
   s.fingerprint = 0x1234'5678'9abc'def0ull;
   s.next_iteration = 17;
   s.last_energy = -76.02345678901234;
@@ -99,11 +181,10 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
   s.recovery_log.push_back({4, FaultKind::kNonFinite,
                             RecoveryAction::kPrecisionEscalation,
                             "test event"});
-  s.rng_state = "opaque-engine-bytes";
 
   const std::string path = track("roundtrip");
   ASSERT_TRUE(save_checkpoint(path, s).is_ok());
-  const ScfCheckpointState r = load_checkpoint(path, s.fingerprint);
+  const ScfState r = load_checkpoint(path, s.fingerprint);
 
   EXPECT_EQ(r.fingerprint, s.fingerprint);
   EXPECT_EQ(r.next_iteration, s.next_iteration);
@@ -148,12 +229,11 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(r.recovery_log[0].fault, FaultKind::kNonFinite);
   EXPECT_EQ(r.recovery_log[0].action, RecoveryAction::kPrecisionEscalation);
   EXPECT_EQ(r.recovery_log[0].detail, "test event");
-  EXPECT_EQ(r.rng_state, s.rng_state);
 }
 
 TEST_F(CheckpointTest, AtomicWriteLeavesNoTempFile) {
   const std::string path = track("atomic");
-  ASSERT_TRUE(save_checkpoint(path, ScfCheckpointState{}).is_ok());
+  ASSERT_TRUE(save_checkpoint(path, ScfState{}).is_ok());
   std::ifstream final_file(path, std::ios::binary);
   EXPECT_TRUE(final_file.good());
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
@@ -163,13 +243,13 @@ TEST_F(CheckpointTest, AtomicWriteLeavesNoTempFile) {
 
 TEST_F(CheckpointTest, SaveToUnwritablePathReturnsFaultNotThrow) {
   const Status st =
-      save_checkpoint("/nonexistent-dir/ckpt.bin", ScfCheckpointState{});
+      save_checkpoint("/nonexistent-dir/ckpt.bin", ScfState{});
   EXPECT_FALSE(st.is_ok());
   EXPECT_EQ(st.kind(), FaultKind::kCheckpointError);
 }
 
 TEST_F(CheckpointTest, SingleFlippedByteIsDetected) {
-  ScfCheckpointState s;
+  ScfState s;
   s.density = filled(5, 5, 1.0);
   s.energy = -1.25;
   const std::string path = track("corrupt");
@@ -200,7 +280,7 @@ TEST_F(CheckpointTest, SingleFlippedByteIsDetected) {
 }
 
 TEST_F(CheckpointTest, TruncatedFileIsDetected) {
-  ScfCheckpointState s;
+  ScfState s;
   s.fock = filled(6, 6, 2.0);
   const std::string path = track("truncated");
   ASSERT_TRUE(save_checkpoint(path, s).is_ok());
@@ -226,7 +306,7 @@ TEST_F(CheckpointTest, MissingFileIsAnInputError) {
 }
 
 TEST_F(CheckpointTest, FingerprintMismatchIsDetected) {
-  ScfCheckpointState s;
+  ScfState s;
   s.fingerprint = 0xAAAA'BBBB'CCCC'DDDDull;
   const std::string path = track("fingerprint");
   ASSERT_TRUE(save_checkpoint(path, s).is_ok());
@@ -238,6 +318,150 @@ TEST_F(CheckpointTest, FingerprintMismatchIsDetected) {
   }
   // Zero means "don't check" (the caller has no expectation).
   EXPECT_EQ(load_checkpoint(path, 0).fingerprint, s.fingerprint);
+}
+
+// A CRC-consistent file whose size fields claim more data than it holds is
+// corrupt, and is refused before anything is allocated: a 2^20 x 2^20
+// matrix would be an 8 TiB zero-filled buffer and a 2^28-element vector
+// 2 GiB.
+TEST_F(CheckpointTest, OversizedFieldIsRefusedBeforeAllocating) {
+  ScfState s;
+  s.density = filled(2, 2, 1.0);
+  s.orbital_energies = VectorD(2, -0.5);
+  const std::string path = track("oversized");
+  ASSERT_TRUE(save_checkpoint(path, s).is_ok());
+  const CkptImage good = CkptImage::read(path);
+
+  CkptImage big_matrix = good;
+  const auto& dens = big_matrix.find("DENS");
+  big_matrix.put_u64(dens.payload, 1u << 20);
+  big_matrix.put_u64(dens.payload + 8, 1u << 20);
+  big_matrix.restamp(dens);
+  big_matrix.write(path);
+  expect_corrupt(path);
+
+  CkptImage big_vector = good;
+  const auto& evals = big_vector.find("EVAL");
+  big_vector.put_u64(evals.payload, 1u << 28);
+  big_vector.restamp(evals);
+  big_vector.write(path);
+  expect_corrupt(path);
+
+  CkptImage big_history = good;
+  const auto& diis = big_history.find("DIIS");
+  big_history.put_u64(diis.payload, 1000);
+  big_history.restamp(diis);
+  big_history.write(path);
+  expect_corrupt(path);
+}
+
+// Files written before the opaque RNG slot was retired carry an extra
+// "RNGS" section.  The reader checks its CRC, ignores it, and loads the
+// rest unchanged.
+TEST_F(CheckpointTest, RetiredRngSectionIsIgnored) {
+  ScfState s;
+  s.next_iteration = 9;
+  s.density = filled(3, 3, 0.5);
+  const std::string path = track("rngs");
+  ASSERT_TRUE(save_checkpoint(path, s).is_ok());
+  CkptImage im = CkptImage::read(path);
+
+  const std::string rng = "opaque-engine-bytes";
+  std::string payload(8, '\0');
+  const std::uint64_t len = rng.size();
+  std::memcpy(payload.data(), &len, sizeof len);
+  payload += rng;
+  const std::uint32_t tag = 'R' | 'N' << 8 | 'G' << 16 | 'S' << 24;
+  const std::uint64_t plen = payload.size();
+  const std::uint32_t crc = crc32(payload.data(), payload.size());
+  im.bytes.append(reinterpret_cast<const char*>(&tag), 4);
+  im.bytes.append(reinterpret_cast<const char*>(&plen), 8);
+  im.bytes.append(reinterpret_cast<const char*>(&crc), 4);
+  im.bytes += payload;
+  const auto count = static_cast<std::uint32_t>(im.sections.size() + 1);
+  std::memcpy(&im.bytes[CkptImage::kCountOffset], &count, sizeof count);
+  im.write(path);
+
+  const ScfState r = load_checkpoint(path);
+  EXPECT_EQ(r.next_iteration, 9);
+  expect_bitwise_equal(r.density, s.density);
+}
+
+// Seeded mutation test of the reader over a real SCF checkpoint: byte flips
+// with the section CRC re-stamped (so the payload parser, not just the CRC,
+// sees them), truncations, and inflated size/count/length fields.  Every
+// mutant either loads or is refused with InputError — never another
+// exception, an allocation failure, or an out-of-bounds read (ASan).
+TEST_F(CheckpointTest, LoadSurvivesSeededMutations) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "sto-3g");
+  const std::string ck = track("mutation-source");
+  ScfOptions opt;
+  opt.max_iterations = 4;
+  opt.durability.checkpoint_path = ck;
+  (void)run_scf(w, bs, opt);
+  const CkptImage source = CkptImage::read(ck);
+  ASSERT_GE(source.sections.size(), 12u);
+
+  // Every size, count and length field of the format: the section length
+  // in each header, plus the leading field(s) of each payload.
+  std::vector<std::pair<std::size_t, const CkptImage::Section*>> fields;
+  for (const auto& sec : source.sections) {
+    fields.emplace_back(sec.header + 4, nullptr);  // header: no CRC covers it
+    if (sec.len >= 8) fields.emplace_back(sec.payload, &sec);
+    if (sec.len >= 16) fields.emplace_back(sec.payload + 8, &sec);
+  }
+  const std::uint64_t huge[] = {
+      1u << 20,        (1u << 20) + 1, 1u << 28,     (1u << 28) + 1,
+      1ull << 32,      1ull << 40,     1ull << 62,   1ull << 63,
+      ~0ull,           ~0ull - 7,      1000,         1025};
+
+  const std::string path = track("mutant");
+  std::mt19937_64 rng(20251018);
+  constexpr int kMutations = 2000;
+  int loaded = 0;
+  int refused = 0;
+  for (int m = 0; m < kMutations; ++m) {
+    CkptImage im = source;
+    std::string what;
+    switch (m % 3) {
+      case 0: {  // byte flip inside a payload, CRC re-stamped
+        const auto& sec = im.sections[rng() % im.sections.size()];
+        if (sec.len == 0) continue;
+        const std::size_t at = sec.payload + rng() % sec.len;
+        im.bytes[at] = static_cast<char>(im.bytes[at] ^ (1 + rng() % 255));
+        im.restamp(sec);
+        what = "flip at " + std::to_string(at);
+        break;
+      }
+      case 1: {  // truncation
+        im.bytes.resize(rng() % im.bytes.size());
+        what = "truncate to " + std::to_string(im.bytes.size());
+        break;
+      }
+      default: {  // inflated size/count/length field
+        const auto& [at, sec] = fields[rng() % fields.size()];
+        const std::uint64_t v =
+            (rng() % 4 == 0) ? rng() : huge[rng() % std::size(huge)];
+        im.put_u64(at, v);
+        if (sec != nullptr) im.restamp(*sec);
+        what = "field at " + std::to_string(at) + " = " + std::to_string(v);
+        break;
+      }
+    }
+    im.write(path);
+    try {
+      (void)load_checkpoint(path);
+      ++loaded;
+    } catch (const InputError&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << m << " (" << what
+                    << ") threw a non-InputError: " << e.what();
+    }
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(loaded, 0);  // payload flips in plain doubles load fine
 }
 
 // --- SCF driver integration ----------------------------------------------
@@ -343,7 +567,7 @@ TEST_F(CheckpointTest, ResumeIsBitIdenticalMidPrecisionLadder) {
   ASSERT_FALSE(part.converged);
 
   // The checkpoint must carry the non-default governor state.
-  const ScfCheckpointState saved = load_checkpoint(ck);
+  const ScfState saved = load_checkpoint(ck);
   EXPECT_EQ(saved.governor_ladder_stage, 1)
       << "interruption did not land after the TF32 latch; trajectory changed";
 
@@ -397,6 +621,162 @@ TEST_F(CheckpointTest, ScfRejectsCheckpointUnderDifferentPrecisionMode) {
   EXPECT_THROW((void)run_scf(w, bs, ladder), InputError);
 }
 
+/// The XC grid and the ERI engine shape the trajectory, so both are in the
+/// fingerprint: resuming a coarse-grid B3LYP run on the fine grid, or a
+/// Mako-engine run on the reference engine, is refused.
+TEST_F(CheckpointTest, ScfRejectsCheckpointUnderDifferentGrid) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "sto-3g");
+  const std::string ck = track("grid");
+  ScfOptions head;
+  head.xc = XcFunctional(XcKind::kB3LYP);
+  head.grid = GridSpec::coarse();
+  head.max_iterations = 2;
+  head.durability.checkpoint_path = ck;
+  (void)run_scf(w, bs, head);
+
+  ScfOptions tail = head;
+  tail.max_iterations = 3;
+  tail.durability.checkpoint_path.clear();
+  tail.durability.restore_path = ck;
+  ScfOptions fine = tail;
+  fine.grid = GridSpec::fine();
+  try {
+    (void)run_scf(w, bs, fine);
+    FAIL() << "restored a checkpoint under a different XC grid";
+  } catch (const InputError& e) {
+    EXPECT_EQ(e.kind(), FaultKind::kCheckpointMismatch);
+  }
+
+  ScfOptions reference = tail;
+  reference.fock.engine = EriEngineKind::kReference;
+  try {
+    (void)run_scf(w, bs, reference);
+    FAIL() << "restored a checkpoint under a different ERI engine";
+  } catch (const InputError& e) {
+    EXPECT_EQ(e.kind(), FaultKind::kCheckpointMismatch);
+  }
+
+  // The same grid and engine restore fine: the refusals above are the
+  // mismatch, not the file.
+  EXPECT_NO_THROW((void)run_scf(w, bs, tail));
+}
+
+/// Mid-recovery-ladder interruption.  A perturbed density (one fire per
+/// iteration, `fires` of them) walks the ladder into rung 2 (damping + level
+/// shift).  A second run is stopped `after_damping` iterations after that
+/// rung latched, and no earlier than the last fire, so the resumed run sees
+/// the same fault-free inputs as the uninterrupted one from there on.  The
+/// resume must reproduce the uninterrupted trajectory — energies, errors,
+/// every later escalation and the whole recovery log — bit for bit.
+/// `saved` receives the checkpoint the resume started from.
+void resume_mid_recovery_ladder(const std::string& ck, int fires, int window,
+                                int after_damping, int* stop, ScfResult* full,
+                                ScfState* saved) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "sto-3g");
+  FaultSpec spec;
+  spec.mode = FaultMode::kScale;
+  spec.magnitude = 0.3;
+  spec.max_fires = fires;
+  auto arm = [&] {
+    FaultInjector::instance().disarm_all();
+    FaultInjector::instance().arm("scf.density_perturb", spec);
+  };
+  ScfOptions base;
+  base.max_iterations = 100;
+  base.robust.stagnation_window = window;
+
+  arm();
+  *full = run_scf(w, bs, base);
+  FaultInjector::instance().disarm_all();
+  ASSERT_TRUE(full->converged);
+  int damping_at = -1;
+  for (const RecoveryEvent& e : full->recovery_log) {
+    if (e.action == RecoveryAction::kDamping) damping_at = e.iteration;
+  }
+  ASSERT_GE(damping_at, 0) << "the perturbation no longer reaches rung 2";
+  *stop = std::max(damping_at + after_damping, fires);
+  ASSERT_LT(*stop, full->iterations);
+
+  ScfOptions head = base;
+  head.max_iterations = *stop;
+  head.durability.checkpoint_path = ck;
+  arm();
+  const ScfResult part = run_scf(w, bs, head);
+  FaultInjector::instance().disarm_all();
+  ASSERT_FALSE(part.converged);
+  ASSERT_EQ(part.iterations, *stop);
+  *saved = load_checkpoint(ck);
+  EXPECT_GE(saved->ladder_rung, 2);
+  EXPECT_TRUE(saved->damping);
+  EXPECT_EQ(saved->prev_y_occ.rows(), bs.nbf());
+  EXPECT_EQ(saved->err_hist.size(), static_cast<std::size_t>(*stop));
+
+  ScfOptions tail = base;
+  tail.durability.restore_path = ck;
+  const ScfResult resumed = run_scf(w, bs, tail);
+  EXPECT_TRUE(resumed.converged);
+  EXPECT_EQ(resumed.resumed_from, *stop);
+  EXPECT_EQ(resumed.energy, full->energy);
+  EXPECT_EQ(0, std::memcmp(resumed.density.data(), full->density.data(),
+                           full->density.size() * sizeof(double)));
+  const auto skip = static_cast<std::size_t>(*stop);
+  ASSERT_EQ(resumed.iteration_log.size(), full->iteration_log.size() - skip);
+  for (std::size_t i = 0; i < resumed.iteration_log.size(); ++i) {
+    const ScfIterationRecord& want = full->iteration_log[i + skip];
+    EXPECT_EQ(resumed.iteration_log[i].energy, want.energy)
+        << "trajectory diverged at resumed iteration " << i;
+    EXPECT_EQ(resumed.iteration_log[i].error, want.error)
+        << "DIIS error diverged at resumed iteration " << i;
+    EXPECT_EQ(resumed.iteration_log[i].recovery_mask, want.recovery_mask)
+        << "ladder diverged at resumed iteration " << i;
+  }
+  ASSERT_EQ(resumed.recovery_log.size(), full->recovery_log.size());
+  for (std::size_t i = 0; i < full->recovery_log.size(); ++i) {
+    const RecoveryEvent& want = full->recovery_log[i];
+    EXPECT_EQ(resumed.recovery_log[i].iteration, want.iteration);
+    EXPECT_EQ(resumed.recovery_log[i].fault, want.fault);
+    EXPECT_EQ(resumed.recovery_log[i].action, want.action);
+    EXPECT_EQ(resumed.recovery_log[i].detail, want.detail);
+  }
+  EXPECT_EQ(resumed.fp64_latched, full->fp64_latched);
+  EXPECT_EQ(resumed.diagonalizer_fallback, full->diagonalizer_fallback);
+  EXPECT_EQ(resumed.full_rebuild_latched, full->full_rebuild_latched);
+}
+
+TEST_F(CheckpointTest, ResumeIsBitIdenticalMidRecoveryLadder) {
+  if (!FaultInjector::compiled_in()) {
+    GTEST_SKIP() << "built with MAKO_FAULT_INJECTION=OFF";
+  }
+  const std::string ck = track("resume-recovery");
+  int stop = 0;
+  ScfResult full;
+  ScfState saved;
+
+  // Interrupted mid energy-rise streak and mid cooldown: the next
+  // divergence verdict counts rises from both sides of the interruption.
+  resume_mid_recovery_ladder(ck, 12, 6, 3, &stop, &full, &saved);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(saved.rise_streak, 0) << "interruption no longer mid-streak";
+  EXPECT_GT(saved.cooldown_until, stop)
+      << "interruption no longer mid-cooldown";
+
+  // A short stagnation window: the first error-history verdict after the
+  // interruption compares against errors recorded before it.
+  const int window = 3;
+  resume_mid_recovery_ladder(ck, 10, window, 1, &stop, &full, &saved);
+  if (HasFatalFailure()) return;
+  EXPECT_TRUE(std::any_of(
+      full.recovery_log.begin(), full.recovery_log.end(),
+      [&](const RecoveryEvent& e) {
+        return e.iteration >= stop && e.iteration < stop + window &&
+               (e.fault == FaultKind::kOscillation ||
+                e.fault == FaultKind::kStagnation);
+      }))
+      << "no error-history escalation right after the interruption";
+}
+
 TEST_F(CheckpointTest, CheckpointIntervalSkipsIntermediateWrites) {
   const Molecule w = make_water();
   const BasisSet bs(w, "sto-3g");
@@ -409,7 +789,7 @@ TEST_F(CheckpointTest, CheckpointIntervalSkipsIntermediateWrites) {
   ASSERT_FALSE(r.converged);
   // Iterations 3 was the only periodic write; the final-state write then
   // persists iteration 5 on exit, so the file must resume at iteration 5.
-  const ScfCheckpointState s = load_checkpoint(ck);
+  const ScfState s = load_checkpoint(ck);
   EXPECT_EQ(s.next_iteration, 5);
 }
 
@@ -501,7 +881,7 @@ TEST_F(CheckpointTest, ConcurrentWritersToOnePathNeverCorruptIt) {
   constexpr int kWriters = 8;
   constexpr int kRounds = 25;
 
-  std::vector<ScfCheckpointState> states(kWriters);
+  std::vector<ScfState> states(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     states[w].fingerprint = 0xc0ffee;
     states[w].next_iteration = w + 1;
@@ -527,14 +907,15 @@ TEST_F(CheckpointTest, ConcurrentWritersToOnePathNeverCorruptIt) {
   EXPECT_EQ(failures.load(), 0);
   // Whichever writer won the last rename, the file is a complete state of
   // one of them — load_checkpoint throws on any torn/corrupt image.
-  const ScfCheckpointState r = load_checkpoint(path, 0xc0ffee);
+  const ScfState r = load_checkpoint(path, 0xc0ffee);
   ASSERT_GE(r.next_iteration, 1);
   ASSERT_LE(r.next_iteration, kWriters);
-  const ScfCheckpointState& expect = states[r.next_iteration - 1];
+  const ScfState& expect = states[r.next_iteration - 1];
   EXPECT_EQ(r.last_energy, expect.last_energy);
   expect_bitwise_equal(r.density, expect.density);
   expect_bitwise_equal(r.fock, expect.fock);
 }
+
 
 }  // namespace
 }  // namespace mako

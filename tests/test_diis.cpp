@@ -1,6 +1,9 @@
 // DIIS extrapolation tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "linalg/backend.hpp"
 #include "scf/diis.hpp"
 #include "util/rng.hpp"
@@ -16,54 +19,78 @@ MatrixD random_matrix(std::size_t n, unsigned seed) {
 }
 
 TEST(DiisTest, FirstCallReturnsRawFock) {
-  Diis diis;
+  std::vector<MatrixD> focks, errors;
   const MatrixD f = random_matrix(4, 1);
   const MatrixD e = random_matrix(4, 2);
-  const MatrixD out = diis.extrapolate(f, e);
+  const MatrixD out = diis_extrapolate(focks, errors, f, e);
   EXPECT_LT(max_abs_diff(out, f), 1e-15);
+  EXPECT_EQ(focks.size(), 1u);
+  EXPECT_EQ(errors.size(), 1u);
 }
 
-TEST(DiisTest, TracksLastErrorMaxAbs) {
-  Diis diis;
+TEST(DiisTest, ErrorNormIsMaxAbs) {
   MatrixD e(2, 2, 0.0);
   e(0, 1) = -0.25;
-  diis.extrapolate(MatrixD(2, 2, 1.0), e);
-  EXPECT_DOUBLE_EQ(diis.last_error(), 0.25);
+  e(1, 0) = 0.125;
+  EXPECT_DOUBLE_EQ(diis_error_norm(e), 0.25);
 }
 
 TEST(DiisTest, ExactlyCancellingErrorsReproduceSolution) {
   // Two Fock matrices whose errors are exact negatives: DIIS must return
   // their midpoint (coefficients 0.5 / 0.5).
-  Diis diis;
+  std::vector<MatrixD> focks, errors;
   const MatrixD f1(3, 3, 1.0);
   const MatrixD f2(3, 3, 3.0);
   MatrixD e1(3, 3, 0.1);
   MatrixD e2(3, 3, -0.1);
-  diis.extrapolate(f1, e1);
-  const MatrixD out = diis.extrapolate(f2, e2);
+  diis_extrapolate(focks, errors, f1, e1);
+  const MatrixD out = diis_extrapolate(focks, errors, f2, e2);
   EXPECT_LT(max_abs_diff(out, MatrixD(3, 3, 2.0)), 1e-10);
 }
 
 TEST(DiisTest, HistoryBounded) {
-  Diis diis(3);
+  std::vector<MatrixD> focks, errors;
   for (int i = 0; i < 10; ++i) {
     const MatrixD f = random_matrix(3, 100 + i);
     MatrixD e = random_matrix(3, 200 + i);
     e *= 1.0 / (i + 1.0);
-    const MatrixD out = diis.extrapolate(f, e);
+    const MatrixD out = diis_extrapolate(focks, errors, f, e, 3);
     EXPECT_TRUE(std::isfinite(frobenius_norm(out)));
+    EXPECT_LE(focks.size(), 3u);
+    EXPECT_EQ(focks.size(), errors.size());
   }
 }
 
-TEST(DiisTest, ResetClearsState) {
-  Diis diis;
-  diis.extrapolate(random_matrix(2, 1), random_matrix(2, 2));
-  diis.extrapolate(random_matrix(2, 3), random_matrix(2, 4));
-  diis.reset();
-  EXPECT_DOUBLE_EQ(diis.last_error(), 1.0);
+TEST(DiisTest, ClearedHistoryReturnsRawFock) {
+  std::vector<MatrixD> focks, errors;
+  diis_extrapolate(focks, errors, random_matrix(2, 1), random_matrix(2, 2));
+  diis_extrapolate(focks, errors, random_matrix(2, 3), random_matrix(2, 4));
+  focks.clear();  // what recovery rung 1 does
+  errors.clear();
   const MatrixD f = random_matrix(2, 5);
-  const MatrixD out = diis.extrapolate(f, random_matrix(2, 6));
+  const MatrixD out = diis_extrapolate(focks, errors, f, random_matrix(2, 6));
   EXPECT_LT(max_abs_diff(out, f), 1e-15);  // history gone -> raw Fock
+}
+
+// A history loaded longer than max_vectors (a checkpoint from a run with a
+// larger cap, or a hand-edited file) keeps only its newest pairs: the
+// extrapolation equals the one over the trimmed history, bit for bit.
+TEST(DiisTest, OverlongLoadedHistoryIsTrimmedToNewest) {
+  std::vector<MatrixD> focks, errors;
+  for (unsigned i = 0; i < 6; ++i) {
+    focks.push_back(random_matrix(3, 300 + i));
+    errors.push_back(random_matrix(3, 400 + i));
+  }
+  std::vector<MatrixD> newest_f(focks.end() - 2, focks.end());
+  std::vector<MatrixD> newest_e(errors.end() - 2, errors.end());
+  const MatrixD f = random_matrix(3, 7);
+  const MatrixD e = random_matrix(3, 8);
+  const MatrixD out = diis_extrapolate(focks, errors, f, e, 3);
+  const MatrixD want = diis_extrapolate(newest_f, newest_e, f, e, 3);
+  ASSERT_EQ(focks.size(), 3u);
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_EQ(max_abs_diff(focks[0], newest_f[0]), 0.0);
+  EXPECT_EQ(max_abs_diff(out, want), 0.0);
 }
 
 TEST(DiisErrorMatrixTest, ZeroAtSelfConsistency) {
