@@ -1,7 +1,8 @@
 // Ablation benches for the design choices called out in DESIGN.md that the
 // per-figure benches do not isolate on their own:
-//   (2) XOR layout swizzle — bank-conflict counts and measured conversion
-//       time vs the naive strided transpose;
+//   (2) XOR layout swizzle — bank-conflict counts of the transposed read on
+//       the simulated shared-memory tile vs the naive layout (the host
+//       engine runs no transpose, so there is nothing to time);
 //   (+) batch-size sweep of the batched ERI engine;
 //   (+) partitioner comparison on a skewed Fock workload.
 #include <cstdio>
@@ -29,26 +30,8 @@ void ablate_swizzle() {
     worst_swz = std::max(worst_swz, swz.column_access_transactions(col));
   }
   std::printf("  transposed-column SMEM transactions per warp: naive %d-way, "
-              "swizzled %d-way\n",
+              "swizzled %d-way\n\n",
               worst_naive, worst_swz);
-
-  // Measured striped->blocked conversion time inside the batched engine.
-  const EriClassKey key{3, 3, 3, 3, 1, 1};
-  const CalibrationBatch batch = make_calibration_batch(key, 32, 9);
-  std::vector<std::vector<double>> out;
-  for (bool swizzle : {false, true}) {
-    KernelConfig config;
-    config.use_swizzle = swizzle;
-    BatchedEriEngine engine(config);
-    engine.compute_batch(key, std::span<const QuartetRef>(batch.quartets),
-                         out);
-    Timer t;
-    engine.compute_batch(key, std::span<const QuartetRef>(batch.quartets),
-                         out);
-    std::printf("  (ff|ff) batch with %-8s layout conversion: %.3f ms\n",
-                swizzle ? "swizzled" : "naive", t.seconds() * 1e3);
-  }
-  std::printf("\n");
 }
 
 void ablate_batch_size() {

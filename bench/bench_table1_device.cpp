@@ -26,16 +26,24 @@ double measure_gflops(mako::Precision precision) {
   for (auto& v : a) v = rng.uniform(-1, 1);
   for (auto& v : b) v = rng.uniform(-1, 1);
 
-  GemmConfig cfg;
-  cfg.precision = precision;
+  // One GEMM at `precision`: FP64 directly, otherwise operands rounded
+  // through the format on every call, then the FP32-accumulating path.
+  std::vector<float> qa(n * n), qb(n * n);
+  const auto run = [&] {
+    if (precision == Precision::kFP64) {
+      be.fp64(a.data(), false, b.data(), false, c.data(), n, n, n);
+      return;
+    }
+    quantize_to_float(a.data(), qa.data(), n * n, precision);
+    quantize_to_float(b.data(), qb.data(), n * n, precision);
+    be.mixed(qa.data(), false, qb.data(), false, c.data(), n, n, n, 1.0, 0.0);
+  };
 
   // Warm up, then time a few repetitions.
-  be.quantized(a.data(), b.data(), c.data(), n, n, n, 1.0, 0.0, cfg);
+  run();
   const int reps = 6;
   Timer t;
-  for (int r = 0; r < reps; ++r) {
-    be.quantized(a.data(), b.data(), c.data(), n, n, n, 1.0, 0.0, cfg);
-  }
+  for (int r = 0; r < reps; ++r) run();
   const double seconds = t.seconds() / reps;
   return gemm_flops(n, n, n) / seconds / 1e9;
 }

@@ -10,9 +10,8 @@
 #include <vector>
 
 #include "compilermako/registry.hpp"
-#include "integrals/eri_reference.hpp"
+#include "fp16_baseline.hpp"
 #include "kernelmako/batched_eri.hpp"
-#include "linalg/matrix.hpp"
 
 namespace {
 using namespace mako;
@@ -23,13 +22,9 @@ struct Errors {
   double fp16 = 0.0;
 };
 
-// RMSE of a configuration against FP64 over a batch of the class.
-double kernel_rmse(const EriClassKey& key, const CalibrationBatch& batch,
-                   const KernelConfig& config,
-                   const std::vector<std::vector<double>>& reference) {
-  BatchedEriEngine engine(config);
-  std::vector<std::vector<double>> out;
-  engine.compute_batch(key, std::span<const QuartetRef>(batch.quartets), out);
+// RMSE of a batch's quartets against the FP64 ones.
+double rmse(const std::vector<std::vector<double>>& out,
+            const std::vector<std::vector<double>>& reference) {
   double acc = 0.0;
   std::size_t n = 0;
   for (std::size_t q = 0; q < out.size(); ++q) {
@@ -45,27 +40,25 @@ double kernel_rmse(const EriClassKey& key, const CalibrationBatch& batch,
 Errors class_errors(const EriClassKey& key, unsigned seed) {
   const std::size_t nq = key.ltot() >= 12 ? 6 : 24;
   const CalibrationBatch batch = make_calibration_batch(key, nq, seed);
+  const std::span<const QuartetRef> refs(batch.quartets);
+  const auto engine_out = [&](Precision p) {
+    KernelConfig config;
+    config.gemm.precision = p;
+    std::vector<std::vector<double>> out;
+    BatchedEriEngine(config).compute_batch(key, refs, out);
+    return out;
+  };
 
-  std::vector<std::vector<double>> reference;
-  BatchedEriEngine fp64_engine;
-  fp64_engine.compute_batch(key, std::span<const QuartetRef>(batch.quartets),
-                            reference);
-
+  const std::vector<std::vector<double>> reference =
+      engine_out(Precision::kFP64);
   Errors e;
-  KernelConfig fp32;
-  fp32.gemm.precision = Precision::kFP32;
-  e.fp32 = kernel_rmse(key, batch, fp32, reference);
-
-  KernelConfig quant;  // QuantMako: FP16 + group scaling + dual-stage acc
-  quant.gemm.precision = Precision::kFP16;
-  quant.group_scaling = true;
-  e.quantmako = kernel_rmse(key, batch, quant, reference);
-
-  KernelConfig fp16;  // plain FP16: no group scaling, naive FP16 accumulator
-  fp16.gemm.precision = Precision::kFP16;
-  fp16.group_scaling = false;
-  fp16.dual_stage_accumulation = false;
-  e.fp16 = kernel_rmse(key, batch, fp16, reference);
+  e.fp32 = rmse(engine_out(Precision::kFP32), reference);
+  // QuantMako: FP16 + group scaling + dual-stage accumulation.
+  e.quantmako = rmse(engine_out(Precision::kFP16), reference);
+  // Plain FP16: no group scaling, naive FP16 accumulator.
+  std::vector<std::vector<double>> fp16;
+  baseline_fp16_batch(key, refs, fp16);
+  e.fp16 = rmse(fp16, reference);
   return e;
 }
 

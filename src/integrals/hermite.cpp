@@ -265,7 +265,7 @@ void r_integral_chunk(const HermiteBasis& hb, std::size_t cn,
       rows[static_cast<std::size_t>(m - 1) * W + i] = pow_m * fm[m];
     }
   }
-  for (std::size_t i = 0; i < cn; ++i) out[i] = scale[i] * v[i];
+  for (std::size_t i = 0; i < cn; ++i) out[i * out_stride] = scale[i] * v[i];
 
   // Orders ascending, so every step reads rows already written:
   // R^{(m+1)}_{idx} sits at row(idx) + m.  m = 0 is the output itself.
@@ -281,15 +281,15 @@ void r_integral_chunk(const HermiteBasis& hb, std::size_t cn,
       recur_lanes<W>(x, r1 + m * W, r2 == nullptr ? nullptr : r2 + m * W,
                      step.coeff, m == 0 ? v : dst + (m - 1) * W);
     }
-    double* o = out + h * out_stride;
-    for (std::size_t i = 0; i < cn; ++i) o[i] = scale[i] * v[i];
+    double* o = out + h;
+    for (std::size_t i = 0; i < cn; ++i) o[i * out_stride] = scale[i] * v[i];
   }
 
   if (any_poisoned) {
     for (std::size_t i = 0; i < cn; ++i) {
       if (!poisoned[i]) continue;
       for (std::size_t h = 0; h < prog.size(); ++h) {
-        out[h * out_stride + i] = std::numeric_limits<double>::quiet_NaN();
+        out[i * out_stride + h] = std::numeric_limits<double>::quiet_NaN();
       }
     }
   }
@@ -312,11 +312,12 @@ void compute_r_integrals_batch(int l_total, std::size_t n, const double* alpha,
     const std::size_t cn = std::min(lanes, n - i0);
     if (lanes == 1) {
       r_integral_chunk<1>(hb, cn, alpha + i0, pqx + i0, pqy + i0, pqz + i0,
-                          pref + i0, out + i0, out_stride, ws.rows.data());
+                          pref + i0, out + i0 * out_stride, out_stride,
+                          ws.rows.data());
     } else {
-      r_integral_chunk<kRIntegralChunk>(hb, cn, alpha + i0, pqx + i0,
-                                        pqy + i0, pqz + i0, pref + i0,
-                                        out + i0, out_stride, ws.rows.data());
+      r_integral_chunk<kRIntegralChunk>(
+          hb, cn, alpha + i0, pqx + i0, pqy + i0, pqz + i0, pref + i0,
+          out + i0 * out_stride, out_stride, ws.rows.data());
     }
   }
 }
@@ -325,7 +326,8 @@ void compute_r_integrals(int l_total, double alpha, const Vec3& pq,
                          double prefactor, double* out) {
   static thread_local RIntegralWorkspace ws;
   compute_r_integrals_batch(l_total, 1, &alpha, &pq[0], &pq[1], &pq[2],
-                            &prefactor, out, 1, ws);
+                            &prefactor, out,
+                            static_cast<std::size_t>(nherm(l_total)), ws);
 }
 
 }  // namespace mako

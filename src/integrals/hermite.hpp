@@ -170,12 +170,13 @@ struct RIntegralWorkspace {
 /// item i has reduced exponent alpha[i], separation PQ = (pqx, pqy, pqz)[i]
 /// and prefactor pref[i], and gets
 ///
-///   out[h * out_stride + i] = pref[i] * R^{(0)}_h,   h < nherm(L),
+///   out[i * out_stride + h] = pref[i] * R^{(0)}_h,   h < nherm(L),
 ///
 /// the recursion of Eq. 5 seeded with Boys values
 /// R^{(m)}_{000} = (-2 alpha)^m F_m(alpha |PQ|^2), components indexed by
-/// HermiteBasis::get(L).  out_stride = n is the striped (item-fastest)
-/// layout.  Items run in chunks of kRIntegralChunk with the item index
+/// HermiteBasis::get(L).  Item-major: item i's r-integrals are one row,
+/// out_stride >= nherm(L) apart, and slots past nherm(L) in a row are not
+/// written.  Items run in chunks of kRIntegralChunk with the item index
 /// innermost; every item's arithmetic is the same as a call of its own, so
 /// the result does not depend on n or on an item's neighbours.  An item with
 /// alpha <= 0 or a non-finite PQ or prefactor gets NaN outputs and counts

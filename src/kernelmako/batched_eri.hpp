@@ -16,13 +16,11 @@
 // quartets point at them; direct callers pass none and the engine builds the
 // same operands into its scratch arena.
 //
-// The operator-level optimizations stay toggleable for the Fig-7 ablation:
-//   * Lightweight layout swizzle — the batch's r-integrals are produced in
-//     striped layout (the coalesced-write order) and converted to the
-//     blocked layout MatMul requires through XOR-swizzled tiles;
-//   * GEMM coalescing — P assembly, GEMM1 and GEMM2 of a quartet run
-//     back-to-back while the tiles are hot (Eq. 11); unfused, every P of the
-//     batch is staged first and the GEMMs run as separate passes.
+// Stage 1 writes the batch's r-integrals quartet-blocked (item-major), the
+// layout P assembly reads, and each quartet's P -> GEMM1 -> GEMM2 runs
+// back-to-back while its tiles are hot (GEMM coalescing, Eq. 11).  The
+// paper's striped-write/swizzled-transpose and unfused variants are GPU
+// memory-traffic claims; the host runs neither, and bench/ models them.
 //
 // Quantized execution (QuantMako, Section 3.2) plugs in through the same
 // pipeline: both GEMMs run at FP16/TF32 with FP32 accumulation; E' carries a
@@ -34,7 +32,6 @@
 #include <span>
 #include <vector>
 
-#include "accel/device.hpp"
 #include "basis/basis_set.hpp"
 #include "kernelmako/class_plan.hpp"
 #include "kernelmako/eri_class.hpp"
@@ -55,35 +52,19 @@ struct QuartetRef {
   const PairOperand* ket = nullptr;
 };
 
-/// Kernel configuration: precision plus the Fig-7 ablation toggles.
+/// Kernel configuration: the GEMM precision.
 struct KernelConfig {
-  GemmConfig gemm{};            ///< GEMM precision
-  bool fuse_gemms = true;       ///< per-quartet P -> GEMM1 -> GEMM2 (Eq. 11)
-  bool use_swizzle = true;      ///< swizzled striped->blocked conversion
-  bool group_scaling = true;    ///< per-pair / per-quartet quantization scales
-  /// FP32 in-kernel accumulation with FP64 hand-off (Section 3.2.2).  When
-  /// false in FP16 mode, the Table-2 "Baseline FP16" kernel (naive binary16
-  /// accumulator) runs instead.
-  bool dual_stage_accumulation = true;
+  GemmConfig gemm{};
 
   [[nodiscard]] bool quantized() const noexcept {
     return gemm.precision != Precision::kFP64;
   }
 };
 
-/// Work/statistics record of a batch execution, consumed by the device
-/// time model and the benchmark harnesses.
+/// What one batch execution did: its GEMM work and wall time.
 struct BatchStats {
   double gemm_flops = 0.0;
-  double scalar_flops = 0.0;
-  double global_bytes = 0.0;
-  int kernel_launches = 0;
   double wall_seconds = 0.0;
-
-  [[nodiscard]] KernelWork work(Precision p) const {
-    return KernelWork{gemm_flops, scalar_flops, global_bytes, kernel_launches,
-                      p};
-  }
 };
 
 /// Batched matrix-aligned ERI engine.

@@ -120,12 +120,7 @@ void build_pair_operand(const Shell& a, const Shell& b, const MatrixD& sph,
   out.scale = m > 0.0 ? 1.0 / m : 1.0;
 }
 
-void quantize_pair_operand(const PairOperand& op, Precision p, bool scaled,
-                           float* dst) {
-  if (!scaled) {
-    quantize_to_float(op.e.data(), dst, op.e.size(), p);
-    return;
-  }
+void quantize_pair_operand(const PairOperand& op, Precision p, float* dst) {
   // Scale through a stack buffer so the rounding is quantize_to_float's.
   constexpr std::size_t kChunk = 512;
   double buf[kChunk];

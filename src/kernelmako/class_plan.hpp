@@ -14,8 +14,9 @@
 //
 // EriScratch is the companion per-thread workspace arena: every working
 // buffer of a batch execution lives here — the structure-of-arrays Stage 1
-// inputs and r-integral chunk rows, the striped and blocked r-integrals, P,
-// T and quantized staging — and is reused across batches, which makes the
+// inputs and r-integral chunk rows, the quartet-blocked r-integrals, one
+// quartet's P and T, and quantized staging — and is reused across batches,
+// which makes the
 // steady-state hot path allocation-free (asserted by the allocation-count
 // test).  The r-integral recursion program itself is per order, on
 // HermiteBasis.
@@ -128,10 +129,8 @@ void build_pair_operand(const Shell& a, const Shell& b, const MatrixD& sph,
                         PairOperand& out);
 
 /// Rounds op.scale * op.e through `p` into `dst` (op.e.size() floats) — the
-/// quantized copy of a stacked operand.  With `scaled == false` the static
-/// scale is not applied (the no-group-scaling ablation).
-void quantize_pair_operand(const PairOperand& op, Precision p, bool scaled,
-                           float* dst);
+/// quantized copy of a stacked operand.
+void quantize_pair_operand(const PairOperand& op, Precision p, float* dst);
 
 /// Reusable working-buffer arena for one thread's batch executions.  Buffers
 /// grow to the high-water mark of the classes seen and are never shrunk;
@@ -141,8 +140,8 @@ struct EriScratch {
   /// [2 * nq]: bra of quartet q at 2q, ket at 2q + 1.
   std::vector<PairOperand> ops;
   /// Per-quartet quantized operands staged for this call (bra, then ket):
-  /// operands with no owner-built copy, the unscaled ablation, and the
-  /// fault-injection copy.  Owner-built copies are never written.
+  /// operands with no owner-built copy and the fault-injection copy.
+  /// Owner-built copies are never written.
   std::vector<float> q_ops;
   std::vector<float> q_dyn;  ///< quantized P, then T, of the current quartet
   /// Stage 1 inputs of the items (q, jp, kp), structure-of-arrays:
@@ -151,11 +150,9 @@ struct EriScratch {
   /// compute_r_integrals_batch's chunk rows (packed (m, h) recursion
   /// storage).
   RIntegralWorkspace rint;
-  /// r-integrals over the items, striped [nht x nitem] as Stage 1 writes
-  /// them and blocked [nitem x nht] after the layout conversion; the P
-  /// matrices (one, or the whole batch when unfused), T, and scaled double
-  /// operands for the naive-FP16 baseline.
-  std::vector<double> r_striped, r_blocked, pq_one, pq_all, t_one, e_naive;
+  /// r-integrals over the items, quartet-blocked [nitem x nht] as Stage 1
+  /// writes them; the current quartet's P and T.
+  std::vector<double> r_blocked, pq_one, t_one;
 };
 
 }  // namespace mako

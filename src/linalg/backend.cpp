@@ -20,9 +20,7 @@ GemmBackend::GemmBackend(std::string name, GemmCapabilities caps)
     : name_(std::move(name)),
       caps_(std::move(caps)),
       dispatches_(&obs::MetricsRegistry::global().counter("gemm.dispatch." +
-                                                          name_)),
-      degrades_(&obs::MetricsRegistry::global().counter(
-          "precision.capability_degradations")) {}
+                                                          name_)) {}
 
 GemmBackend::~GemmBackend() = default;
 
@@ -40,51 +38,8 @@ void GemmBackend::mixed(const float* qa, bool trans_a, const float* qb,
   do_mixed(qa, trans_a, qb, trans_b, c, m, n, k, alpha, beta);
 }
 
-void GemmBackend::quantized(const double* a, const double* b, double* c,
-                            std::size_t m, std::size_t n, std::size_t k,
-                            double alpha, double beta,
-                            const GemmConfig& cfg) const {
-  dispatches_->add();
-  do_quantized(a, b, c, m, n, k, alpha, beta, cfg);
-}
-
-void GemmBackend::fp16_baseline(const double* a, const double* b, double* c,
-                                std::size_t m, std::size_t n, std::size_t k,
-                                double alpha, double beta,
-                                bool trans_a) const {
-  dispatches_->add();
-  // Backend-independent strawman by contract: Table 2 compares every backend
-  // against the same naive FP16-accumulator baseline.
-  gemm_fp16_naive(a, b, c, m, n, k, alpha, beta, trans_a);
-}
-
 std::int64_t GemmBackend::dispatches() const noexcept {
   return dispatches_->value();
-}
-
-void GemmBackend::do_quantized(const double* a, const double* b, double* c,
-                               std::size_t m, std::size_t n, std::size_t k,
-                               double alpha, double beta,
-                               const GemmConfig& cfg) const {
-  if (!caps_.quantized || cfg.precision == Precision::kFP64) {
-    // Documented degrade: no reduced-precision datapath -> exact FP64.
-    // Count only true capability degrades (a caller *asking* for kFP64 via
-    // cfg is a routing decision, not a degradation).
-    if (!caps_.quantized && cfg.precision != Precision::kFP64) {
-      degrades_->add();
-    }
-    do_fp64(a, false, b, false, c, m, n, k, alpha, beta);
-    return;
-  }
-  // Round operands through the target storage format once, then run the
-  // mixed-precision (FP32-accumulate) path.  Thread-local scratch keeps the
-  // per-call staging allocation-free in the batched-ERI hot loops.
-  static thread_local std::vector<float> qa, qb;
-  qa.resize(m * k);
-  qb.resize(k * n);
-  quantize_to_float(a, qa.data(), m * k, cfg.precision);
-  quantize_to_float(b, qb.data(), k * n, cfg.precision);
-  do_mixed(qa.data(), false, qb.data(), false, c, m, n, k, alpha, beta);
 }
 
 namespace {
@@ -146,8 +101,8 @@ class ReferenceBackend final : public GemmBackend {
 // --- blocked: the PR-1 register-blocked kernels -----------------------------
 //
 // Routes to the packed BLIS-style kernels in gemm.cpp.  No reduced-precision
-// capability: `quantized` degrades to FP64 via the base-class default,
-// exactly like the reference ERI engine.
+// capability, so quantized work is planned at FP64 for it, exactly like the
+// reference ERI engine.
 class BlockedBackend : public GemmBackend {
  public:
   BlockedBackend()
@@ -174,9 +129,9 @@ class BlockedBackend : public GemmBackend {
 
 // --- blocked+quantized: the full dual-stage default -------------------------
 //
-// Same kernels as `blocked` plus the reduced-precision capability, so
-// `quantized` really rounds operands through cfg.precision and accumulates at
-// FP32 (tensor-core numerics).  This is the process default.
+// Same kernels as `blocked` plus the reduced-precision capability, so the
+// ERI engine's FP16/TF32-rounded operands really accumulate at FP32
+// (tensor-core numerics).  This is the process default.
 class BlockedQuantizedBackend final : public BlockedBackend {
  public:
   BlockedQuantizedBackend()

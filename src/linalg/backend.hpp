@@ -6,8 +6,8 @@
 // how Mako inherits CUTLASS/cuBLAS scalability by construction.
 //
 // The layer has three parts:
-//   * GemmBackend     — the kernel contract: fp64/mixed/quantized entry
-//                       points plus a capability descriptor.  Entry points
+//   * GemmBackend     — the kernel contract: fp64 and mixed entry points
+//                       plus a capability descriptor.  Entry points
 //                       are NVI wrappers that bump the per-backend dispatch
 //                       counter ("gemm.dispatch.<name>") before forwarding.
 //   * GemmBackendRegistry — process-wide name -> backend table with an
@@ -20,11 +20,11 @@
 // Thread-safety contract: backends are immutable after registration and all
 // entry points are safe to call concurrently from thread-pool workers
 // (per-call scratch is thread_local inside the kernels).  Accumulation
-// precision guarantees are per entry point: fp64 accumulates at FP64;
-// mixed/quantized multiply at the storage precision of the
-// operands and accumulate at FP32, then widen into the FP64 destination
-// (stage one of dual-stage accumulation).  Operands are dense row-major with
-// no alignment requirement beyond the element type's.
+// precision guarantees are per entry point: fp64 accumulates at FP64; mixed
+// multiplies operands already rounded to their storage precision
+// (quantize_to_float) and accumulates at FP32, then widens into the FP64
+// destination (stage one of dual-stage accumulation).  Operands are dense
+// row-major with no alignment requirement beyond the element type's.
 //
 // This header is the only linalg GEMM surface includable outside src/linalg/;
 // direct includes of linalg/gemm.hpp elsewhere are rejected by
@@ -66,10 +66,10 @@ void quantize_to_float(const double* src, float* dst, std::size_t n,
 /// What a backend can do, beyond the universal fp64 contract.
 struct GemmCapabilities {
   /// True when the backend executes reduced-precision (FP16/TF32) multiplies
-  /// natively with FP32 accumulation (the tensor-core contract).  Backends
-  /// without it run the `quantized` entry point at full FP64 — QuantMako's
-  /// scheduler must not route quantized work at them (ExecutionContext gates
-  /// this; see ExecutionContext::quantized_execution_allowed).
+  /// natively with FP32 accumulation (the tensor-core contract).  Quantized
+  /// work must not be routed at backends without it: the precision governor
+  /// plans FP64 for them (see ExecutionContext::quantized_execution_allowed)
+  /// and the ERI engine runs its GEMMs at FP64.
   bool quantized = false;
   /// One-line human description, printed by `mako --help`-adjacent surfaces.
   std::string description;
@@ -108,21 +108,6 @@ class GemmBackend {
              double* c, std::size_t m, std::size_t n, std::size_t k,
              double alpha, double beta) const;
 
-  /// Quantized GEMM: double inputs are rounded through `cfg.precision` on
-  /// entry, then executed as `mixed`.  Backends without the quantized
-  /// capability run this at FP64 instead (documented degrade; callers that
-  /// need real quantized numerics must check capabilities().quantized).
-  void quantized(const double* a, const double* b, double* c, std::size_t m,
-                 std::size_t n, std::size_t k, double alpha, double beta,
-                 const GemmConfig& cfg) const;
-
-  /// Naive binary16 GEMM with an FP16 accumulator — the paper's Table-2
-  /// "Baseline FP16" strawman.  Backend-independent by design (the baseline
-  /// must be the same everywhere); counted against this backend's dispatches.
-  void fp16_baseline(const double* a, const double* b, double* c,
-                     std::size_t m, std::size_t n, std::size_t k, double alpha,
-                     double beta, bool trans_a = false) const;
-
   /// Lifetime dispatch count of this backend (mirrors the metrics counter).
   [[nodiscard]] std::int64_t dispatches() const noexcept;
 
@@ -135,21 +120,11 @@ class GemmBackend {
   virtual void do_mixed(const float* qa, bool trans_a, const float* qb,
                         bool trans_b, double* c, std::size_t m, std::size_t n,
                         std::size_t k, double alpha, double beta) const = 0;
-  /// Default: quantize operands to cfg.precision then do_mixed when the
-  /// backend has the quantized capability, else do_fp64.
-  virtual void do_quantized(const double* a, const double* b, double* c,
-                            std::size_t m, std::size_t n, std::size_t k,
-                            double alpha, double beta,
-                            const GemmConfig& cfg) const;
 
  private:
   std::string name_;
   GemmCapabilities caps_;
   obs::Counter* dispatches_;  ///< "gemm.dispatch.<name>" (never null)
-  /// "precision.capability_degradations": bumped each time a quantized
-  /// dispatch degrades to FP64 because the backend lacks the capability —
-  /// the observable form of the "documented degrade" above (never null).
-  obs::Counter* degrades_;
 };
 
 /// Process-wide backend registry.  The three built-ins ("reference",

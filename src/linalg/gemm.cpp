@@ -292,28 +292,4 @@ void gemm_quantized_ops(const float* qa, bool trans_a, const float* qb,
   }
 }
 
-void gemm_fp16_naive(const double* a, const double* b, double* c,
-                     std::size_t m, std::size_t n, std::size_t k, double alpha,
-                     double beta, bool trans_a) {
-  obs::TraceSpan span(obs::TraceCat::kGemm, "gemm_fp16_naive");
-  annotate_gemm_span(span, m, n, k);
-  MAKO_METRIC_COUNT("gemm.calls", 1);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      // FP16 accumulator: every partial sum is rounded back to binary16,
-      // so large partial sums swallow small addends (the failure mode
-      // dual-stage accumulation prevents).
-      half_t acc(0.0f);
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const double av = trans_a ? a[kk * m + i] : a[i * k + kk];
-        const float qa = half_t(static_cast<float>(av)).to_float();
-        const float qb = half_t(static_cast<float>(b[kk * n + j])).to_float();
-        acc = half_t(acc.to_float() + qa * qb);
-      }
-      c[i * n + j] = beta * c[i * n + j] +
-                     alpha * static_cast<double>(acc.to_float());
-    }
-  }
-}
-
 }  // namespace mako

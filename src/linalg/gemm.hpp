@@ -44,12 +44,4 @@ void gemm_quantized_ops(const float* qa, bool trans_a, const float* qb,
                         bool trans_b, double* c, std::size_t m, std::size_t n,
                         std::size_t k, double alpha, double beta);
 
-/// Naive FP16 GEMM: operands AND the running accumulator are rounded to
-/// binary16 at every step.  This is the "Baseline FP16" kernel of the
-/// paper's Table 2 — the strawman dual-stage accumulation exists to beat.
-/// `trans_a` reads A as [KxM] (native transpose, no copy).
-void gemm_fp16_naive(const double* a, const double* b, double* c,
-                     std::size_t m, std::size_t n, std::size_t k, double alpha,
-                     double beta, bool trans_a = false);
-
 }  // namespace mako

@@ -192,6 +192,7 @@ struct ByteSource {
   }
   void raw(void* out, std::size_t k) {
     need(k);
+    if (k == 0) return;  // an empty matrix's data() may be null
     std::memcpy(out, p + off, k);
     off += k;
   }

@@ -419,12 +419,11 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
           const bool quantized = q == 1;
           const EriClassKey& key = plan.quartet_classes()[slot];
 
-          KernelConfig config = options_.kernel;
+          KernelConfig config;
           config.gemm.precision =
               quantized ? policy.quant_precision : Precision::kFP64;
           // Engines are bound to the context's backend, plan cache and
-          // config at construction: options_.kernel is fixed for the
-          // builder's lifetime and the precision is part of the key.
+          // precision at construction; the precision is part of the key.
           const BatchedEriEngine& engine =
               engines_
                   .try_emplace(std::make_pair(key, config.gemm.precision),

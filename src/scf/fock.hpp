@@ -41,7 +41,6 @@ enum class EriEngineKind {
 /// Fock build configuration.
 struct FockOptions {
   EriEngineKind engine = EriEngineKind::kMako;
-  KernelConfig kernel{};          ///< base config for the Mako engine
   std::size_t batch_size = 32;    ///< quartets per Mako batch
   int max_engine_l = 6;           ///< reference-engine angular momentum cap
   /// Shard the routing pass, Mako batch evaluation, and J/K digestion across

@@ -185,7 +185,7 @@ void FockPlan::prepare_quantized(Precision p) const {
   std::call_once(quantized_once_[slot], [&] {
     for (PairOperand& op : operands_) {
       op.q[slot].resize(op.e.size());
-      quantize_pair_operand(op, p, /*scaled=*/true, op.q[slot].data());
+      quantize_pair_operand(op, p, op.q[slot].data());
     }
   });
 }

@@ -154,6 +154,59 @@ void validate_inputs(const Molecule& mol, const BasisSet& basis,
   *nocc_out = nocc;
 }
 
+/// Refuses a restored state that does not fit this problem.  A file with
+/// consistent CRCs and the right fingerprint can still carry any shape or
+/// iteration cursor, and the loop indexes the matrices as nbf x nbf (AO
+/// basis), northo x northo (orthogonal basis) or northo x nocc.  The MO
+/// coefficients hold between nocc (subspace diagonalizer) and northo
+/// columns, one orbital energy each.
+void validate_restored_state(const ScfState& st, const std::string& path,
+                             std::size_t nbf, std::size_t northo,
+                             std::size_t nocc) {
+  char msg[320];
+  if (st.next_iteration < 0) {
+    std::snprintf(msg, sizeof msg,
+                  "checkpoint '%s': iteration cursor %d is negative",
+                  path.c_str(), st.next_iteration);
+    throw InputError(FaultKind::kCheckpointCorrupt, msg);
+  }
+  const auto refuse = [&](const char* what, std::size_t rows,
+                          std::size_t cols, const char* expected) {
+    std::snprintf(msg, sizeof msg,
+                  "checkpoint '%s': %s is %zux%zu, expected %s (nbf %zu, "
+                  "orthogonal dimension %zu, nocc %zu)",
+                  path.c_str(), what, rows, cols, expected, nbf, northo,
+                  nocc);
+    throw InputError(FaultKind::kCheckpointCorrupt, msg);
+  };
+  const auto check = [&](const MatrixD& m, std::size_t rows, std::size_t cols,
+                         const char* what, const char* expected) {
+    if (m.rows() != rows || m.cols() != cols) {
+      refuse(what, m.rows(), m.cols(), expected);
+    }
+  };
+  check(st.density, nbf, nbf, "density", "nbf x nbf");
+  check(st.fock, nbf, nbf, "Fock matrix", "nbf x nbf");
+  check(st.d_prev, nbf, nbf, "previous density", "nbf x nbf");
+  check(st.j_prev, nbf, nbf, "previous J", "nbf x nbf");
+  check(st.k_prev, nbf, nbf, "previous K", "nbf x nbf");
+  check(st.prev_y_occ, northo, nocc, "occupied block", "northo x nocc");
+  for (std::size_t i = 0; i < st.diis_focks.size(); ++i) {
+    check(st.diis_focks[i], nbf, nbf, "DIIS Fock matrix", "nbf x nbf");
+    check(st.diis_errors[i], northo, northo, "DIIS error matrix",
+          "northo x northo");
+  }
+  const MatrixD& c = st.coefficients;
+  if (c.rows() != nbf || c.cols() < nocc || c.cols() > northo) {
+    refuse("MO coefficient matrix", c.rows(), c.cols(),
+           "nbf x (nocc..northo)");
+  }
+  if (st.orbital_energies.size() != c.cols()) {
+    refuse("orbital energy vector", st.orbital_energies.size(), 1,
+           "one per MO coefficient column");
+  }
+}
+
 }  // namespace
 
 double ScfResult::avg_iteration_seconds() const {
@@ -244,6 +297,8 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     // Throws InputError (kCheckpointCorrupt / kCheckpointMismatch) on a bad
     // or foreign file — a restore never silently restarts from scratch.
     st = load_checkpoint(dur.restore_path, fingerprint);
+    validate_restored_state(st, dur.restore_path, basis.nbf(), x.cols(),
+                            nocc);
     governor.restore(GovernorState{st.governor_ladder_stage, st.fp64_latched,
                                    st.force_exact});
     MAKO_METRIC_COUNT("scf.restores", 1);

@@ -1,6 +1,6 @@
 // KernelMako batched-engine tests: agreement with the reference engine
-// across ERI classes and every kernel configuration, plus the quantized
-// execution contracts.
+// across ERI classes and precisions, plus the quantized execution
+// contracts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -58,6 +58,26 @@ TEST_P(BatchedClassTest, QuantizedErrorBounded) {
       << key.name();
 }
 
+TEST_P(BatchedClassTest, Fp32ErrorBounded) {
+  const auto [la, lb, lc, ld, kab, kcd] = GetParam();
+  const EriClassKey key{la, lb, lc, ld, kab, kcd};
+  KernelConfig config;
+  config.gemm.precision = Precision::kFP32;
+  // binary32 operands (2^-24 relative) with FP32 accumulation.
+  EXPECT_LT(compare_batch_to_reference(key, config, 3, 5), 1e-5)
+      << key.name();
+}
+
+TEST_P(BatchedClassTest, Tf32ErrorBounded) {
+  const auto [la, lb, lc, ld, kab, kcd] = GetParam();
+  const EriClassKey key{la, lb, lc, ld, kab, kcd};
+  KernelConfig config;
+  config.gemm.precision = Precision::kTF32;
+  // TF32 keeps FP16's 10-bit mantissa, so FP16's bound holds.
+  EXPECT_LT(compare_batch_to_reference(key, config, 3, 5), 2e-2)
+      << key.name();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Classes, BatchedClassTest,
     ::testing::Values(ClassParam{0, 0, 0, 0, 1, 1}, ClassParam{0, 0, 0, 0, 9, 9},
@@ -65,26 +85,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ClassParam{1, 1, 1, 1, 4, 4}, ClassParam{2, 1, 1, 0, 2, 1},
                       ClassParam{2, 2, 2, 2, 1, 1}, ClassParam{3, 2, 1, 0, 1, 2},
                       ClassParam{3, 3, 3, 3, 1, 1}, ClassParam{4, 4, 4, 4, 1, 1},
-                      ClassParam{4, 0, 2, 2, 1, 1}));
-
-// Every configuration knob must preserve exact FP64 results.
-class BatchedConfigTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(BatchedConfigTest, ConfigVariantsAllAgree) {
-  const int variant = GetParam();
-  KernelConfig config;
-  config.fuse_gemms = variant & 1;
-  config.use_swizzle = variant & 2;
-
-  for (const EriClassKey& key :
-       {EriClassKey{2, 2, 2, 2, 1, 1}, EriClassKey{1, 1, 0, 0, 4, 2}}) {
-    EXPECT_LT(compare_batch_to_reference(key, config, 4, 11), 1e-11)
-        << key.name() << " variant=" << variant;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Variants, BatchedConfigTest,
-                         ::testing::Range(0, 4));
+                      ClassParam{4, 0, 2, 2, 1, 1},
+                      ClassParam{1, 1, 0, 0, 4, 2}));
 
 TEST(BatchedEriTest, ClassifyReadsShells) {
   const EriClassKey key{2, 1, 1, 0, 6, 3};
@@ -110,7 +112,7 @@ TEST(BatchedEriTest, EmptyBatchIsNoop) {
   const BatchStats stats = engine.compute_batch(
       EriClassKey{0, 0, 0, 0, 1, 1}, {}, out);
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(stats.kernel_launches, 0);
+  EXPECT_EQ(stats.gemm_flops, 0.0);
 }
 
 TEST(BatchedEriTest, StatsAccumulateWork) {
@@ -121,57 +123,7 @@ TEST(BatchedEriTest, StatsAccumulateWork) {
   const BatchStats stats = engine.compute_batch(
       key, std::span<const QuartetRef>(batch.quartets), out);
   EXPECT_GT(stats.gemm_flops, 0.0);
-  EXPECT_GT(stats.scalar_flops, 0.0);
-  EXPECT_GT(stats.global_bytes, 0.0);
-  EXPECT_GT(stats.kernel_launches, 0);
   EXPECT_GT(stats.wall_seconds, 0.0);
-}
-
-TEST(BatchedEriTest, UnfusedLaunchesMoreKernels) {
-  const EriClassKey key{2, 2, 2, 2, 1, 1};
-  const CalibrationBatch batch = make_calibration_batch(key, 4, 2);
-  std::vector<std::vector<double>> out;
-
-  KernelConfig fused;
-  fused.fuse_gemms = true;
-  KernelConfig unfused;
-  unfused.fuse_gemms = false;
-  unfused.use_swizzle = false;
-
-  const BatchStats sf = BatchedEriEngine(fused).compute_batch(
-      key, std::span<const QuartetRef>(batch.quartets), out);
-  const BatchStats su = BatchedEriEngine(unfused).compute_batch(
-      key, std::span<const QuartetRef>(batch.quartets), out);
-  EXPECT_LT(sf.kernel_launches, su.kernel_launches);
-  EXPECT_LT(sf.global_bytes, su.global_bytes);
-}
-
-TEST(BatchedEriTest, GroupScalingImprovesFp16Accuracy) {
-  const EriClassKey key{2, 2, 2, 2, 1, 1};
-  KernelConfig with;
-  with.gemm.precision = Precision::kFP16;
-  with.group_scaling = true;
-  KernelConfig without = with;
-  without.group_scaling = false;
-
-  const double err_with = compare_batch_to_reference(key, with, 4, 3);
-  const double err_without = compare_batch_to_reference(key, without, 4, 3);
-  EXPECT_LE(err_with, err_without * 1.5 + 1e-12);
-}
-
-TEST(BatchedEriTest, DualStageAccumulationBeatsNaiveFp16) {
-  // The Table-2 contrast: QuantMako's FP32 in-kernel accumulation must be
-  // at least as accurate as the naive FP16-accumulator kernel on contracted
-  // classes (where many partial sums accumulate).
-  const EriClassKey key{2, 2, 2, 2, 4, 4};
-  KernelConfig dual;
-  dual.gemm.precision = Precision::kFP16;
-  dual.dual_stage_accumulation = true;
-  KernelConfig naive = dual;
-  naive.dual_stage_accumulation = false;
-  const double err_dual = compare_batch_to_reference(key, dual, 3, 21);
-  const double err_naive = compare_batch_to_reference(key, naive, 3, 21);
-  EXPECT_LE(err_dual, err_naive * 1.2 + 1e-12);
 }
 
 TEST(BatchedEriTest, PrecisionErrorOrdering) {

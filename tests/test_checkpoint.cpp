@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <ostream>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -35,6 +36,14 @@ std::string scratch_path(const std::string& name) {
   return "./ckpt_test_" + name + "." + std::to_string(::getpid());
 }
 
+MatrixD filled(std::size_t rows, std::size_t cols, double base) {
+  MatrixD m(rows, cols);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = base + 0.25 * static_cast<double>(i);
+  }
+  return m;
+}
+
 class CheckpointTest : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -45,14 +54,6 @@ class CheckpointTest : public ::testing::Test {
   std::string track(const std::string& name) {
     cleanup_.push_back(scratch_path(name));
     return cleanup_.back();
-  }
-
-  static MatrixD filled(std::size_t rows, std::size_t cols, double base) {
-    MatrixD m(rows, cols);
-    for (std::size_t i = 0; i < m.size(); ++i) {
-      m.data()[i] = base + 0.25 * static_cast<double>(i);
-    }
-    return m;
   }
 
   static void expect_bitwise_equal(const MatrixD& a, const MatrixD& b) {
@@ -391,7 +392,9 @@ TEST_F(CheckpointTest, RetiredRngSectionIsIgnored) {
 // with the section CRC re-stamped (so the payload parser, not just the CRC,
 // sees them), truncations, and inflated size/count/length fields.  Every
 // mutant either loads or is refused with InputError — never another
-// exception, an allocation failure, or an out-of-bounds read (ASan).
+// exception, an allocation failure, or an out-of-bounds read (ASan).  Every
+// mutant that loads is also restored through run_scf, which must accept it
+// or refuse it with InputError before its loop, never abort.
 TEST_F(CheckpointTest, LoadSurvivesSeededMutations) {
   const Molecule w = make_water();
   const BasisSet bs(w, "sto-3g");
@@ -421,6 +424,7 @@ TEST_F(CheckpointTest, LoadSurvivesSeededMutations) {
   constexpr int kMutations = 2000;
   int loaded = 0;
   int refused = 0;
+  int restored = 0;
   for (int m = 0; m < kMutations; ++m) {
     CkptImage im = source;
     std::string what;
@@ -455,13 +459,113 @@ TEST_F(CheckpointTest, LoadSurvivesSeededMutations) {
       ++loaded;
     } catch (const InputError&) {
       ++refused;
+      continue;
     } catch (const std::exception& e) {
       ADD_FAILURE() << "mutant " << m << " (" << what
                     << ") threw a non-InputError: " << e.what();
+      continue;
+    }
+    ScfOptions restore;
+    restore.max_iterations = 1;
+    restore.durability.restore_path = path;
+    try {
+      (void)run_scf(w, bs, restore);
+      ++restored;
+    } catch (const InputError&) {
+      // Refusing the file is a valid outcome too.
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << m << " (" << what
+                    << ") made run_scf throw a non-InputError: " << e.what();
     }
   }
   EXPECT_GT(refused, 0);
   EXPECT_GT(loaded, 0);  // payload flips in plain doubles load fine
+  EXPECT_GT(restored, 0);
+}
+
+/// The state of a 3-iteration water/STO-3G run (nbf = northo = 7, nocc = 5),
+/// checkpointed to `path` and loaded back.
+ScfState water_state(const Molecule& w, const BasisSet& bs,
+                     const std::string& path) {
+  ScfOptions opt;
+  opt.max_iterations = 3;
+  opt.durability.checkpoint_path = path;
+  (void)run_scf(w, bs, opt);
+  return load_checkpoint(path);
+}
+
+/// One edit to a restored state that keeps its CRCs and fingerprint
+/// consistent but leaves a matrix of the wrong shape, or a negative
+/// iteration cursor.
+struct Forgery {
+  const char* name;
+  void (*apply)(ScfState&);
+};
+
+void PrintTo(const Forgery& f, std::ostream* os) { *os << f.name; }
+
+class MisshapenRestoreTest : public CheckpointTest,
+                             public ::testing::WithParamInterface<Forgery> {};
+
+/// run_scf refuses the forged state before its loop.
+TEST_P(MisshapenRestoreTest, RefusedBeforeTheLoop) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "sto-3g");
+  ScfState bad = water_state(w, bs, track("shape-source"));
+  ASSERT_EQ(bad.density.rows(), 7u);
+  ASSERT_FALSE(bad.diis_focks.empty());
+  GetParam().apply(bad);
+  const std::string path = track("shape-forged");
+  ASSERT_TRUE(save_checkpoint(path, bad).is_ok());
+  ScfOptions restore;
+  restore.durability.restore_path = path;
+  try {
+    (void)run_scf(w, bs, restore);
+    ADD_FAILURE() << "restored a misshapen checkpoint";
+  } catch (const InputError& e) {
+    EXPECT_EQ(e.kind(), FaultKind::kCheckpointCorrupt) << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Forgeries, MisshapenRestoreTest,
+    ::testing::Values(
+        Forgery{"Density6x7",
+                [](ScfState& s) { s.density = filled(6, 7, 0.5); }},
+        Forgery{"Fock7x6", [](ScfState& s) { s.fock = filled(7, 6, 0.5); }},
+        Forgery{"Coefficients8Columns",
+                [](ScfState& s) { s.coefficients = filled(7, 8, 0.5); }},
+        Forgery{"Coefficients4Columns",
+                [](ScfState& s) { s.coefficients = filled(7, 4, 0.5); }},
+        Forgery{"ShortOrbitalEnergies",
+                [](ScfState& s) { s.orbital_energies.pop_back(); }},
+        Forgery{"EmptyPreviousDensity",
+                [](ScfState& s) { s.d_prev = MatrixD(); }},
+        Forgery{"PreviousJ6x6",
+                [](ScfState& s) { s.j_prev = filled(6, 6, 0.5); }},
+        Forgery{"PreviousK7x8",
+                [](ScfState& s) { s.k_prev = filled(7, 8, 0.5); }},
+        Forgery{"DiisFock6x7",
+                [](ScfState& s) { s.diis_focks.back() = filled(6, 7, 0.5); }},
+        Forgery{"DiisError7x6",
+                [](ScfState& s) { s.diis_errors.front() = filled(7, 6, 0.5); }},
+        Forgery{"OccupiedBlock7x4",
+                [](ScfState& s) { s.prev_y_occ = filled(7, 4, 0.5); }},
+        Forgery{"NegativeIterationCursor",
+                [](ScfState& s) { s.next_iteration = -3; }}),
+    [](const ::testing::TestParamInfo<Forgery>& info) {
+      return std::string(info.param.name);
+    });
+
+/// The forgeries' unmodified source state restores and converges.
+TEST_F(CheckpointTest, UnforgedWaterStateRestores) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "sto-3g");
+  const std::string path = track("shape-source");
+  ASSERT_TRUE(save_checkpoint(path, water_state(w, bs, path)).is_ok());
+  ScfOptions restore;
+  restore.durability.restore_path = path;
+  EXPECT_TRUE(run_scf(w, bs, restore).converged);
 }
 
 // --- SCF driver integration ----------------------------------------------

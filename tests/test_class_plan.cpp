@@ -1,7 +1,7 @@
 // Execution-plan layer tests: plan-cache semantics, equivalence of the
-// packed/planned engine against the reference engine across precisions and
-// fusion modes, bit-identity of the kernel under its layout toggles and batch
-// splits, and the steady-state allocation-freedom contract of compute_batch.
+// packed/planned engine against the reference engine across precisions,
+// bit-identity of the kernel under batch splits, and the steady-state
+// allocation-freedom contract of compute_batch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -111,7 +111,6 @@ TEST(ClassPlanTest, PrewarmCoversBasisClasses) {
 struct EquivParam {
   EriClassKey key;
   Precision precision;
-  bool fuse;
 };
 
 class PlanEquivalenceTest : public ::testing::TestWithParam<EquivParam> {};
@@ -121,7 +120,6 @@ TEST_P(PlanEquivalenceTest, PackedMatchesReference) {
   const CalibrationBatch batch = make_calibration_batch(p.key, 3, 17);
   KernelConfig config;
   config.gemm.precision = p.precision;
-  config.fuse_gemms = p.fuse;
   const auto out = run_batch(p.key, config, batch);
 
   ReferenceEriEngine ref;
@@ -152,34 +150,6 @@ void expect_bitwise_equal(const std::vector<std::vector<double>>& a,
   }
 }
 
-// fuse_gemms only changes where P is staged (one quartet's P kept hot vs every
-// P staged before the GEMMs); the arithmetic is the same, so are the bits.
-TEST_P(PlanEquivalenceTest, StagedPMatchesFusedPath) {
-  const EquivParam p = GetParam();
-  const CalibrationBatch batch = make_calibration_batch(p.key, 3, 17);
-  KernelConfig config;
-  config.gemm.precision = p.precision;
-  config.fuse_gemms = p.fuse;
-  KernelConfig flipped = config;
-  flipped.fuse_gemms = !p.fuse;
-  expect_bitwise_equal(run_batch(p.key, config, batch),
-                       run_batch(p.key, flipped, batch), p.key);
-}
-
-// use_swizzle picks the striped->blocked transpose (swizzled tile vs strided
-// gather); both move the same r-integrals, so the results are bit-identical.
-TEST_P(PlanEquivalenceTest, StridedGatherMatchesSwizzledTranspose) {
-  const EquivParam p = GetParam();
-  const CalibrationBatch batch = make_calibration_batch(p.key, 3, 17);
-  KernelConfig config;
-  config.gemm.precision = p.precision;
-  config.fuse_gemms = p.fuse;
-  KernelConfig gather = config;
-  gather.use_swizzle = false;
-  expect_bitwise_equal(run_batch(p.key, config, batch),
-                       run_batch(p.key, gather, batch), p.key);
-}
-
 // Every scale (E' per pair, P and T per quartet) is local to a quartet, so a
 // quartet's integrals do not depend on which batch it was computed in.
 TEST_P(PlanEquivalenceTest, SingleQuartetBatchesMatchWholeBatch) {
@@ -187,7 +157,6 @@ TEST_P(PlanEquivalenceTest, SingleQuartetBatchesMatchWholeBatch) {
   const CalibrationBatch batch = make_calibration_batch(p.key, 3, 17);
   KernelConfig config;
   config.gemm.precision = p.precision;
-  config.fuse_gemms = p.fuse;
   const auto whole = run_batch(p.key, config, batch);
 
   BatchedEriEngine engine(config);
@@ -203,17 +172,17 @@ TEST_P(PlanEquivalenceTest, SingleQuartetBatchesMatchWholeBatch) {
 
 INSTANTIATE_TEST_SUITE_P(
     ClassesAndPrecisions, PlanEquivalenceTest,
-    ::testing::Values(
-        EquivParam{{0, 0, 0, 0, 1, 1}, Precision::kFP64, true},
-        EquivParam{{1, 1, 1, 1, 1, 1}, Precision::kFP64, true},
-        EquivParam{{1, 1, 1, 1, 1, 1}, Precision::kFP64, false},
-        EquivParam{{2, 2, 2, 2, 1, 1}, Precision::kFP64, true},
-        EquivParam{{2, 1, 1, 0, 2, 2}, Precision::kFP64, false},
-        EquivParam{{3, 3, 3, 3, 1, 1}, Precision::kFP64, true},
-        EquivParam{{2, 2, 2, 2, 1, 1}, Precision::kTF32, true},
-        EquivParam{{2, 1, 1, 0, 2, 2}, Precision::kTF32, false},
-        EquivParam{{2, 2, 2, 2, 1, 1}, Precision::kFP16, true},
-        EquivParam{{2, 1, 1, 0, 2, 2}, Precision::kFP16, false}));
+    ::testing::Values(EquivParam{{0, 0, 0, 0, 1, 1}, Precision::kFP64},
+                      EquivParam{{1, 1, 1, 1, 1, 1}, Precision::kFP64},
+                      EquivParam{{2, 2, 2, 2, 1, 1}, Precision::kFP64},
+                      EquivParam{{2, 1, 1, 0, 2, 2}, Precision::kFP64},
+                      EquivParam{{3, 3, 3, 3, 1, 1}, Precision::kFP64},
+                      EquivParam{{2, 2, 2, 2, 1, 1}, Precision::kTF32},
+                      EquivParam{{2, 1, 1, 0, 2, 2}, Precision::kTF32},
+                      EquivParam{{2, 2, 2, 2, 1, 1}, Precision::kFP32},
+                      EquivParam{{2, 1, 1, 0, 2, 2}, Precision::kFP32},
+                      EquivParam{{2, 2, 2, 2, 1, 1}, Precision::kFP16},
+                      EquivParam{{2, 1, 1, 0, 2, 2}, Precision::kFP16}));
 
 TEST(ClassPlanTest, PlanExplicitOverloadMatchesImplicit) {
   // The 4-arg overload with caller-owned scratch is the same execution path
@@ -247,7 +216,6 @@ TEST_P(AllocationTest, SteadyStateBatchIsAllocationFree) {
   const CalibrationBatch batch = make_calibration_batch(p.key, 4, 7);
   KernelConfig config;
   config.gemm.precision = p.precision;
-  config.fuse_gemms = p.fuse;
   BatchedEriEngine engine(config);
   std::vector<std::vector<double>> out;
 
@@ -268,11 +236,10 @@ TEST_P(AllocationTest, SteadyStateBatchIsAllocationFree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Paths, AllocationTest,
-    ::testing::Values(
-        EquivParam{{2, 2, 2, 2, 1, 1}, Precision::kFP64, true},   // fused
-        EquivParam{{2, 1, 2, 1, 2, 2}, Precision::kFP64, false},  // unfused
-        EquivParam{{2, 2, 2, 2, 1, 1}, Precision::kFP16, true},   // quantized
-        EquivParam{{2, 1, 2, 1, 2, 2}, Precision::kTF32, false}));
+    ::testing::Values(EquivParam{{2, 2, 2, 2, 1, 1}, Precision::kFP64},
+                      EquivParam{{2, 1, 2, 1, 2, 2}, Precision::kFP64},
+                      EquivParam{{2, 2, 2, 2, 1, 1}, Precision::kFP16},
+                      EquivParam{{2, 1, 2, 1, 2, 2}, Precision::kTF32}));
 
 TEST(AllocationTest, PlanLookupIsAllocationFreeAfterFirstUse) {
   const EriClassKey key{3, 2, 1, 0, 1, 2};

@@ -205,11 +205,23 @@ TEST(GemmTest, MatrixWrappers) {
 
 // --- Quantized path ----------------------------------------------------------
 //
-// Through the default backend's `quantized` entry point, which rounds the
-// double operands through cfg.precision and accumulates at FP32.
+// The double operands are rounded through the precision by quantize_to_float
+// and multiplied through the default backend's `mixed` entry point, which
+// accumulates at FP32 — the ERI engine's quantized GEMMs.
 
 const GemmBackend& quantized_backend() {
   return resolve_gemm_backend(GemmBackendRegistry::kDefaultName);
+}
+
+/// c = a * b ([m x k] x [k x n]) on operands rounded through `p`.
+void quantized_gemm(const std::vector<double>& a, const std::vector<double>& b,
+                    std::vector<double>& c, std::size_t m, std::size_t n,
+                    std::size_t k, Precision p) {
+  std::vector<float> qa(m * k), qb(k * n);
+  quantize_to_float(a.data(), qa.data(), m * k, p);
+  quantize_to_float(b.data(), qb.data(), k * n, p);
+  quantized_backend().mixed(qa.data(), false, qb.data(), false, c.data(), m,
+                            n, k, 1.0, 0.0);
 }
 
 class QuantGemmTest : public ::testing::TestWithParam<Precision> {};
@@ -222,10 +234,7 @@ TEST_P(QuantGemmTest, ErrorWithinFormatBound) {
   const auto b = random_buffer(k * n, rng);
   std::vector<double> c(m * n, 0.0), expected(m * n, 0.0);
 
-  GemmConfig cfg;
-  cfg.precision = prec;
-  quantized_backend().quantized(a.data(), b.data(), c.data(), m, n, k,
-                                1.0, 0.0, cfg);
+  quantized_gemm(a, b, c, m, n, k, prec);
   naive_gemm(a, b, expected, m, n, k, 1.0, 0.0);
 
   // Operand rounding error ~2^-11 (FP16/TF32) or 2^-24 (FP32), amplified by
@@ -248,10 +257,8 @@ TEST(QuantGemmTest, Fp64PathIsExact) {
   const auto a = random_buffer(m * k, rng);
   const auto b = random_buffer(k * n, rng);
   std::vector<double> c(m * n, 0.0), expected(m * n, 0.0);
-  GemmConfig cfg;
-  cfg.precision = Precision::kFP64;
-  quantized_backend().quantized(a.data(), b.data(), c.data(), m, n, k,
-                                1.0, 0.0, cfg);
+  quantized_backend().fp64(a.data(), false, b.data(), false, c.data(), m, n,
+                           k);
   naive_gemm(a, b, expected, m, n, k, 1.0, 0.0);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], expected[i], 1e-13);
 }
@@ -262,10 +269,7 @@ TEST(QuantGemmTest, DualStageAccumulationBeatsNaiveFp16Sum) {
   const int k = 4096;
   std::vector<double> a(k, 1.0), b(k, 1.0);  // 1 x k times k x 1
   std::vector<double> c(1, 0.0);
-  GemmConfig cfg;
-  cfg.precision = Precision::kFP16;
-  quantized_backend().quantized(a.data(), b.data(), c.data(), 1, 1, k,
-                                1.0, 0.0, cfg);
+  quantized_gemm(a, b, c, 1, 1, k, Precision::kFP16);
   EXPECT_NEAR(c[0], 4096.0, 1.0);  // naive FP16 accumulation would give 2048
 }
 
@@ -274,28 +278,8 @@ TEST(QuantGemmTest, Fp16OverflowsWithoutScaling) {
   // QuantMako's group scaling exists.
   std::vector<double> a(1, 1e6), b(1, 1e6);
   std::vector<double> c(1, 0.0);
-  GemmConfig cfg;
-  cfg.precision = Precision::kFP16;
-  quantized_backend().quantized(a.data(), b.data(), c.data(), 1, 1, 1,
-                                1.0, 0.0, cfg);
+  quantized_gemm(a, b, c, 1, 1, 1, Precision::kFP16);
   EXPECT_TRUE(std::isinf(c[0]));
-}
-
-TEST(QuantGemmTest, NaiveFp16AccumulatorStalls) {
-  // Summing 4096 ones with a binary16 accumulator saturates at 2048 (adding
-  // 1 to 2048 rounds back to 2048); the dual-stage kernel gets 4096.
-  const int k = 4096;
-  std::vector<double> a(k, 1.0), b(k, 1.0);
-  std::vector<double> c(1, 0.0);
-  gemm_fp16_naive(a.data(), b.data(), c.data(), 1, 1, k, 1.0, 0.0);
-  EXPECT_DOUBLE_EQ(c[0], 2048.0);
-}
-
-TEST(QuantGemmTest, NaiveFp16MatchesExactOnTinyProblems) {
-  std::vector<double> a{1.0, 2.0}, b{0.5, 0.25};
-  std::vector<double> c(1, 0.0);
-  gemm_fp16_naive(a.data(), b.data(), c.data(), 1, 1, 2, 1.0, 0.0);
-  EXPECT_DOUBLE_EQ(c[0], 1.0);
 }
 
 TEST(GemmTest, FlopsCount) {

@@ -290,8 +290,8 @@ TEST(RIntegralTest, BatchMatchesSingleItemCallsBitwise) {
           kRIntegralChunk + 1}) {
       SCOPED_TRACE("L=" + std::to_string(l) + " n=" + std::to_string(n));
       const RItems items = boys_regime_items(n);
-      const std::size_t stride = n + 3;  // a non-packed stride too
-      std::vector<double> out(nh * stride, -1.0);
+      const std::size_t stride = nh + 3;  // a non-packed stride too
+      std::vector<double> out(n * stride, -1.0);
       compute_r_integrals_batch(l, n, items.alpha.data(), items.x.data(),
                                 items.y.data(), items.z.data(),
                                 items.pref.data(), out.data(), stride, ws);
@@ -301,15 +301,15 @@ TEST(RIntegralTest, BatchMatchesSingleItemCallsBitwise) {
                             {items.x[i], items.y[i], items.z[i]},
                             items.pref[i], one.data());
         for (std::size_t h = 0; h < nh; ++h) {
-          ASSERT_TRUE(same_bits(out[h * stride + i], one[h]))
-              << "item " << i << " h " << h << ": " << out[h * stride + i]
+          ASSERT_TRUE(same_bits(out[i * stride + h], one[h]))
+              << "item " << i << " h " << h << ": " << out[i * stride + h]
               << " vs " << one[h];
         }
       }
-      // Slots past the n items are never written.
-      for (std::size_t h = 0; h < nh; ++h) {
-        for (std::size_t i = n; i < stride; ++i) {
-          ASSERT_EQ(out[h * stride + i], -1.0);
+      // Row padding past the nh r-integrals is never written.
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t h = nh; h < stride; ++h) {
+          ASSERT_EQ(out[i * stride + h], -1.0);
         }
       }
     }
@@ -326,7 +326,7 @@ TEST(RIntegralTest, PoisonedItemPoisonsOnlyItself) {
   RIntegralWorkspace ws;
   compute_r_integrals_batch(l, n, clean.alpha.data(), clean.x.data(),
                             clean.y.data(), clean.z.data(), clean.pref.data(),
-                            want.data(), n, ws);
+                            want.data(), nh, ws);
 
   struct Poison {
     const char* what;
@@ -351,14 +351,14 @@ TEST(RIntegralTest, PoisonedItemPoisonsOnlyItself) {
       const std::uint64_t faults = domain_fault_count();
       compute_r_integrals_batch(l, n, items.alpha.data(), items.x.data(),
                                 items.y.data(), items.z.data(),
-                                items.pref.data(), out.data(), n, ws);
+                                items.pref.data(), out.data(), nh, ws);
       EXPECT_EQ(domain_fault_count(), faults + 1);
       for (std::size_t h = 0; h < nh; ++h) {
         for (std::size_t i = 0; i < n; ++i) {
           if (i == bad) {
-            ASSERT_TRUE(std::isnan(out[h * n + i])) << "h " << h;
+            ASSERT_TRUE(std::isnan(out[i * nh + h])) << "h " << h;
           } else {
-            ASSERT_TRUE(same_bits(out[h * n + i], want[h * n + i]))
+            ASSERT_TRUE(same_bits(out[i * nh + h], want[i * nh + h]))
                 << "item " << i << " h " << h;
           }
         }
