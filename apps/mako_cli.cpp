@@ -16,10 +16,9 @@
 //   --basis <name>        sto-3g | 6-31g | def2-tzvp | def2-qzvp |
 //                         cc-pvtz | cc-pvqz                  [sto-3g]
 //   --xc <name>           hf | lda | blyp | b3lyp            [hf]
-//   --engine <name>       mako | reference                   [mako]
-//   --backend <name>      GEMM backend: reference | blocked |
-//                         blocked+quantized (or any registered name;
-//                         default: $MAKO_BACKEND, else blocked+quantized)
+//   --backend <name>      GEMM backend: reference | blocked+quantized (or
+//                         any registered name; default: $MAKO_BACKEND,
+//                         else blocked+quantized)
 //   --ranks <n>           modeled rank count for rank-sharded SCF; power of
 //                         two in [1, 16] (default: $MAKO_RANKS, else 1).
 //                         Energies are bit-identical for every rank count.
@@ -91,7 +90,7 @@ void print_usage() {
   std::printf(
       "usage: mako --mol <file.xyz> [--basis NAME] [--xc NAME]\n"
       "       mako --batch <manifest.json> [--jobs K] [--batch-out PATH]\n"
-      "            [--engine mako|reference] [--backend NAME] [--quantize]\n"
+      "            [--backend NAME] [--quantize]\n"
       "            [--precision adaptive|fp64|fp32|tf32|fp16]\n"
       "            [--precision-ladder]\n"
       "            [--ranks N] [--cluster NAME]\n"
@@ -152,16 +151,6 @@ int main(int argc, char** argv) {
       options.basis = next("--basis");
     } else if (arg == "--xc") {
       options.functional = next("--xc");
-    } else if (arg == "--engine") {
-      const std::string engine = next("--engine");
-      if (engine == "mako") {
-        options.engine = mako::EriEngineKind::kMako;
-      } else if (engine == "reference") {
-        options.engine = mako::EriEngineKind::kReference;
-      } else {
-        std::fprintf(stderr, "mako: unknown engine '%s'\n", engine.c_str());
-        return 2;
-      }
     } else if (arg == "--backend") {
       options.backend = next("--backend");
     } else if (arg == "--ranks") {
@@ -299,10 +288,8 @@ int main(int argc, char** argv) {
     std::printf("Mako — matrix-aligned quantum chemistry\n");
     std::printf("molecule: %s (%zu atoms, %d electrons, charge %+d)\n",
                 mol_path.c_str(), mol.size(), mol.num_electrons(), charge);
-    std::printf("method:   %s/%s, engine=%s%s\n\n",
-                options.functional.c_str(), options.basis.c_str(),
-                options.engine == mako::EriEngineKind::kMako ? "mako"
-                                                             : "reference",
+    std::printf("method:   %s/%s%s\n\n", options.functional.c_str(),
+                options.basis.c_str(),
                 options.quantization ? " +quantize" : "");
 
     const bool tracing = !trace_path.empty();

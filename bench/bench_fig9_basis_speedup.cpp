@@ -2,9 +2,13 @@
 // angular momentum (def2-TZVP, cc-pVTZ -> def2-QZVP, cc-pVQZ).
 //
 // Reproduces the paper's two findings: (1) Mako's advantage over the
-// per-quartet GPU4PySCF-role engine grows with the basis's angular
-// momentum; (2) the QUICK-role engine (angular momentum capped at f) cannot
-// run the QZ-level basis sets at all.
+// per-quartet GPU4PySCF-role baseline grows with the basis's angular
+// momentum; (2) the QUICK-role baseline (angular momentum capped at f)
+// cannot run the QZ-level basis sets at all.  Both baselines are
+// bench/reference_fock.hpp: a baseline iteration is the measured Mako
+// iteration with the Mako J/K wall time replaced by the baseline's J/K wall
+// time, both timed on the Mako run's final density under its final
+// precision plan.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -12,23 +16,18 @@
 
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
+#include "reference_fock.hpp"
 #include "scf/scf.hpp"
 
 namespace {
 using namespace mako;
 
-/// Average per-iteration time; returns <0 when the engine cannot run the
-/// workload (the QUICK failure mode).
-double avg_iter_or_fail(const Molecule& mol, const std::string& basis,
-                        EriEngineKind engine, int max_engine_l) {
+/// Baseline iteration time on `run`; returns <0 when the baseline cannot
+/// run the basis (the QUICK failure mode).
+double baseline_or_fail(const BasisSet& bs, const ScfOptions& options,
+                        const ScfResult& run, int max_l) {
   try {
-    const BasisSet bs(mol, basis);
-    ScfOptions options;
-    options.fock.engine = engine;
-    options.fock.max_engine_l = max_engine_l;
-    options.fixed_iterations = 2;
-    const ScfResult r = run_scf(mol, bs, options);
-    return r.avg_iteration_seconds();
+    return baseline_iteration(bs, options, run, max_l).seconds;
   } catch (const std::domain_error&) {
     return -1.0;
   }
@@ -48,12 +47,13 @@ int main() {
 
   for (const std::string& basis : bases) {
     const BasisSet bs(mol, basis);
-    const double t_mako =
-        avg_iter_or_fail(mol, basis, EriEngineKind::kMako, 6);
+    ScfOptions options;
+    options.fixed_iterations = 2;
+    const ScfResult run = run_scf(mol, bs, options);
+    const double t_mako = run.avg_iteration_seconds();
     const double t_gpu4pyscf =
-        avg_iter_or_fail(mol, basis, EriEngineKind::kReference, 6);
-    const double t_quick =
-        avg_iter_or_fail(mol, basis, EriEngineKind::kReference, 3);
+        baseline_or_fail(bs, options, run, ReferenceEriEngine::kMaxL);
+    const double t_quick = baseline_or_fail(bs, options, run, kQuickMaxL);
 
     char gpu_col[32], quick_col[32];
     std::snprintf(gpu_col, sizeof(gpu_col), "%.2fx", t_gpu4pyscf / t_mako);

@@ -4,12 +4,12 @@
 // packages (Psi4, PySCF, QUICK, GPU4PySCF) over a 200+-molecule suite and
 // finds every MAE within 1 mHartree (chemical accuracy).  The packages are
 // external closed ecosystems; per the substitution rules each "role" here is
-// an independently configured implementation path inside this repository:
+// an independently configured FP64 run of the one Fock path:
 //
-//   Psi4 role      — per-quartet reference ERI engine, tight settings
-//   PySCF role     — Mako batched engine, FP64, default settings
-//   QUICK role     — reference engine with looser integral screening
-//   GPU4PySCF role — Mako engine with a finer XC grid
+//   Psi4 role      — tight screening and convergence
+//   PySCF role     — default settings
+//   QUICK role     — looser integral screening
+//   GPU4PySCF role — a finer XC grid
 //
 // The production configuration under test is Mako with QuantMako
 // quantization enabled.  All roles run the identical molecule suite.
@@ -57,22 +57,19 @@ int main(int argc, char** argv) {
   mako_quant.grid = GridSpec::standard();
   mako_quant.enable_quantization = true;
 
-  ScfOptions psi4_role;  // independent integral path, tight settings
+  ScfOptions psi4_role;  // tight screening and convergence
   psi4_role.xc = mako_quant.xc;
   psi4_role.grid = mako_quant.grid;
-  psi4_role.fock.engine = EriEngineKind::kReference;
   psi4_role.prune_threshold = 1e-13;
   psi4_role.energy_convergence = 1e-9;
 
-  ScfOptions pyscf_role;  // Mako FP64 defaults
+  ScfOptions pyscf_role;  // FP64 defaults
   pyscf_role.xc = mako_quant.xc;
   pyscf_role.grid = mako_quant.grid;
 
   ScfOptions quick_role;  // looser integral screening
   quick_role.xc = mako_quant.xc;
   quick_role.grid = mako_quant.grid;
-  quick_role.fock.engine = EriEngineKind::kReference;
-  quick_role.fock.max_engine_l = 3;
   quick_role.prune_threshold = 1e-9;
 
   ScfOptions gpu4pyscf_role;  // finer XC grid

@@ -15,10 +15,13 @@
 # BENCH_fig6.json and BENCH_fig8.json into OUT_DIR.  Human-readable tables
 # still go to stdout.
 #
-# Each fig8 record carries a per-engine "stages" breakdown: plan_build_s
-# (one-time Fock plan construction), route_s (per-iteration screening and
-# routing wall), eri_s / digest_s (summed shard CPU), diag_s, gemm_calls,
-# and the screening counters screen_visited / screen_pruned_early.
+# Each fig8 record carries the two J/K wall times behind its baseline
+# iteration (jk_mako_s, jk_ref_s: t_ref_s is t_mako_s with the first
+# replaced by the second) and a "stages" breakdown of the FP64 and the
+# quantized Mako run: plan_build_s (one-time Fock plan construction),
+# route_s (per-iteration screening and routing wall), eri_s / digest_s
+# (summed shard CPU), diag_s, gemm_calls, and the screening counters
+# screen_visited / screen_pruned_early.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -21,11 +21,10 @@ int main(int argc, char** argv) {
     std::printf("using built-in water molecule\n");
   }
 
-  // Configure Mako: basis set, functional, and the matrix-aligned engine.
+  // Configure Mako: basis set and functional.
   mako::MakoOptions options;
   options.basis = "sto-3g";
   options.functional = "hf";
-  options.engine = mako::EriEngineKind::kMako;
 
   mako::MakoEngine engine(options);
   const mako::MakoReport report = engine.compute_energy(mol);

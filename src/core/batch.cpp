@@ -72,15 +72,6 @@ void apply_manifest_keys(const json::Value& obj, BatchJobSpec& spec) {
       spec.options.basis = value.as_string();
     } else if (key == "xc") {
       spec.options.functional = value.as_string();
-    } else if (key == "engine") {
-      const std::string engine = value.as_string();
-      if (engine == "mako") {
-        spec.options.engine = EriEngineKind::kMako;
-      } else if (engine == "reference") {
-        spec.options.engine = EriEngineKind::kReference;
-      } else {
-        manifest_error("unknown engine '" + engine + "' (mako|reference)");
-      }
     } else if (key == "quantize") {
       spec.options.quantization = value.as_bool();
     } else if (key == "precision") {

@@ -62,7 +62,6 @@ MakoEngine::MakoEngine(MakoOptions options)
 ScfOptions scf_options_from(const MakoOptions& options) {
   ScfOptions scf;
   scf.xc = XcFunctional::from_name(options.functional);
-  scf.fock.engine = options.engine;
   scf.fock.batch_size = options.batch_size;
   scf.grid = options.grid;
   scf.max_iterations = options.max_iterations;

@@ -1,7 +1,7 @@
 // Mako public API.
 //
 // MakoEngine is the top-level entry point a downstream user touches: give it
-// a molecule and options (basis, functional, engine, quantization,
+// a molecule and options (basis, functional, backend, quantization,
 // precision), get back converged energies with the per-stage performance
 // report the paper's artifact prints (total wall-clock time + average SCF
 // iteration time excluding the first).
@@ -24,8 +24,7 @@ namespace mako {
 struct MakoOptions {
   std::string basis = "sto-3g";
   std::string functional = "hf";   ///< "hf", "lda", "blyp", "b3lyp"
-  EriEngineKind engine = EriEngineKind::kMako;
-  /// GEMM backend name ("reference", "blocked", "blocked+quantized");
+  /// GEMM backend name ("reference", "blocked+quantized");
   /// "" resolves MAKO_BACKEND, then the built-in default.
   std::string backend;
   /// Rank count for the execution context's Communicator (mako --ranks);

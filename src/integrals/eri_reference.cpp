@@ -36,11 +36,9 @@ void quartet_cart_to_sph(int la, int lb, int lc, int ld,
 void ReferenceEriEngine::compute_cartesian(const Shell& a, const Shell& b,
                                            const Shell& c, const Shell& d,
                                            std::vector<double>& out) const {
-  if (a.l > max_supported_l_ || b.l > max_supported_l_ ||
-      c.l > max_supported_l_ || d.l > max_supported_l_) {
+  if (a.l > kMaxL || b.l > kMaxL || c.l > kMaxL || d.l > kMaxL) {
     throw std::domain_error(
-        "ReferenceEriEngine: angular momentum exceeds engine support "
-        "(QUICK-role engines stop at f functions)");
+        "ReferenceEriEngine: angular momentum exceeds engine support");
   }
 
   const int lab = a.l + b.l;

@@ -5,7 +5,8 @@
 // evaluated independently with recursive MMD intermediates and scalar
 // transformation loops, the execution pattern Section 2.4.1 describes as
 // fundamentally misaligned with matrix hardware.  It is also the correctness
-// oracle every Mako kernel is validated against.
+// oracle every Mako kernel is validated against, and the engine of the
+// per-quartet Fock baseline the benches time (bench/reference_fock.hpp).
 #pragma once
 
 #include <cstdint>
@@ -18,19 +19,12 @@ namespace mako {
 /// Per-quartet reference engine.
 class ReferenceEriEngine {
  public:
-  /// `max_supported_l` caps the angular momentum (QUICK-role configuration
-  /// uses 3, reproducing its missing g-function support; default supports
-  /// everything this build tabulates).
-  explicit ReferenceEriEngine(int max_supported_l = 6)
-      : max_supported_l_(max_supported_l) {}
-
-  [[nodiscard]] int max_supported_l() const noexcept {
-    return max_supported_l_;
-  }
+  /// Highest shell angular momentum this build tabulates (i functions).
+  static constexpr int kMaxL = 6;
 
   /// Computes the spherical quartet (ab|cd) into `out`, row-major
   /// [na][nb][nc][nd] with n* = 2l*+1.  Throws std::domain_error when any
-  /// shell exceeds max_supported_l (the QUICK-role failure mode).
+  /// shell exceeds kMaxL.
   void compute(const Shell& a, const Shell& b, const Shell& c, const Shell& d,
                std::vector<double>& out) const;
 
@@ -42,9 +36,6 @@ class ReferenceEriEngine {
   /// this class (used by the scaling cost model).
   static double quartet_flop_estimate(int la, int lb, int lc, int ld,
                                       int kab, int kcd);
-
- private:
-  int max_supported_l_;
 };
 
 /// Transforms a Cartesian quartet tensor [ncart_ab x ncart_cd] to the

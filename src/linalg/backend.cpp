@@ -98,47 +98,32 @@ class ReferenceBackend final : public GemmBackend {
   }
 };
 
-// --- blocked: the PR-1 register-blocked kernels -----------------------------
+// --- blocked+quantized: the full dual-stage default -------------------------
 //
-// Routes to the packed BLIS-style kernels in gemm.cpp.  No reduced-precision
-// capability, so quantized work is planned at FP64 for it, exactly like the
-// reference ERI engine.
-class BlockedBackend : public GemmBackend {
+// Routes to the packed BLIS-style kernels in gemm.cpp, with the
+// reduced-precision capability, so the ERI engine's FP16/TF32-rounded
+// operands really accumulate at FP32 (tensor-core numerics).  This is the
+// process default.
+class BlockedQuantizedBackend final : public GemmBackend {
  public:
-  BlockedBackend()
-      : GemmBackend("blocked",
-                    {/*quantized=*/false,
-                     "register-blocked packed kernels, FP64 only"}) {}
+  BlockedQuantizedBackend()
+      : GemmBackend(
+            GemmBackendRegistry::kDefaultName,
+            {/*quantized=*/true,
+             "register-blocked kernels + FP16/TF32 dual-stage datapath"}) {}
 
  protected:
-  BlockedBackend(std::string name, GemmCapabilities caps)
-      : GemmBackend(std::move(name), std::move(caps)) {}
-
   void do_fp64(const double* a, bool trans_a, const double* b, bool trans_b,
                double* c, std::size_t m, std::size_t n, std::size_t k,
-               double alpha, double beta) const final {
+               double alpha, double beta) const override {
     gemm_fp64_ex(a, trans_a, b, trans_b, c, m, n, k, alpha, beta);
   }
 
   void do_mixed(const float* qa, bool trans_a, const float* qb, bool trans_b,
                 double* c, std::size_t m, std::size_t n, std::size_t k,
-                double alpha, double beta) const final {
+                double alpha, double beta) const override {
     gemm_quantized_ops(qa, trans_a, qb, trans_b, c, m, n, k, alpha, beta);
   }
-};
-
-// --- blocked+quantized: the full dual-stage default -------------------------
-//
-// Same kernels as `blocked` plus the reduced-precision capability, so the
-// ERI engine's FP16/TF32-rounded operands really accumulate at FP32
-// (tensor-core numerics).  This is the process default.
-class BlockedQuantizedBackend final : public BlockedBackend {
- public:
-  BlockedQuantizedBackend()
-      : BlockedBackend(
-            GemmBackendRegistry::kDefaultName,
-            {/*quantized=*/true,
-             "register-blocked kernels + FP16/TF32 dual-stage datapath"}) {}
 };
 
 }  // namespace
@@ -153,7 +138,6 @@ struct GemmBackendRegistry::Impl {
 
 GemmBackendRegistry::GemmBackendRegistry() : impl_(new Impl) {
   impl_->backends.emplace("reference", std::make_unique<ReferenceBackend>());
-  impl_->backends.emplace("blocked", std::make_unique<BlockedBackend>());
   impl_->backends.emplace(kDefaultName,
                           std::make_unique<BlockedQuantizedBackend>());
 }

@@ -127,8 +127,8 @@ class GemmBackend {
   obs::Counter* dispatches_;  ///< "gemm.dispatch.<name>" (never null)
 };
 
-/// Process-wide backend registry.  The three built-ins ("reference",
-/// "blocked", "blocked+quantized") self-register on first access; downstream
+/// Process-wide backend registry.  The two built-ins ("reference" and
+/// "blocked+quantized") self-register on first access; downstream
 /// code may register additional backends (SIMD, GPU, distributed shims) at
 /// startup.  All methods are thread-safe.
 class GemmBackendRegistry {

@@ -84,10 +84,11 @@ void tred2(MatrixD& z, VectorD& d, VectorD& e) {
 }
 
 // Implicit-shift QL iteration on the tridiagonal form, accumulating the
-// transforms into z.  Classic tqli.
-void tqli(VectorD& d, VectorD& e, MatrixD& z) {
+// transforms into z.  Classic tqli.  Returns false when an eigenvalue fails
+// to converge within 60 sweeps (d and z are then unusable).
+bool tqli(VectorD& d, VectorD& e, MatrixD& z) {
   const std::size_t n = d.size();
-  if (n == 0) return;
+  if (n == 0) return true;
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
 
@@ -102,9 +103,7 @@ void tqli(VectorD& d, VectorD& e, MatrixD& z) {
           break;
       }
       if (m != l) {
-        if (iter++ == 60) {
-          throw std::runtime_error("eigh: QL iteration did not converge");
-        }
+        if (iter++ == 60) return false;
         double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
         double r = hypot2(g, 1.0);
         g = d[m] - d[l] + e[l] / (g + (g >= 0.0 ? std::fabs(r) : -std::fabs(r)));
@@ -141,6 +140,7 @@ void tqli(VectorD& d, VectorD& e, MatrixD& z) {
       }
     } while (m != l);
   }
+  return true;
 }
 
 }  // namespace
@@ -162,7 +162,11 @@ EigenResult eigh(const MatrixD& a) {
     return result;
   }
   tred2(result.eigenvectors, d, e);
-  tqli(d, e, result.eigenvectors);
+  if (!tqli(d, e, result.eigenvectors)) {
+    MAKO_METRIC_COUNT("linalg.eigh_failures", 1);
+    result.converged = false;
+    return result;
+  }
 
   // Sort ascending, permuting eigenvector columns accordingly.
   std::vector<std::size_t> order(n);
@@ -227,6 +231,7 @@ EigenResult eigh_subspace(const MatrixD& a, std::size_t nev,
     MatrixD ghalf = inverse_sqrt(g, 1e-12);
     MatrixD hp = matmul(ghalf, Trans::kYes, matmul(h, ghalf), Trans::kNo);
     EigenResult sub = eigh(hp);
+    if (!sub.converged) break;  // out.converged stays false
 
     // Ritz vectors: V = W * G^{-1/2} * U, descending order of shifted op
     // = ascending order of A.
@@ -260,6 +265,9 @@ EigenResult eigh_subspace(const MatrixD& a, std::size_t nev,
 
 MatrixD inverse_sqrt(const MatrixD& s, double lindep_threshold) {
   EigenResult es = eigh(s);
+  if (!es.converged) {
+    throw std::runtime_error("inverse_sqrt: QL iteration did not converge");
+  }
   const std::size_t n = s.rows();
   std::vector<std::size_t> kept;
   for (std::size_t i = 0; i < n; ++i) {

@@ -17,15 +17,17 @@ namespace mako {
 struct EigenResult {
   VectorD eigenvalues;   ///< ascending
   MatrixD eigenvectors;  ///< column i is the eigenvector for eigenvalues[i]
-  /// Iterative solvers report whether they met their tolerance within the
-  /// iteration budget; the direct solver always reports true.  The SCF
-  /// resilience layer keys its diagonalizer-fallback rung off this.
+  /// Whether the solver met its tolerance within its iteration budget: the
+  /// subspace solver's Ritz tolerance, or the direct solver's QL sweeps.
+  /// When false the eigenpairs are unusable.  The SCF resilience layer keys
+  /// its diagonalizer-fallback rung and its hard fault off this.
   bool converged = true;
   std::size_t iterations = 0;
 };
 
 /// Full eigendecomposition of a symmetric matrix (direct method).
-/// Throws std::invalid_argument if `a` is not square.
+/// Throws std::invalid_argument if `a` is not square; reports QL
+/// non-convergence (e.g. overflow-scale input) as `converged = false`.
 EigenResult eigh(const MatrixD& a);
 
 /// Blocked subspace iteration for the lowest `nev` eigenpairs, expressed
@@ -37,7 +39,8 @@ EigenResult eigh_subspace(const MatrixD& a, std::size_t nev,
 
 /// Symmetric (Löwdin) inverse square root S^{-1/2}; eigenvalues below
 /// `lindep_threshold` are dropped (canonical orthogonalization), so the
-/// result may be rectangular n x n_kept.
+/// result may be rectangular n x n_kept.  Throws std::runtime_error if the
+/// eigendecomposition does not converge.
 MatrixD inverse_sqrt(const MatrixD& s, double lindep_threshold = 1e-9);
 
 /// In-place Cholesky factorization A = L L^T (lower). Returns false if the

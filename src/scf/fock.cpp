@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <optional>
 #include <span>
 
 #include "compilermako/registry.hpp"
 #include "core/execution_context.hpp"
-#include "integrals/eri_reference.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -27,8 +25,27 @@ double shell_block_max(const MatrixD& d, const Shell& a, const Shell& b) {
   return m;
 }
 
-/// Digests one spherical quartet tensor into J and K with the canonical
-/// 8-fold permutation weights.  `v` is row-major [na][nb][nc][nd].
+/// Runs fn(s) for s in [0, n).  n <= 1 runs inline without touching the pool
+/// (and without materializing a std::function, keeping the serial steady
+/// state allocation-free).
+template <typename Fn>
+void run_sharded(ThreadPool& pool, std::size_t n, const Fn& fn) {
+  if (n <= 1) {
+    if (n == 1) fn(0);
+    return;
+  }
+  pool.parallel_for(n, [&](std::size_t s) { fn(s); });
+}
+
+/// The fixed owner-slice count is the unit of rank decomposition: the
+/// communicator's rank cap and the plan's slice count must agree or the
+/// contiguous-subtree ownership rule (communicator.hpp) breaks.
+static_assert(FockPlan::kOwnerSlices ==
+                  static_cast<std::size_t>(kMaxCommRanks),
+              "owner-slice count must equal the communicator rank cap");
+
+}  // namespace
+
 void digest_quartet(const MatrixD& d, MatrixD& j, MatrixD& k, const Shell& sa,
                     const Shell& sb, const Shell& sc, const Shell& sd,
                     double weight, const std::vector<double>& v) {
@@ -70,27 +87,6 @@ void digest_quartet(const MatrixD& d, MatrixD& j, MatrixD& k, const Shell& sa,
     }
   }
 }
-
-/// Runs fn(s) for s in [0, n).  n <= 1 runs inline without touching the pool
-/// (and without materializing a std::function, keeping the serial steady
-/// state allocation-free).
-template <typename Fn>
-void run_sharded(ThreadPool& pool, std::size_t n, const Fn& fn) {
-  if (n <= 1) {
-    if (n == 1) fn(0);
-    return;
-  }
-  pool.parallel_for(n, [&](std::size_t s) { fn(s); });
-}
-
-/// The fixed owner-slice count is the unit of rank decomposition: the
-/// communicator's rank cap and the plan's slice count must agree or the
-/// contiguous-subtree ownership rule (communicator.hpp) breaks.
-static_assert(FockPlan::kOwnerSlices ==
-                  static_cast<std::size_t>(kMaxCommRanks),
-              "owner-slice count must equal the communicator rank cap");
-
-}  // namespace
 
 /// Reusable working buffers of one builder: the dmax matrix, per-shard
 /// routing buckets, the flattened batch-task list, and per-shard digestion
@@ -150,9 +146,7 @@ FockBuilder::FockBuilder(const BasisSet& basis, FockOptions options,
       scratch_(std::make_unique<Scratch>()) {
   // CompilerMako static planning: warm the context's plan cache up front so
   // the first Fock build's hot path starts with every class plan resolved.
-  if (options_.engine == EriEngineKind::kMako) {
-    prewarm_class_plans(basis, ctx_->plans());
-  }
+  prewarm_class_plans(basis, ctx_->plans());
 }
 
 FockBuilder::~FockBuilder() = default;
@@ -180,25 +174,13 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
   // granularity and bail, leaving J/K partial; the driver reads
   // stats.cancelled and discards the build before any audit sees it.
   const CancelToken& cancel = ctx_->cancel();
-  // The reference engine stays deliberately serial: it models the
-  // irregular per-quartet baseline, and its eval/digest runs inline in the
-  // routing loop.
-  const bool par =
-      options_.parallel && options_.engine == EriEngineKind::kMako;
-
-  std::optional<ReferenceEriEngine> ref_engine;
-  if (options_.engine == EriEngineKind::kReference) {
-    ref_engine.emplace(options_.max_engine_l);
-  }
-  std::vector<double> ref_vals;
 
   // --- Density-dependent pass 1: per-shell-pair density maxima ------------
   // (iteration-invariant counterpart — bounds, pair order, class partition —
   // comes precomputed from the FockPlan).
   obs::TraceSpan screen_span(obs::TraceCat::kFock, "fock.screen");
   Timer route_timer;
-  const std::size_t ndm =
-      par ? std::min(ns, std::max<std::size_t>(pool.size(), 1)) : 1;
+  const std::size_t ndm = std::min(ns, std::max<std::size_t>(pool.size(), 1));
   scratch.dmax.resize(ns, ns, 0.0);
   scratch.dmax_shard_max.assign(std::max<std::size_t>(ndm, 1), 0.0);
   run_sharded(pool, ndm, [&](std::size_t s) {
@@ -253,16 +235,6 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
   const std::vector<std::size_t>& slice_rows = plan.slice_rows();
   scratch.route.resize(kS);
   scratch.digest.resize(kS);
-  if (options_.engine == EriEngineKind::kReference) {
-    // The reference engine digests inline during routing, so its per-slice
-    // accumulators must be zeroed up front (the Mako path zeroes them in
-    // the digestion pass instead).
-    for (Scratch::DigestShard& shard : scratch.digest) {
-      shard.j.resize(nbf, nbf, 0.0);
-      shard.k.resize(nbf, nbf, 0.0);
-      shard.eri_seconds = shard.digest_seconds = shard.gemm_flops = 0.0;
-    }
-  }
 
   const auto route_slice = [&](std::size_t s) {
     Scratch::RouteShard& rs = scratch.route[s];
@@ -342,43 +314,18 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
         } else {
           ++rs.fp64;
         }
-        const float weight = pb.self_weight * pk.self_weight *
-                             (bi == ki ? 0.5f : 1.0f);
-
-        if (options_.engine == EriEngineKind::kReference) {
-          // Serial baseline: evaluate and digest inline (the reference
-          // engine has no tensor-core path; quantized routing degrades to
-          // FP64 — it exists for protocol parity in comparisons).
-          const Shell& sa = *bra->s1;
-          const Shell& sb = *bra->s2;
-          const Shell& sc = *ket->s1;
-          const Shell& sd = *ket->s2;
-          Scratch::DigestShard& shard = scratch.digest[s];
-          Timer et;
-          ref_engine->compute(sa, sb, sc, sd, ref_vals);
-          shard.eri_seconds += et.seconds();
-          Timer dt;
-          digest_quartet(density, shard.j, shard.k, sa, sb, sc, sd, weight,
-                         ref_vals);
-          shard.digest_seconds += dt.seconds();
-        } else {
-          const std::uint32_t slot = plan.class_slot(bra->klass, ket->klass);
-          Scratch::Bucket& bk =
-              rs.buckets[slot * 2 + (quantized ? 1u : 0u)];
-          bk.refs.push_back(QuartetRef{
-              bra->s1, bra->s2, ket->s1, ket->s2,
-              &plan.operand(static_cast<std::size_t>(bra - pairs.data())),
-              &plan.operand(static_cast<std::size_t>(ket - pairs.data()))});
-          bk.weights.push_back(weight);
-        }
+        const std::uint32_t slot = plan.class_slot(bra->klass, ket->klass);
+        Scratch::Bucket& bk = rs.buckets[slot * 2 + (quantized ? 1u : 0u)];
+        bk.refs.push_back(QuartetRef{
+            bra->s1, bra->s2, ket->s1, ket->s2,
+            &plan.operand(static_cast<std::size_t>(bra - pairs.data())),
+            &plan.operand(static_cast<std::size_t>(ket - pairs.data()))});
+        bk.weights.push_back(pb.self_weight * pk.self_weight *
+                             (bi == ki ? 0.5f : 1.0f));
       }
     }
   };
-  if (par) {
-    run_sharded(pool, kS, route_slice);
-  } else {
-    for (std::size_t s = 0; s < kS; ++s) route_slice(s);
-  }
+  run_sharded(pool, kS, route_slice);
 
   // Deterministic reduction: shard counters in slice order.
   for (std::size_t s = 0; s < kS; ++s) {
@@ -391,118 +338,105 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
     stats.screen_pruned_early += rs.pruned_early;
   }
   screen_span.end();
-  double inline_digest_seconds = 0.0;
-  if (options_.engine == EriEngineKind::kReference) {
-    for (const Scratch::DigestShard& shard : scratch.digest) {
-      inline_digest_seconds += shard.eri_seconds + shard.digest_seconds;
-    }
-  }
-  stats.route_seconds =
-      std::max(0.0, route_timer.seconds() - inline_digest_seconds);
+  stats.route_seconds = route_timer.seconds();
 
   Timer jk_timer;
-  if (options_.engine == EriEngineKind::kMako) {
-    // Serial section: resolve one engine per (class, precision) — reused
-    // across buckets and across successive build_jk calls — and flatten the
-    // slice buckets into per-batch tasks.  Task order (slice-major, then
-    // class slot, then precision route) is independent of the pool, so
-    // repeated builds schedule identically; slice_task_bounds records each
-    // slice's contiguous range so digestion stays owner-computes.
-    scratch.tasks.clear();
-    for (std::size_t s = 0; s < kS; ++s) {
-      scratch.slice_task_bounds[s] = scratch.tasks.size();
-      Scratch::RouteShard& rs = scratch.route[s];
-      for (std::size_t slot = 0; slot < nslots; ++slot) {
-        for (int q = 0; q < 2; ++q) {
-          Scratch::Bucket& bk = rs.buckets[slot * 2 + q];
-          if (bk.refs.empty()) continue;
-          const bool quantized = q == 1;
-          const EriClassKey& key = plan.quartet_classes()[slot];
+  // Serial section: resolve one engine per (class, precision) — reused
+  // across buckets and across successive build_jk calls — and flatten the
+  // slice buckets into per-batch tasks.  Task order (slice-major, then
+  // class slot, then precision route) is independent of the pool, so
+  // repeated builds schedule identically; slice_task_bounds records each
+  // slice's contiguous range so digestion stays owner-computes.
+  scratch.tasks.clear();
+  for (std::size_t s = 0; s < kS; ++s) {
+    scratch.slice_task_bounds[s] = scratch.tasks.size();
+    Scratch::RouteShard& rs = scratch.route[s];
+    for (std::size_t slot = 0; slot < nslots; ++slot) {
+      for (int q = 0; q < 2; ++q) {
+        Scratch::Bucket& bk = rs.buckets[slot * 2 + q];
+        if (bk.refs.empty()) continue;
+        const bool quantized = q == 1;
+        const EriClassKey& key = plan.quartet_classes()[slot];
 
-          KernelConfig config;
-          config.gemm.precision =
-              quantized ? policy.quant_precision : Precision::kFP64;
-          // Engines are bound to the context's backend, plan cache and
-          // precision at construction; the precision is part of the key.
-          const BatchedEriEngine& engine =
-              engines_
-                  .try_emplace(std::make_pair(key, config.gemm.precision),
-                               config, &ctx_->backend(), &ctx_->plans())
-                  .first->second;
-          // Routed quartets read the plan's quantized operand copies.
-          if (config.quantized()) plan.prepare_quantized(config.gemm.precision);
-          const EriClassPlan& cplan = ctx_->plans().get(key);
+        KernelConfig config;
+        config.gemm.precision =
+            quantized ? policy.quant_precision : Precision::kFP64;
+        // Engines are bound to the context's backend, plan cache and
+        // precision at construction; the precision is part of the key.
+        const BatchedEriEngine& engine =
+            engines_
+                .try_emplace(std::make_pair(key, config.gemm.precision),
+                             config, &ctx_->backend(), &ctx_->plans())
+                .first->second;
+        // Routed quartets read the plan's quantized operand copies.
+        if (config.quantized()) plan.prepare_quantized(config.gemm.precision);
+        const EriClassPlan& cplan = ctx_->plans().get(key);
 
-          for (std::size_t start = 0; start < bk.refs.size();
-               start += options_.batch_size) {
-            const std::size_t count =
-                std::min(options_.batch_size, bk.refs.size() - start);
-            scratch.tasks.push_back(
-                Scratch::BatchTask{&cplan, &engine, &bk, start, count});
-          }
+        for (std::size_t start = 0; start < bk.refs.size();
+             start += options_.batch_size) {
+          const std::size_t count =
+              std::min(options_.batch_size, bk.refs.size() - start);
+          scratch.tasks.push_back(
+              Scratch::BatchTask{&cplan, &engine, &bk, start, count});
         }
       }
-    }
-    scratch.slice_task_bounds[kS] = scratch.tasks.size();
-
-    // Parallel section: each owner slice digests its own contiguous task
-    // range, in order, into its per-slice J/K accumulators (second stage of
-    // dual-stage accumulation, FP64 throughout); the pinned fold below
-    // reduces them.  Batches are class-segmented by construction, so the
-    // engine skips its per-quartet homogeneity checks (verify_class =
-    // false).
-    const auto digest_slice = [&](std::size_t s) {
-      obs::TraceSpan shard_span(obs::TraceCat::kFock, "fock.shard");
-      if (shard_span.active()) {
-        char args[32];
-        std::snprintf(args, sizeof args, "\"shard\":%zu", s);
-        shard_span.set_args(args);
-      }
-      Scratch::DigestShard& shard = scratch.digest[s];
-      shard.j.resize(nbf, nbf, 0.0);
-      shard.k.resize(nbf, nbf, 0.0);
-      shard.eri_seconds = shard.digest_seconds = shard.gemm_flops = 0.0;
-      for (std::size_t t = scratch.slice_task_bounds[s];
-           t < scratch.slice_task_bounds[s + 1]; ++t) {
-        if (cancel.cancelled()) return;  // slice bails; J/K stay partial
-        const Scratch::BatchTask& task = scratch.tasks[t];
-        const std::span<const QuartetRef> batch(
-            task.bucket->refs.data() + task.start, task.count);
-        // Park or reclaim warmed output buffers so compute_batch's
-        // exact-size resize never frees capacity across batch sizes.
-        while (shard.out.size() > task.count) {
-          shard.spare.push_back(std::move(shard.out.back()));
-          shard.out.pop_back();
-        }
-        while (shard.out.size() < task.count && !shard.spare.empty()) {
-          shard.out.push_back(std::move(shard.spare.back()));
-          shard.spare.pop_back();
-        }
-        // One ERI arena per thread, not per slice: arena contents never
-        // reach the results, and 16 slice arenas would each grow to the
-        // high-water mark of the classes they see.
-        static thread_local EriScratch eri;
-        Timer et;
-        const BatchStats bs = task.engine->compute_batch(
-            *task.cplan, batch, shard.out, eri, /*verify_class=*/false);
-        shard.eri_seconds += et.seconds();
-        shard.gemm_flops += bs.gemm_flops;
-        Timer dt;
-        for (std::size_t i = 0; i < task.count; ++i) {
-          const QuartetRef& qr = batch[i];
-          digest_quartet(density, shard.j, shard.k, *qr.a, *qr.b, *qr.c,
-                         *qr.d, task.bucket->weights[task.start + i],
-                         shard.out[i]);
-        }
-        shard.digest_seconds += dt.seconds();
-      }
-    };
-    if (options_.parallel) {
-      run_sharded(pool, kS, digest_slice);
-    } else {
-      for (std::size_t s = 0; s < kS; ++s) digest_slice(s);
     }
   }
+  scratch.slice_task_bounds[kS] = scratch.tasks.size();
+
+  // Parallel section: each owner slice digests its own contiguous task
+  // range, in order, into its per-slice J/K accumulators (second stage of
+  // dual-stage accumulation, FP64 throughout); the pinned fold below
+  // reduces them.  Batches are class-segmented by construction, so the
+  // engine skips its per-quartet homogeneity checks (verify_class =
+  // false).
+  const auto digest_slice = [&](std::size_t s) {
+    obs::TraceSpan shard_span(obs::TraceCat::kFock, "fock.shard");
+    if (shard_span.active()) {
+      char args[32];
+      std::snprintf(args, sizeof args, "\"shard\":%zu", s);
+      shard_span.set_args(args);
+    }
+    Scratch::DigestShard& shard = scratch.digest[s];
+    shard.j.resize(nbf, nbf, 0.0);
+    shard.k.resize(nbf, nbf, 0.0);
+    shard.eri_seconds = shard.digest_seconds = shard.gemm_flops = 0.0;
+    for (std::size_t t = scratch.slice_task_bounds[s];
+         t < scratch.slice_task_bounds[s + 1]; ++t) {
+      if (cancel.cancelled()) return;  // slice bails; J/K stay partial
+      const Scratch::BatchTask& task = scratch.tasks[t];
+      const std::span<const QuartetRef> batch(
+          task.bucket->refs.data() + task.start, task.count);
+      // Park or reclaim warmed output buffers so compute_batch's
+      // exact-size resize never frees capacity across batch sizes.
+      while (shard.out.size() > task.count) {
+        shard.spare.push_back(std::move(shard.out.back()));
+        shard.out.pop_back();
+      }
+      while (shard.out.size() < task.count && !shard.spare.empty()) {
+        shard.out.push_back(std::move(shard.spare.back()));
+        shard.spare.pop_back();
+      }
+      // One ERI arena per thread, not per slice: arena contents never
+      // reach the results, and 16 slice arenas would each grow to the
+      // high-water mark of the classes they see.
+      static thread_local EriScratch eri;
+      Timer et;
+      const BatchStats bs = task.engine->compute_batch(
+          *task.cplan, batch, shard.out, eri, /*verify_class=*/false);
+      shard.eri_seconds += et.seconds();
+      shard.gemm_flops += bs.gemm_flops;
+      Timer dt;
+      for (std::size_t i = 0; i < task.count; ++i) {
+        const QuartetRef& qr = batch[i];
+        digest_quartet(density, shard.j, shard.k, *qr.a, *qr.b, *qr.c,
+                       *qr.d, task.bucket->weights[task.start + i],
+                       shard.out[i]);
+      }
+      shard.digest_seconds += dt.seconds();
+    }
+  };
+  run_sharded(pool, kS, digest_slice);
 
   // Per-slice stats in slice order.  Summed across slices: with real
   // concurrency the CPU-time sums can exceed the wall-clock window
@@ -572,11 +506,7 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
     }
   }
 
-  if (options_.engine == EriEngineKind::kMako) {
-    stats.jk_wall_seconds = jk_timer.seconds();
-  } else {
-    stats.jk_wall_seconds = stats.eri_seconds + stats.digest_seconds;
-  }
+  stats.jk_wall_seconds = jk_timer.seconds();
 
   // Injection site: poison one J entry after digestion, but only for builds
   // that actually routed quartets through quantized kernels — this models a

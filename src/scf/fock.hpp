@@ -2,10 +2,11 @@
 //
 // Enumerates symmetry-unique shell quartets with density-weighted Schwarz
 // screening, routes each quartet to an FP64 or quantized kernel according to
-// QuantMako's iteration policy, evaluates them through either the reference
-// per-quartet engine or KernelMako's batched engine, and digests the
-// integrals into the Coulomb (J) and exchange (K) matrices at FP64 — the
-// second stage of dual-stage accumulation.
+// QuantMako's iteration policy, evaluates them in class-homogeneous
+// KernelMako batches, and digests the integrals into the Coulomb (J) and
+// exchange (K) matrices at FP64 — the second stage of dual-stage
+// accumulation.  The per-quartet baseline the paper compares against lives
+// in the benches (bench/reference_fock.hpp), not here.
 //
 // The iteration-invariant part of that work (Schwarz bounds, the sorted
 // significant-pair list, the quartet->class partition) lives in a FockPlan
@@ -19,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "basis/basis_set.hpp"
 #include "integrals/schwarz.hpp"
@@ -32,22 +34,20 @@ namespace mako {
 
 class ExecutionContext;
 
-/// Which ERI engine backs the Fock build.
-enum class EriEngineKind {
-  kReference,  ///< per-quartet irregular baseline (GPU4PySCF/QUICK role)
-  kMako,       ///< KernelMako batched matrix-aligned engine
+/// Fock build configuration.  The routing pass, batch evaluation and J/K
+/// digestion always run sharded over the context's pool; a 1-thread pool
+/// runs every shard inline, in slice order.
+struct FockOptions {
+  std::size_t batch_size = 32;  ///< quartets per Mako batch
 };
 
-/// Fock build configuration.
-struct FockOptions {
-  EriEngineKind engine = EriEngineKind::kMako;
-  std::size_t batch_size = 32;    ///< quartets per Mako batch
-  int max_engine_l = 6;           ///< reference-engine angular momentum cap
-  /// Shard the routing pass, Mako batch evaluation, and J/K digestion across
-  /// the global thread pool (per-shard accumulators, deterministic
-  /// reduction).  Degrades to inline execution on a single hardware thread.
-  bool parallel = true;
-};
+/// Digests one spherical quartet tensor `v` (row-major [na][nb][nc][nd])
+/// into J and K with the canonical 8-fold permutation weights, scaled by
+/// `weight`.  Shared with the per-quartet bench baseline so both builds
+/// accumulate identically.
+void digest_quartet(const MatrixD& d, MatrixD& j, MatrixD& k, const Shell& sa,
+                    const Shell& sb, const Shell& sc, const Shell& sd,
+                    double weight, const std::vector<double>& v);
 
 /// Execution statistics of one Fock build.
 ///

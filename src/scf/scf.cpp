@@ -50,7 +50,7 @@ inline void fnv1a(std::uint64_t& h, const void* data, std::size_t n) {
 
 /// Content fingerprint of everything that shapes the SCF trajectory: the
 /// basis (via FockPlan::fingerprint), molecule, backend, rank count, XC
-/// functional and grid, ERI engine, and every trajectory-shaping option.  A
+/// functional and grid, and every trajectory-shaping option.  A
 /// checkpoint restore validates this — resuming against a different problem
 /// must fail loudly, never compute garbage.
 std::uint64_t scf_fingerprint(const Molecule& mol, const BasisSet& basis,
@@ -107,18 +107,19 @@ std::uint64_t scf_fingerprint(const Molecule& mol, const BasisSet& basis,
       options.precision.ladder_switch_error,
   };
   fnv1a(h, doubles, sizeof doubles);
-  // The XC quadrature and the ERI engine shape the trajectory too (engines
-  // are not bit-identical).  They joined the hash after format v2 shipped,
-  // so they are mixed in only when they differ from the ScfOptions defaults:
-  // a checkpoint written under the defaults before then still restores,
-  // while a restore across any grid or engine change is refused.
-  const auto grid_engine = [](const ScfOptions& o) {
-    return std::array<std::int32_t, 5>{
-        o.grid.radial_points, o.grid.theta_points, o.grid.phi_points,
-        o.grid.becke_k, static_cast<std::int32_t>(o.fock.engine)};
+  // The XC quadrature shapes the trajectory too.  It joined the hash after
+  // format v2 shipped, so it is mixed in only when it differs from the
+  // ScfOptions default: a checkpoint written under the default grid before
+  // then still restores, while a restore across a grid change is refused.
+  // The fifth slot held the retired ERI-engine choice; it keeps that
+  // choice's old default (1) so checkpoints written under a non-default
+  // grid before the engine left still restore.
+  const auto grid_slots = [](const GridSpec& g) {
+    return std::array<std::int32_t, 5>{g.radial_points, g.theta_points,
+                                       g.phi_points, g.becke_k, 1};
   };
-  const auto ge = grid_engine(options);
-  if (ge != grid_engine(ScfOptions{})) fnv1a(h, ge.data(), sizeof ge);
+  const auto gs = grid_slots(options.grid);
+  if (gs != grid_slots(ScfOptions{}.grid)) fnv1a(h, gs.data(), sizeof gs);
   return h;
 }
 
@@ -252,7 +253,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     grid = std::make_unique<MolecularGrid>(mol, options.grid);
   }
 
-  // Fock builder over the chosen ERI engine.
+  // Fock builder over KernelMako.
   FockBuilder fock_builder(basis, options.fock, &exec);
 
   // The run's precision authority: every per-iteration plan — thresholds,
@@ -308,6 +309,10 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     // Core-Hamiltonian initial guess.
     MatrixD f0 = matmul(matmul(x, Trans::kYes, hcore, Trans::kNo, be), x, be);
     EigenResult es = eigh(f0);
+    if (!es.converged) {
+      throw std::runtime_error(
+          "run_scf: core-Hamiltonian guess: QL iteration did not converge");
+    }
     st.coefficients = matmul(x, es.eigenvectors, be);
     st.orbital_energies = es.eigenvalues;
     st.density = build_density(st.coefficients, nocc);
@@ -402,6 +407,22 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
       t.comm_bytes = fs.comm_bytes;
       result.telemetry.push_back(t);
       MAKO_METRIC_OBSERVE("scf.iteration_s", record.seconds);
+    };
+
+    // Ends the run on an unrecoverable fault of this iteration: the record
+    // and the recovery log say why, and the terminal health is kFault.
+    auto abort_iteration = [&](const Status& why) {
+      result.status = why;
+      record.recovery_mask |= recovery_bit(RecoveryAction::kAbort);
+      st.recovery_log.push_back(
+          {iter, why.kind(), RecoveryAction::kAbort, why.message()});
+      log_error("scf iter %d: unrecoverable fault, aborting: %s", iter,
+                why.message().c_str());
+      record.seconds = iter_timer.seconds();
+      result.iteration_log.push_back(record);
+      append_telemetry();
+      result.iterations = iter + 1 - start_iter;
+      aborted = true;
     };
 
     // Applies every ladder rung up to `target`, recording each activation.
@@ -528,17 +549,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     }
     if (cancelled_stop) break;  // discard the partial iteration
     if (!built_ok) {
-      record.recovery_mask |= recovery_bit(RecoveryAction::kAbort);
-      st.recovery_log.push_back({iter, result.status.kind(),
-                                 RecoveryAction::kAbort,
-                                 result.status.message()});
-      log_error("scf iter %d: unrecoverable fault, aborting: %s", iter,
-                result.status.message().c_str());
-      record.seconds = iter_timer.seconds();
-      result.iteration_log.push_back(record);
-      append_telemetry();
-      result.iterations = iter + 1 - start_iter;
-      aborted = true;
+      abort_iteration(result.status);
       break;
     }
     st.d_prev = st.density;
@@ -583,17 +594,8 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
 
     if (robust.sentinels && !std::isfinite(energy)) {
       record.fault_mask |= fault_bit(FaultKind::kNonFinite);
-      result.status = Status::fault(FaultKind::kNonFinite,
-                                    "run_scf: total energy is non-finite");
-      record.recovery_mask |= recovery_bit(RecoveryAction::kAbort);
-      st.recovery_log.push_back({iter, FaultKind::kNonFinite,
-                                 RecoveryAction::kAbort,
-                                 result.status.message()});
-      record.seconds = iter_timer.seconds();
-      result.iteration_log.push_back(record);
-      append_telemetry();
-      result.iterations = iter + 1 - start_iter;
-      aborted = true;
+      abort_iteration(Status::fault(FaultKind::kNonFinite,
+                                    "run_scf: total energy is non-finite"));
       break;
     }
 
@@ -657,6 +659,10 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
             FaultKind::kSubspaceStall,
             "run_scf: subspace diagonalizer failed to converge within its "
             "iteration budget");
+      } else if (!es.converged) {
+        dst = Status::fault(FaultKind::kEigenDisorder,
+                            "run_scf: direct diagonalizer (QL) did not "
+                            "converge on the Fock matrix");
       } else {
         const std::size_t probe =
             std::min(nocc + 2, es.eigenvectors.cols());
@@ -670,11 +676,20 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
           // Diagonalizer fault: fall back to the direct solver immediately.
           escalate(dst.kind(), std::max(4, st.ladder_rung + 1), dst.message());
           es = eigh(f_ortho);
+          used_subspace = false;
           ++record.retries;
         }
       }
     }
     diag_span.end();
+    if (!used_subspace && !es.converged) {
+      // The direct solver is the last rung: nothing is left to fall back to.
+      record.fault_mask |= fault_bit(FaultKind::kEigenDisorder);
+      abort_iteration(Status::fault(FaultKind::kEigenDisorder,
+                                    "run_scf: direct diagonalizer (QL) did "
+                                    "not converge on the Fock matrix"));
+      break;
+    }
     MAKO_METRIC_OBSERVE("scf.diag_s", diag_timer.seconds());
     // Save the occupied ortho-basis block for the next level shift.
     if (es.eigenvectors.cols() >= nocc) {

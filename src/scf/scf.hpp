@@ -1,7 +1,7 @@
 // Restricted closed-shell SCF driver (Hartree-Fock and hybrid/pure DFT).
 //
-// This is the full DFT workflow of Section 2.1: ERI evaluation (via either
-// engine), exchange-correlation quadrature, and Fock diagonalization, with
+// This is the full DFT workflow of Section 2.1: ERI evaluation (via
+// KernelMako), exchange-correlation quadrature, and Fock diagonalization, with
 // DIIS acceleration and QuantMako's convergence-aware precision scheduling.
 #pragma once
 
@@ -85,7 +85,7 @@ struct DurabilityOptions {
 
 struct ScfOptions {
   XcFunctional xc{XcKind::kNone};       ///< kNone = Hartree-Fock
-  FockOptions fock{};                   ///< ERI engine configuration
+  FockOptions fock{};                   ///< Fock build batching
   GridSpec grid = GridSpec::coarse();   ///< XC quadrature quality
   Diagonalizer diagonalizer = Diagonalizer::kDirect;
   /// Incremental Fock builds: after the first iteration, evaluate only the

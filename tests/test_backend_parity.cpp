@@ -10,11 +10,17 @@
 //     capability degrade the schedule to pure FP64 and match exactly.
 //   * Each run dispatches GEMMs through the selected backend only — the
 //     per-backend dispatch counters prove the routing, not just the result.
+//
+// Besides the two built-ins, every loop here also runs an FP64-only test
+// double registered through the public register_backend, so the
+// capability-degradation path is covered without a production backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +32,48 @@
 
 namespace mako {
 namespace {
+
+/// FP64-only capability double: plain i-k-j loops and no reduced-precision
+/// datapath, so the governor must plan every quantized request at FP64.
+class Fp64OnlyBackend final : public GemmBackend {
+ public:
+  static constexpr const char* kName = "test-fp64-only";
+  Fp64OnlyBackend()
+      : GemmBackend(kName, {/*quantized=*/false, "test double, FP64 only"}) {}
+
+ protected:
+  void do_fp64(const double* a, bool trans_a, const double* b, bool trans_b,
+               double* c, std::size_t m, std::size_t n, std::size_t k,
+               double alpha, double beta) const override {
+    const std::size_t lda = trans_a ? m : k;
+    const std::size_t ldb = trans_b ? k : n;
+    std::vector<double> acc(n);
+    for (std::size_t i = 0; i < m; ++i) {
+      std::fill(acc.begin(), acc.end(), 0.0);
+      for (std::size_t p = 0; p < k; ++p) {
+        const double aip = trans_a ? a[p * lda + i] : a[i * lda + p];
+        for (std::size_t j = 0; j < n; ++j) {
+          acc[j] += aip * (trans_b ? b[j * ldb + p] : b[p * ldb + j]);
+        }
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        c[i * n + j] = beta * c[i * n + j] + alpha * acc[j];
+      }
+    }
+  }
+
+  void do_mixed(const float*, bool, const float*, bool, double*, std::size_t,
+                std::size_t, std::size_t, double, double) const override {
+    ADD_FAILURE() << "quantized work routed to an FP64-only backend";
+  }
+};
+
+// Registered before any test runs, so names() lists it in every loop.
+const bool kFp64OnlyRegistered = [] {
+  GemmBackendRegistry::instance().register_backend(
+      std::make_unique<Fp64OnlyBackend>());
+  return true;
+}();
 
 Molecule h2_molecule() {
   Molecule m;
@@ -44,13 +92,23 @@ ScfResult run_on_backend(const std::string& backend_name, const Molecule& mol,
   return run_scf(mol, basis, options, &ctx);
 }
 
-TEST(BackendParityTest, RegistryHasTheThreeBuiltins) {
-  const auto names = GemmBackendRegistry::instance().names();
-  ASSERT_GE(names.size(), 3u);
-  EXPECT_NE(GemmBackendRegistry::instance().find("reference"), nullptr);
-  EXPECT_NE(GemmBackendRegistry::instance().find("blocked"), nullptr);
-  EXPECT_NE(GemmBackendRegistry::instance().find("blocked+quantized"),
-            nullptr);
+TEST(BackendParityTest, RegistryHasTheBuiltinsAndTheDouble) {
+  const GemmBackendRegistry& registry = GemmBackendRegistry::instance();
+  ASSERT_TRUE(kFp64OnlyRegistered);
+  EXPECT_EQ(registry.names(),
+            (std::vector<std::string>{"blocked+quantized", "reference",
+                                      Fp64OnlyBackend::kName}));
+  // `blocked` (the default kernels without the quantized flag) is not a
+  // production backend: selecting it is the usual actionable InputError.
+  EXPECT_EQ(registry.find("blocked"), nullptr);
+  try {
+    (void)registry.resolve("blocked");
+    FAIL() << "expected InputError for the retired 'blocked' backend";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("blocked+quantized"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BackendParityTest, UnknownBackendThrowsActionableError) {
@@ -134,13 +192,13 @@ TEST(BackendParityTest, NonQuantizedBackendDegradesScheduleToFp64) {
   const BasisSet bs(w, "sto-3g");
   ScfOptions quant;
   quant.enable_quantization = true;
-  const ScfResult r = run_on_backend("blocked", w, bs, quant);
+  const ScfResult r = run_on_backend(Fp64OnlyBackend::kName, w, bs, quant);
   EXPECT_TRUE(r.converged);
   std::int64_t quantized = 0;
   for (const auto& rec : r.iteration_log) quantized += rec.quartets_quantized;
   EXPECT_EQ(quantized, 0);
 
-  const double e_fp64 = run_on_backend("blocked", w, bs).energy;
+  const double e_fp64 = run_on_backend(Fp64OnlyBackend::kName, w, bs).energy;
   EXPECT_NEAR(r.energy, e_fp64, 1e-12);
 }
 

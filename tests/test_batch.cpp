@@ -260,6 +260,12 @@ TEST_F(BatchTest, ManifestRejectsUnknownAndMisplacedKeys) {
       "{\"jobs\": [{\"xyz\": \"w.xyz\", \"autotune\": true}]}");
   EXPECT_THROW(BatchScheduler::load_manifest(autotune), InputError);
 
+  // Likewise the retired ERI-engine choice: one Fock path is left.
+  const std::string engine = write_file(
+      "engine.json",
+      "{\"jobs\": [{\"xyz\": \"w.xyz\", \"engine\": \"mako\"}]}");
+  EXPECT_THROW(BatchScheduler::load_manifest(engine), InputError);
+
   const std::string garbage = write_file("garbage.json", "{\"jobs\": [");
   EXPECT_THROW(BatchScheduler::load_manifest(garbage), InputError);
 

@@ -388,71 +388,95 @@ TEST_F(CheckpointTest, RetiredRngSectionIsIgnored) {
   expect_bitwise_equal(r.density, s.density);
 }
 
-// Seeded mutation test of the reader over a real SCF checkpoint: byte flips
-// with the section CRC re-stamped (so the payload parser, not just the CRC,
-// sees them), truncations, and inflated size/count/length fields.  Every
-// mutant either loads or is refused with InputError — never another
-// exception, an allocation failure, or an out-of-bounds read (ASan).  Every
-// mutant that loads is also restored through run_scf, which must accept it
-// or refuse it with InputError before its loop, never abort.
-TEST_F(CheckpointTest, LoadSurvivesSeededMutations) {
-  const Molecule w = make_water();
-  const BasisSet bs(w, "sto-3g");
-  const std::string ck = track("mutation-source");
-  ScfOptions opt;
-  opt.max_iterations = 4;
-  opt.durability.checkpoint_path = ck;
-  (void)run_scf(w, bs, opt);
-  const CkptImage source = CkptImage::read(ck);
-  ASSERT_GE(source.sections.size(), 12u);
+/// The seeded mutant stream over a real SCF checkpoint: byte flips with the
+/// section CRC re-stamped (so the payload parser, not just the CRC, sees
+/// them), truncations, and inflated size/count/length fields.  Mutants are
+/// drawn from one RNG stream, so mutant m is reproducible only by drawing
+/// mutants 0..m in order.
+class SeededMutants {
+ public:
+  static constexpr int kCount = 2000;
 
-  // Every size, count and length field of the format: the section length
-  // in each header, plus the leading field(s) of each payload.
-  std::vector<std::pair<std::size_t, const CkptImage::Section*>> fields;
-  for (const auto& sec : source.sections) {
-    fields.emplace_back(sec.header + 4, nullptr);  // header: no CRC covers it
-    if (sec.len >= 8) fields.emplace_back(sec.payload, &sec);
-    if (sec.len >= 16) fields.emplace_back(sec.payload + 8, &sec);
+  explicit SeededMutants(const CkptImage& source) : source_(source) {
+    // Every size, count and length field of the format: the section length
+    // in each header, plus the leading field(s) of each payload.
+    for (const auto& sec : source.sections) {
+      fields_.emplace_back(sec.header + 4, nullptr);  // header: no CRC
+      if (sec.len >= 8) fields_.emplace_back(sec.payload, &sec);
+      if (sec.len >= 16) fields_.emplace_back(sec.payload + 8, &sec);
+    }
   }
-  const std::uint64_t huge[] = {
-      1u << 20,        (1u << 20) + 1, 1u << 28,     (1u << 28) + 1,
-      1ull << 32,      1ull << 40,     1ull << 62,   1ull << 63,
-      ~0ull,           ~0ull - 7,      1000,         1025};
 
-  const std::string path = track("mutant");
-  std::mt19937_64 rng(20251018);
-  constexpr int kMutations = 2000;
-  int loaded = 0;
-  int refused = 0;
-  int restored = 0;
-  for (int m = 0; m < kMutations; ++m) {
-    CkptImage im = source;
-    std::string what;
+  /// Draws mutant m into `im`; false when mutant m is skipped.
+  bool next(int m, CkptImage& im, std::string& what) {
+    static constexpr std::uint64_t kHuge[] = {
+        1u << 20,   (1u << 20) + 1, 1u << 28,   (1u << 28) + 1,
+        1ull << 32, 1ull << 40,     1ull << 62, 1ull << 63,
+        ~0ull,      ~0ull - 7,      1000,       1025};
+    im = source_;
     switch (m % 3) {
       case 0: {  // byte flip inside a payload, CRC re-stamped
-        const auto& sec = im.sections[rng() % im.sections.size()];
-        if (sec.len == 0) continue;
-        const std::size_t at = sec.payload + rng() % sec.len;
-        im.bytes[at] = static_cast<char>(im.bytes[at] ^ (1 + rng() % 255));
+        const auto& sec = im.sections[rng_() % im.sections.size()];
+        if (sec.len == 0) return false;
+        const std::size_t at = sec.payload + rng_() % sec.len;
+        im.bytes[at] = static_cast<char>(im.bytes[at] ^ (1 + rng_() % 255));
         im.restamp(sec);
         what = "flip at " + std::to_string(at);
-        break;
+        return true;
       }
       case 1: {  // truncation
-        im.bytes.resize(rng() % im.bytes.size());
+        im.bytes.resize(rng_() % im.bytes.size());
         what = "truncate to " + std::to_string(im.bytes.size());
-        break;
+        return true;
       }
       default: {  // inflated size/count/length field
-        const auto& [at, sec] = fields[rng() % fields.size()];
+        const auto& [at, sec] = fields_[rng_() % fields_.size()];
         const std::uint64_t v =
-            (rng() % 4 == 0) ? rng() : huge[rng() % std::size(huge)];
+            (rng_() % 4 == 0) ? rng_() : kHuge[rng_() % std::size(kHuge)];
         im.put_u64(at, v);
         if (sec != nullptr) im.restamp(*sec);
         what = "field at " + std::to_string(at) + " = " + std::to_string(v);
-        break;
+        return true;
       }
     }
+  }
+
+ private:
+  const CkptImage& source_;
+  std::vector<std::pair<std::size_t, const CkptImage::Section*>> fields_;
+  std::mt19937_64 rng_{20251018};
+};
+
+/// The checkpoint the mutants are drawn from: water/STO-3G after 4
+/// iterations.
+CkptImage mutation_source(const Molecule& w, const BasisSet& bs,
+                          const std::string& path) {
+  ScfOptions opt;
+  opt.max_iterations = 4;
+  opt.durability.checkpoint_path = path;
+  (void)run_scf(w, bs, opt);
+  return CkptImage::read(path);
+}
+
+// Every seeded mutant either loads or is refused with InputError — never
+// another exception, an allocation failure, or an out-of-bounds read
+// (ASan).  Every mutant that loads is also restored through run_scf, which
+// must accept it or refuse it with InputError before its loop, never abort.
+TEST_F(CheckpointTest, LoadSurvivesSeededMutations) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "sto-3g");
+  const CkptImage source = mutation_source(w, bs, track("mutation-source"));
+  ASSERT_GE(source.sections.size(), 12u);
+  SeededMutants mutants(source);
+
+  const std::string path = track("mutant");
+  int loaded = 0;
+  int refused = 0;
+  int restored = 0;
+  CkptImage im;
+  std::string what;
+  for (int m = 0; m < SeededMutants::kCount; ++m) {
+    if (!mutants.next(m, im, what)) continue;
     im.write(path);
     try {
       (void)load_checkpoint(path);
@@ -481,6 +505,42 @@ TEST_F(CheckpointTest, LoadSurvivesSeededMutations) {
   EXPECT_GT(refused, 0);
   EXPECT_GT(loaded, 0);  // payload flips in plain doubles load fine
   EXPECT_GT(restored, 0);
+}
+
+// Three seeded mutants load as well-shaped states holding overflow-scale
+// doubles (a density element near 1e100 or 1e85, a DIIS Fock element near
+// 6e269).  Iterating from them passes the J/K and energy sentinels, and the
+// direct diagonalizer then fails on the extrapolated Fock, also on the
+// rung-4 retry.  That must end the run as a hard fault, not a throw.
+TEST_F(CheckpointTest, OverflowScaleRestoreEndsInAFault) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "sto-3g");
+  const CkptImage source = mutation_source(w, bs, track("mutation-source"));
+  SeededMutants mutants(source);
+
+  const std::string path = track("mutant");
+  const int wanted[] = {27, 579, 1596};
+  CkptImage im;
+  std::string what;
+  for (int m = 0; m <= wanted[std::size(wanted) - 1]; ++m) {
+    const bool drawn = mutants.next(m, im, what);
+    if (std::find(std::begin(wanted), std::end(wanted), m) ==
+        std::end(wanted)) {
+      continue;
+    }
+    ASSERT_TRUE(drawn) << "mutant " << m;
+    im.write(path);
+    ScfState state;
+    ASSERT_NO_THROW(state = load_checkpoint(path)) << "mutant " << m;
+    ScfOptions restore;
+    restore.max_iterations = state.next_iteration + 1;  // one iteration
+    restore.durability.restore_path = path;
+    ScfResult r;
+    ASSERT_NO_THROW(r = run_scf(w, bs, restore))
+        << "mutant " << m << " (" << what << ")";
+    EXPECT_EQ(r.health, Health::kFault) << "mutant " << m << " (" << what
+                                        << "): " << r.status.message();
+  }
 }
 
 /// The state of a 3-iteration water/STO-3G run (nbf = northo = 7, nocc = 5),
@@ -725,9 +785,8 @@ TEST_F(CheckpointTest, ScfRejectsCheckpointUnderDifferentPrecisionMode) {
   EXPECT_THROW((void)run_scf(w, bs, ladder), InputError);
 }
 
-/// The XC grid and the ERI engine shape the trajectory, so both are in the
-/// fingerprint: resuming a coarse-grid B3LYP run on the fine grid, or a
-/// Mako-engine run on the reference engine, is refused.
+/// The XC grid shapes the trajectory, so it is in the fingerprint: resuming
+/// a coarse-grid B3LYP run on the fine grid is refused.
 TEST_F(CheckpointTest, ScfRejectsCheckpointUnderDifferentGrid) {
   const Molecule w = make_water();
   const BasisSet bs(w, "sto-3g");
@@ -752,17 +811,8 @@ TEST_F(CheckpointTest, ScfRejectsCheckpointUnderDifferentGrid) {
     EXPECT_EQ(e.kind(), FaultKind::kCheckpointMismatch);
   }
 
-  ScfOptions reference = tail;
-  reference.fock.engine = EriEngineKind::kReference;
-  try {
-    (void)run_scf(w, bs, reference);
-    FAIL() << "restored a checkpoint under a different ERI engine";
-  } catch (const InputError& e) {
-    EXPECT_EQ(e.kind(), FaultKind::kCheckpointMismatch);
-  }
-
-  // The same grid and engine restore fine: the refusals above are the
-  // mismatch, not the file.
+  // The same grid restores fine: the refusal above is the mismatch, not
+  // the file.
   EXPECT_NO_THROW((void)run_scf(w, bs, tail));
 }
 

@@ -37,22 +37,6 @@ TEST(EriReferenceTest, H2IntegralsMatchSzaboOstlund) {
   EXPECT_NEAR(v[0], 0.4441, 1e-4);
 }
 
-TEST(EriReferenceTest, QuickRoleRejectsGFunctions) {
-  Molecule o;
-  o.add_atom(8, 0, 0, 0);
-  const BasisSet bs(o, "def2-qzvp");
-  const Shell* g = nullptr;
-  for (const Shell& s : bs.shells()) {
-    if (s.l == 4) g = &s;
-  }
-  ASSERT_NE(g, nullptr);
-  ReferenceEriEngine quick_role(3);  // f cap, like QUICK
-  std::vector<double> v;
-  EXPECT_THROW(quick_role.compute(*g, *g, *g, *g, v), std::domain_error);
-  ReferenceEriEngine full(4);
-  EXPECT_NO_THROW(full.compute(*g, *g, *g, *g, v));
-}
-
 // Permutation symmetry sweep across angular momentum classes.
 struct PermParam {
   int la, lb, lc, ld;

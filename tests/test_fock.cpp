@@ -1,5 +1,6 @@
 // Fock builder tests: J/K digestion against a brute-force dense contraction,
-// engine agreement, screening behaviour, and quantized routing.
+// screening behaviour, and quantized routing.  The per-quartet baseline's
+// own tests live with it in bench/tests/test_reference_fock.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -71,16 +72,12 @@ IterationPolicy exact_policy() {
   return p;
 }
 
-class FockEngineTest : public ::testing::TestWithParam<EriEngineKind> {};
-
-TEST_P(FockEngineTest, MatchesDenseContraction) {
+TEST(FockEngineTest, MatchesDenseContraction) {
   const Molecule w = make_water();
   const BasisSet bs(w, "sto-3g");
   const MatrixD d = random_symmetric_density(bs.nbf(), 3);
 
-  FockOptions options;
-  options.engine = GetParam();
-  FockBuilder builder(bs, options);
+  FockBuilder builder(bs);
   MatrixD j, k;
   builder.build_jk(d, exact_policy(), j, k);
 
@@ -88,27 +85,6 @@ TEST_P(FockEngineTest, MatchesDenseContraction) {
   dense_jk(bs, d, jref, kref);
   EXPECT_LT(max_abs_diff(j, jref), 1e-9);
   EXPECT_LT(max_abs_diff(k, kref), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, FockEngineTest,
-                         ::testing::Values(EriEngineKind::kReference,
-                                           EriEngineKind::kMako));
-
-TEST(FockTest, EnginesAgreeOn631G) {
-  const Molecule w = make_water();
-  const BasisSet bs(w, "6-31g");
-  const MatrixD d = random_symmetric_density(bs.nbf(), 7);
-
-  FockOptions ref_opt;
-  ref_opt.engine = EriEngineKind::kReference;
-  FockOptions mako_opt;
-  mako_opt.engine = EriEngineKind::kMako;
-
-  MatrixD j1, k1, j2, k2;
-  FockBuilder(bs, ref_opt).build_jk(d, exact_policy(), j1, k1);
-  FockBuilder(bs, mako_opt).build_jk(d, exact_policy(), j2, k2);
-  EXPECT_LT(max_abs_diff(j1, j2), 1e-10);
-  EXPECT_LT(max_abs_diff(k1, k2), 1e-10);
 }
 
 TEST(FockTest, OutputsSymmetric) {

@@ -14,7 +14,6 @@
 #include <memory>
 #include <new>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "basis/basis_set.hpp"
@@ -185,21 +184,17 @@ TEST(FockPlanTest, ParallelSchwarzMatchesSerial) {
 
 // --- Plan reuse: bit-identical iterations ------------------------------------
 
-class PlanReuseTest
-    : public ::testing::TestWithParam<std::tuple<EriEngineKind, std::string>> {
-};
+class PlanReuseTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PlanReuseTest, ReusedBuilderMatchesFreshBuildersBitForBit) {
-  const auto [engine, backend] = GetParam();
   ExecutionContextOptions ctx_opt;
-  ctx_opt.backend = backend;
+  ctx_opt.backend = GetParam();
   ctx_opt.make_active = false;
   const ExecutionContext ctx(ctx_opt);
 
   const Molecule w = make_water();
   const BasisSet bs(w, "6-31g");
-  FockOptions options;
-  options.engine = engine;
+  const FockOptions options;
 
   IterationPolicy policy;
   policy.allow_quantized = true;
@@ -234,18 +229,12 @@ TEST_P(PlanReuseTest, ReusedBuilderMatchesFreshBuildersBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    EnginesAndBackends, PlanReuseTest,
-    ::testing::Combine(::testing::Values(EriEngineKind::kReference,
-                                         EriEngineKind::kMako),
-                       ::testing::Values(std::string("reference"),
-                                         std::string("blocked+quantized"))),
+    Backends, PlanReuseTest,
+    ::testing::Values(std::string("reference"),
+                      std::string("blocked+quantized")),
     [](const auto& info) {
-      const auto engine = std::get<0>(info.param);
-      std::string name =
-          engine == EriEngineKind::kReference ? "RefEngine" : "MakoEngine";
-      name += std::get<1>(info.param) == "reference" ? "_RefBackend"
-                                                     : "_QuantBackend";
-      return name;
+      return std::string(info.param == "reference" ? "RefBackend"
+                                                   : "QuantBackend");
     });
 
 // --- Early-exit screening vs exhaustive enumeration --------------------------
@@ -330,22 +319,16 @@ TEST(FockPlanTest, StageTimersNonNegative) {
   const Molecule cluster = make_water_cluster(2, 5);
   const BasisSet bs(cluster, "6-31g");
   const MatrixD d = random_symmetric_density(bs.nbf(), 8);
-  for (EriEngineKind engine :
-       {EriEngineKind::kReference, EriEngineKind::kMako}) {
-    FockOptions options;
-    options.engine = engine;
-    options.parallel = true;
-    FockBuilder builder(bs, options);
-    MatrixD j, k;
-    IterationPolicy p = exact_policy();
-    p.prune_threshold = 1e-12;
-    const FockStats stats = builder.build_jk(d, p, j, k);
-    EXPECT_GE(stats.eri_seconds, 0.0);
-    EXPECT_GE(stats.digest_seconds, 0.0);
-    EXPECT_GE(stats.route_seconds, 0.0);
-    EXPECT_GE(stats.jk_wall_seconds, 0.0);
-    EXPECT_GT(stats.eri_seconds + stats.digest_seconds, 0.0);
-  }
+  FockBuilder builder(bs);
+  MatrixD j, k;
+  IterationPolicy p = exact_policy();
+  p.prune_threshold = 1e-12;
+  const FockStats stats = builder.build_jk(d, p, j, k);
+  EXPECT_GE(stats.eri_seconds, 0.0);
+  EXPECT_GE(stats.digest_seconds, 0.0);
+  EXPECT_GE(stats.route_seconds, 0.0);
+  EXPECT_GE(stats.jk_wall_seconds, 0.0);
+  EXPECT_GT(stats.eri_seconds + stats.digest_seconds, 0.0);
 }
 
 // --- Steady-state allocation freedom -----------------------------------------
@@ -355,18 +338,18 @@ TEST(FockPlanTest, SteadyStateBuildAllocatesNothing) {
   const BasisSet bs(w, "6-31g");
   const MatrixD d = random_symmetric_density(bs.nbf(), 6);
 
-  FockOptions options;
-  options.engine = EriEngineKind::kMako;
-  options.parallel = false;  // the serial path owns the no-alloc contract
-
+  // A 1-thread pool runs every shard inline, in slice order: the serial
+  // path owns the no-alloc contract (queueing work on a pool allocates).
   // Pin ranks=1 explicitly: the no-alloc contract covers the single-rank
   // reduction path (a multi-rank context would copy rank partials into the
   // simulated communicator every build, e.g. under MAKO_RANKS in CI).
+  ThreadPool pool(1);
   ExecutionContextOptions ctx_opt;
   ctx_opt.make_active = false;
   ctx_opt.ranks = 1;
+  ctx_opt.pool = &pool;
   const ExecutionContext ctx(ctx_opt);
-  FockBuilder builder(bs, options, &ctx);
+  FockBuilder builder(bs, {}, &ctx);
 
   IterationPolicy p = exact_policy();
   p.prune_threshold = 1e-12;  // exercise the early-exit path too

@@ -36,15 +36,6 @@ TEST(MakoEngineTest, QuantizationPreservesAccuracy) {
   EXPECT_LT(std::fabs(e1 - e2), 1e-3);  // within 1 mHartree
 }
 
-TEST(MakoEngineTest, ReferenceEngineRole) {
-  MakoOptions options;
-  options.basis = "sto-3g";
-  options.engine = EriEngineKind::kReference;
-  MakoEngine engine(options);
-  const MakoReport report = engine.compute_energy(make_water());
-  EXPECT_NEAR(report.scf.energy, -74.963, 1e-2);
-}
-
 TEST(MakoEngineTest, FixedIterationBenchmarkMode) {
   MakoOptions options;
   options.basis = "sto-3g";

@@ -244,9 +244,7 @@ TEST(ObsIntegrationTest, ScfCountersMatchKnownCallCounts) {
 
   const Molecule h2 = h2_molecule();
   const BasisSet bs(h2, "sto-3g");
-  ScfOptions options;
-  options.fock.engine = EriEngineKind::kMako;
-  const ScfResult r = run_scf(h2, bs, options);
+  const ScfResult r = run_scf(h2, bs, {});
   ASSERT_TRUE(r.converged);
 
   const obs::Counter* runs = reg.find_counter("scf.runs");

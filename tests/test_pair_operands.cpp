@@ -163,16 +163,18 @@ TEST(PairOperandTest, PlanOperandsMatchOnTheFlyOperandsBitForBit) {
 TEST(PairOperandTest, ConcurrentQuantizedBuildsShareOnePlan) {
   // Two builders over one context share the cached FockPlan; both request
   // its FP16 operand copies at once, which must build them exactly once.
+  // A 1-thread pool runs each build inline on its calling thread, so the
+  // two builds really race on the plan.
+  ThreadPool pool(1);
   ExecutionContextOptions ctx_opt;
   ctx_opt.make_active = false;
+  ctx_opt.pool = &pool;
   const ExecutionContext ctx(ctx_opt);
   const Molecule water = make_water();
   const BasisSet basis(water, "def2-svp");
   const MatrixD d = random_symmetric_density(basis.nbf(), 12);
-  FockOptions options;
-  options.parallel = false;
-  const FockBuilder first(basis, options, &ctx);
-  const FockBuilder second(basis, options, &ctx);
+  const FockBuilder first(basis, {}, &ctx);
+  const FockBuilder second(basis, {}, &ctx);
   ASSERT_EQ(&first.plan(), &second.plan());
 
   MatrixD j1, k1, j2, k2;

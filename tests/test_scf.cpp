@@ -60,18 +60,6 @@ TEST(ScfTest, Water631gMatchesLiterature) {
   EXPECT_NEAR(r.energy, -75.9840, 2e-3);
 }
 
-TEST(ScfTest, EnginesGiveIdenticalEnergies) {
-  const Molecule w = make_water();
-  const BasisSet bs(w, "sto-3g");
-  ScfOptions mako_opt;
-  mako_opt.fock.engine = EriEngineKind::kMako;
-  ScfOptions ref_opt;
-  ref_opt.fock.engine = EriEngineKind::kReference;
-  const double e1 = run_scf(w, bs, mako_opt).energy;
-  const double e2 = run_scf(w, bs, ref_opt).energy;
-  EXPECT_NEAR(e1, e2, 1e-10);
-}
-
 TEST(ScfTest, QuantizedScfWithinChemicalAccuracy) {
   // The headline Table-3 contract: QuantMako-scheduled SCF agrees with the
   // FP64 reference to well under 1 mHartree.
