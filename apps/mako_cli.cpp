@@ -16,9 +16,6 @@
 //   --basis <name>        sto-3g | 6-31g | def2-tzvp | def2-qzvp |
 //                         cc-pvtz | cc-pvqz                  [sto-3g]
 //   --xc <name>           hf | lda | blyp | b3lyp            [hf]
-//   --backend <name>      GEMM backend: reference | blocked+quantized (or
-//                         any registered name; default: $MAKO_BACKEND,
-//                         else blocked+quantized)
 //   --ranks <n>           modeled rank count for rank-sharded SCF; power of
 //                         two in [1, 16] (default: $MAKO_RANKS, else 1).
 //                         Energies are bit-identical for every rank count.
@@ -27,10 +24,9 @@
 //   --quantize            enable QuantMako scheduling
 //   --precision <name>    precision-governance mode: adaptive | fp64 | fp32 |
 //                         tf32 | fp16 (default: $MAKO_PRECISION, else
-//                         adaptive).  fp64 forces exact FP64 everywhere
-//                         (bit-identical across backends); the fixed formats
-//                         pin the quantized storage format and imply
-//                         --quantize
+//                         adaptive).  fp64 forces exact FP64 everywhere;
+//                         the fixed formats pin the quantized storage format
+//                         and imply --quantize
 //   --precision-ladder    dynamic precision ladder: quantized work steps
 //                         FP16 -> TF32 as convergence tightens (or on a
 //                         soft fault), then FP64 for the exact polish
@@ -90,7 +86,7 @@ void print_usage() {
   std::printf(
       "usage: mako --mol <file.xyz> [--basis NAME] [--xc NAME]\n"
       "       mako --batch <manifest.json> [--jobs K] [--batch-out PATH]\n"
-      "            [--backend NAME] [--quantize]\n"
+      "            [--quantize]\n"
       "            [--precision adaptive|fp64|fp32|tf32|fp16]\n"
       "            [--precision-ladder]\n"
       "            [--ranks N] [--cluster NAME]\n"
@@ -151,8 +147,6 @@ int main(int argc, char** argv) {
       options.basis = next("--basis");
     } else if (arg == "--xc") {
       options.functional = next("--xc");
-    } else if (arg == "--backend") {
-      options.backend = next("--backend");
     } else if (arg == "--ranks") {
       options.ranks = std::atoi(next("--ranks").c_str());
       if (options.ranks < 1) {
@@ -241,7 +235,6 @@ int main(int argc, char** argv) {
           mako::BatchScheduler::load_manifest(batch_path);
       mako::BatchOptions batch_options;
       batch_options.concurrency = batch_jobs;
-      batch_options.backend = options.backend;
       batch_options.ranks = options.ranks;
       batch_options.cluster = options.cluster;
       std::printf("Mako — batch mode: %zu jobs from %s, %d in flight\n",

@@ -55,7 +55,6 @@ std::vector<BatchJobSpec> make_workload(int njobs) {
 Record run_leg(const std::vector<BatchJobSpec>& jobs, int concurrency) {
   BatchOptions options;
   options.concurrency = concurrency;
-  options.make_active = false;  // legs must not fight over the active backend
   BatchScheduler scheduler(options);
   const std::vector<BatchJobResult> results = scheduler.run(jobs);
 

@@ -98,7 +98,6 @@ SystemRecord run_system(const char* name, const Molecule& mol,
   // timing; a final single-rank Fock build on that density yields the
   // measured per-slice compute the rank partition is read from.
   ExecutionContextOptions ctx_opt;
-  ctx_opt.make_active = false;
   ctx_opt.ranks = 1;
   const ExecutionContext ctx(ctx_opt);
 

@@ -18,8 +18,7 @@ namespace {
 
 double measure_gflops(mako::Precision precision) {
   using namespace mako;
-  const GemmBackend& be =
-      resolve_gemm_backend(GemmBackendRegistry::kDefaultName);
+  const GemmBackend& be = GemmBackend::instance();
   const std::size_t n = 192;
   Rng rng(1);
   std::vector<double> a(n * n), b(n * n), c(n * n, 0.0);

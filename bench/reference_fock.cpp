@@ -1,6 +1,7 @@
 #include "reference_fock.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "core/execution_context.hpp"
+#include "parallel/thread_pool.hpp"
 #include "scf/fock.hpp"
 #include "util/timer.hpp"
 
@@ -106,19 +108,48 @@ IterationPolicy final_policy(const ScfResult& run) {
   return policy;
 }
 
+namespace {
+
+/// Median of three calls of `sample` (each returns seconds).
+template <typename Sample>
+double median_of_3(const Sample& sample) {
+  std::array<double, 3> s{sample(), sample(), sample()};
+  std::sort(s.begin(), s.end());
+  return s[1];
+}
+
+/// Median wall of 3 warm FockBuilder::build_jk calls on `ctx` (null: the
+/// process context), after one untimed build warms the builder's scratch.
+double mako_jk_seconds(const BasisSet& basis, const FockOptions& options,
+                       const ExecutionContext* ctx, const MatrixD& density,
+                       const IterationPolicy& policy) {
+  const FockBuilder mako(basis, options, ctx);
+  MatrixD j, k;
+  mako.build_jk(density, policy, j, k);
+  return median_of_3([&] {
+    const Timer wall;
+    mako.build_jk(density, policy, j, k);
+    return wall.seconds();
+  });
+}
+
+}  // namespace
+
 BaselineIteration baseline_iteration(const BasisSet& basis,
                                      const ScfOptions& options,
                                      const ScfResult& run, int max_l) {
   const ReferenceFockBuilder reference(basis, max_l);
   const IterationPolicy policy = final_policy(run);
-  MatrixD j, k;
-  const FockBuilder mako(basis, options.fock);
-  mako.build_jk(run.density, policy, j, k);  // warm the builder's scratch
-  Timer mako_jk;
-  mako.build_jk(run.density, policy, j, k);
   BaselineIteration out;
-  out.mako_jk_s = mako_jk.seconds();
-  out.reference_jk_s = reference.build_jk(run.density, policy, j, k).seconds;
+  out.mako_jk_s =
+      mako_jk_seconds(basis, options.fock, nullptr, run.density, policy);
+  ThreadPool one_thread(1);
+  const ExecutionContext serial(ExecutionContextOptions{.pool = &one_thread});
+  out.mako_jk_serial_s =
+      mako_jk_seconds(basis, options.fock, &serial, run.density, policy);
+  MatrixD j, k;
+  out.reference_jk_s = median_of_3(
+      [&] { return reference.build_jk(run.density, policy, j, k).seconds; });
   out.seconds =
       run.avg_iteration_seconds() - out.mako_jk_s + out.reference_jk_s;
   return out;

@@ -56,19 +56,30 @@ class ReferenceFockBuilder {
 /// the FP64 and prune thresholds and whether quantized routing was allowed.
 [[nodiscard]] IterationPolicy final_policy(const ScfResult& run);
 
-/// The Figs 8/9 baseline iteration on one Mako run.
+/// The Figs 8/9 baseline iteration on one Mako run.  Every J/K wall is the
+/// median of 3 samples; the Mako builds are warmed by one untimed build
+/// first, as they run warm inside the SCF loop.
 struct BaselineIteration {
-  double mako_jk_s = 0.0;       ///< FockBuilder::build_jk wall, warm
+  double mako_jk_s = 0.0;  ///< FockBuilder::build_jk wall on the process pool
+  /// FockBuilder::build_jk wall on a one-thread ExecutionContext: the same
+  /// thread count as the serial baseline.
+  double mako_jk_serial_s = 0.0;
   double reference_jk_s = 0.0;  ///< ReferenceFockBuilder::build_jk wall
   /// The run's average iteration with mako_jk_s replaced by reference_jk_s.
   double seconds = 0.0;
+
+  /// Baseline J/K over Mako J/K, both on one thread: the algorithmic
+  /// speedup, free of the pool's thread parallelism.
+  [[nodiscard]] double same_thread_jk_speedup() const {
+    return reference_jk_s / mako_jk_serial_s;
+  }
 };
 
-/// Times both J/K builds on `run`'s final density under its final policy
-/// (the Mako build warm, as it runs inside the SCF loop) and swaps them in
-/// `run`'s measured average iteration.  `run` must come from run_scf over
-/// `basis` with `options` on the process context.  Throws
-/// std::domain_error when `basis` exceeds `max_l`.
+/// Times the J/K builds on `run`'s final density under its final policy and
+/// swaps the baseline's for the pooled Mako one in `run`'s measured average
+/// iteration.  `run` must come from run_scf over `basis` with `options` on
+/// the process context.  Throws std::domain_error when `basis` exceeds
+/// `max_l`.
 [[nodiscard]] BaselineIteration baseline_iteration(
     const BasisSet& basis, const ScfOptions& options, const ScfResult& run,
     int max_l = ReferenceEriEngine::kMaxL);

@@ -6,22 +6,20 @@
 #   FIG8_SIZE  system-size sweep argument for fig8        (default: 2)
 #   FIG10_SIZE system-size sweep argument for fig10       (default: 1)
 #
-# Usage: run_benchmarks.sh [--backend NAME | --backend=NAME]
-#   --backend selects the GEMM backend: fig6 gets --backend=NAME directly,
-#   fig8 inherits it through MAKO_BACKEND.  "all" sweeps every registered
-#   backend in fig6 (fig8 stays on the default).
+# Usage: run_benchmarks.sh
 #
 # The script (re)builds the two bench targets, runs them, and writes
 # BENCH_fig6.json and BENCH_fig8.json into OUT_DIR.  Human-readable tables
 # still go to stdout.
 #
-# Each fig8 record carries the two J/K wall times behind its baseline
-# iteration (jk_mako_s, jk_ref_s: t_ref_s is t_mako_s with the first
-# replaced by the second) and a "stages" breakdown of the FP64 and the
-# quantized Mako run: plan_build_s (one-time Fock plan construction),
-# route_s (per-iteration screening and routing wall), eri_s / digest_s
-# (summed shard CPU), diag_s, gemm_calls, and the screening counters
-# screen_visited / screen_pruned_early.
+# Each fig8 record carries the J/K wall times behind its baseline iteration
+# (jk_mako_s, jk_ref_s: t_ref_s is t_mako_s with the first replaced by the
+# second), Mako's J/K on one thread (jk_mako_1t_s) with the same-thread
+# ratio jk_speedup_1t = jk_ref_s / jk_mako_1t_s, and a "stages" breakdown
+# of the FP64 and the quantized Mako run: plan_build_s (one-time Fock plan
+# construction), route_s (per-iteration screening and routing wall),
+# eri_s / digest_s (summed shard CPU), diag_s, gemm_calls, and the
+# screening counters screen_visited / screen_pruned_early.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,14 +28,10 @@ OUT_DIR="${OUT_DIR:-bench}"
 FIG8_SIZE="${FIG8_SIZE:-2}"
 FIG10_SIZE="${FIG10_SIZE:-1}"
 
-BACKEND=""
-while [ $# -gt 0 ]; do
-  case "$1" in
-    --backend)   BACKEND="$2"; shift 2 ;;
-    --backend=*) BACKEND="${1#--backend=}"; shift ;;
-    *) echo "run_benchmarks.sh: unknown option '$1'" >&2; exit 2 ;;
-  esac
-done
+if [ $# -gt 0 ]; then
+  echo "run_benchmarks.sh: unknown option '$1'" >&2
+  exit 2
+fi
 
 if [ ! -d "${BUILD_DIR}" ]; then
   cmake -B "${BUILD_DIR}" -S .
@@ -47,16 +41,8 @@ cmake --build "${BUILD_DIR}" -j --target bench_fig6_eri_micro \
 
 mkdir -p "${OUT_DIR}"
 
-FIG6_ARGS=("--json=${OUT_DIR}/BENCH_fig6.json")
-if [ "${BACKEND}" = "all" ]; then
-  FIG6_ARGS+=("--backends=all")
-elif [ -n "${BACKEND}" ]; then
-  FIG6_ARGS+=("--backend=${BACKEND}")
-  export MAKO_BACKEND="${BACKEND}"
-fi
-
 echo "== Figure 6: ERI kernel microbenchmark =="
-"${BUILD_DIR}/bench/bench_fig6_eri_micro" "${FIG6_ARGS[@]}"
+"${BUILD_DIR}/bench/bench_fig6_eri_micro" "--json=${OUT_DIR}/BENCH_fig6.json"
 
 echo
 echo "== Figure 8: end-to-end SCF iteration time =="

@@ -183,7 +183,10 @@ TEST(ReferenceFockTest, BaselineIterationOnAFixedIterationRun) {
   for (const int max_l : {ReferenceEriEngine::kMaxL, kQuickMaxL}) {
     const BaselineIteration b = baseline_iteration(small, options, run, max_l);
     EXPECT_GT(b.mako_jk_s, 0.0);
+    EXPECT_GT(b.mako_jk_serial_s, 0.0);
     EXPECT_GT(b.reference_jk_s, 0.0);
+    EXPECT_DOUBLE_EQ(b.same_thread_jk_speedup(),
+                     b.reference_jk_s / b.mako_jk_serial_s);
     EXPECT_DOUBLE_EQ(b.seconds, run.avg_iteration_seconds() - b.mako_jk_s +
                                     b.reference_jk_s);
   }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Layering check: linalg/gemm.hpp (the raw kernel surface) is private to
-# src/linalg/.  Everything else must go through linalg/backend.hpp so GEMMs
-# dispatch through the pluggable GemmBackend layer and its per-backend
-# metrics.  Wired into ctest as `check_gemm_includes`.
+# src/linalg/.  Everything else must go through linalg/backend.hpp, so every
+# GEMM of the library runs through the one GemmBackend and the Matrix
+# wrappers beside it.  Wired into ctest as `check_gemm_includes`.
 #
 # Allowlist:
 #   src/linalg/*       — the kernels' own home

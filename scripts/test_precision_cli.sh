@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end precision governance checks against the mako CLI binary:
 #
-#   1. --precision fp64 forces exact FP64 everywhere: the "Total Energy:"
-#      line is bit-identical (digit for digit) across both built-in GEMM
-#      backends, with --quantize on — the mode outranks the quantization
-#      switch.
+#   1. --precision fp64 with --quantize on converges (the mode outranks the
+#      quantization switch); its "Total Energy:" line anchors sections 2
+#      and 6.
 #   2. MAKO_PRECISION=fp64 in the environment is exactly equivalent to the
 #      --precision fp64 flag.
 #   3. --precision adaptive reproduces the default run's energy line (the
@@ -14,6 +13,9 @@
 #      (exit 1) naming the variable.
 #   5. --quantize --precision-ladder converges (exit 0) — the FP16 -> TF32
 #      ladder smoke test.
+#   6. there is one GEMM path: --backend is an unknown option (exit 2), and
+#      MAKO_BACKEND=reference in the environment changes nothing — the
+#      "Total Energy:" line is section 1's, digit for digit.
 #
 # Usage: test_precision_cli.sh <path-to-mako-binary> <sample-dir>
 set -u
@@ -35,31 +37,20 @@ energy_line() { grep '^Total Energy:' "$1" || true; }
 
 run() {  # run <logname> <args...>
   local log="$WORK/$1"; shift
-  env -u MAKO_PRECISION -u MAKO_BACKEND "$MAKO" --mol "$MOL" "$@" \
-    >"$log" 2>&1
+  env -u MAKO_PRECISION "$MAKO" --mol "$MOL" "$@" >"$log" 2>&1
 }
 
-# ---- 1. --precision fp64 is bit-identical across backends ------------------
-ref_energy=""
-for backend in reference blocked+quantized; do
-  run "fp64_${backend//+/_}.log" --backend "$backend" --quantize \
-      --precision fp64
-  code=$?
-  [ "$code" -eq 0 ] ||
-    fail "--precision fp64 on '$backend' exited $code (want 0)"
-  e="$(energy_line "$WORK/fp64_${backend//+/_}.log")"
-  [ -n "$e" ] || fail "--precision fp64 on '$backend' printed no energy"
-  if [ -z "$ref_energy" ]; then
-    ref_energy="$e"
-  elif [ "$e" != "$ref_energy" ]; then
-    fail "--precision fp64 energy differs on '$backend': '$e' vs '$ref_energy'"
-  fi
-done
-pass "--precision fp64 energies bit-identical across both built-in backends"
+# ---- 1. --precision fp64 outranks --quantize ------------------------------
+run fp64.log --quantize --precision fp64
+code=$?
+[ "$code" -eq 0 ] || fail "--precision fp64 exited $code (want 0)"
+ref_energy="$(energy_line "$WORK/fp64.log")"
+[ -n "$ref_energy" ] || fail "--precision fp64 printed no energy"
+pass "--quantize --precision fp64 converges"
 
 # ---- 2. MAKO_PRECISION env == --precision flag -----------------------------
-env -u MAKO_BACKEND MAKO_PRECISION=fp64 "$MAKO" --mol "$MOL" \
-  --backend blocked+quantized --quantize >"$WORK/env_fp64.log" 2>&1
+MAKO_PRECISION=fp64 "$MAKO" --mol "$MOL" --quantize \
+  >"$WORK/env_fp64.log" 2>&1
 code=$?
 [ "$code" -eq 0 ] || fail "MAKO_PRECISION=fp64 run exited $code (want 0)"
 e_env="$(energy_line "$WORK/env_fp64.log")"
@@ -86,8 +77,7 @@ code=$?
 grep -q 'adaptive, fp64, fp32, tf32, fp16' "$WORK/garbage_flag.log" ||
   fail "--precision error does not list the valid modes"
 
-env -u MAKO_BACKEND MAKO_PRECISION=quantum "$MAKO" --mol "$MOL" \
-  >"$WORK/garbage_env.log" 2>&1
+MAKO_PRECISION=quantum "$MAKO" --mol "$MOL" >"$WORK/garbage_env.log" 2>&1
 code=$?
 [ "$code" -eq 1 ] || fail "MAKO_PRECISION=quantum exited $code (want 1)"
 grep -q 'MAKO_PRECISION' "$WORK/garbage_env.log" ||
@@ -101,5 +91,21 @@ code=$?
 grep -q '(converged)' "$WORK/ladder.log" ||
   fail "--precision-ladder run did not converge"
 pass "--quantize --precision-ladder converges"
+
+# ---- 6. one GEMM path: no backend selection survives ----------------------
+run backend_flag.log --backend reference
+code=$?
+[ "$code" -eq 2 ] || fail "--backend reference exited $code (want 2: usage)"
+grep -q "unknown option '--backend'" "$WORK/backend_flag.log" ||
+  fail "--backend is not reported as an unknown option"
+
+MAKO_BACKEND=reference env -u MAKO_PRECISION "$MAKO" --mol "$MOL" \
+  --quantize --precision fp64 >"$WORK/backend_env.log" 2>&1
+code=$?
+[ "$code" -eq 0 ] || fail "MAKO_BACKEND=reference run exited $code (want 0)"
+e_be="$(energy_line "$WORK/backend_env.log")"
+[ "$e_be" = "$ref_energy" ] ||
+  fail "MAKO_BACKEND=reference changed the energy: '$e_be' vs '$ref_energy'"
+pass "--backend is a usage error and MAKO_BACKEND changes nothing"
 
 echo "PASS: all precision CLI checks"

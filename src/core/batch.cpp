@@ -221,9 +221,7 @@ std::vector<BatchJobSpec> BatchScheduler::load_manifest(
 
 BatchScheduler::BatchScheduler(BatchOptions options)
     : options_(std::move(options)),
-      context_(ExecutionContextOptions{.backend = options_.backend,
-                                       .make_active = options_.make_active,
-                                       .ranks = options_.ranks,
+      context_(ExecutionContextOptions{.ranks = options_.ranks,
                                        .cluster = options_.cluster}) {}
 
 std::shared_ptr<const BasisSet> BatchScheduler::pooled_basis(
@@ -329,8 +327,7 @@ std::vector<BatchJobResult> BatchScheduler::run(
   if (drivers > jobs.size()) drivers = jobs.size();
 
   Timer wall;
-  log_info("batch: %zu jobs, %zu in flight, backend '%s'", jobs.size(),
-           drivers, context_.backend().name().c_str());
+  log_info("batch: %zu jobs, %zu in flight", jobs.size(), drivers);
   if (drivers == 1) {
     drain();
   } else {

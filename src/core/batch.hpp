@@ -13,8 +13,8 @@
 //   - Each job polls its own CancelToken, parent-linked job -> batch ->
 //     process (robust/cancel.hpp).  A job's --max-seconds deadline cancels
 //     only that job; SIGINT on the process token still stops the whole batch.
-//   - Each job runs on an ExecutionContext *view* (shares backend, pool, and
-//     every cache of the batch context; swaps in the job token).
+//   - Each job runs on an ExecutionContext *view* (shares the pool and every
+//     cache of the batch context; swaps in the job token).
 //   - Each job's checkpoint goes to its own path, and checkpoint staging
 //     names are unique per writer (robust/checkpoint.cpp), so concurrent
 //     writers never clobber each other.
@@ -87,8 +87,6 @@ struct BatchJobResult {
 struct BatchOptions {
   /// Driver threads = jobs in flight at once (clamped to [1, jobs.size()]).
   int concurrency = 2;
-  /// GEMM backend for the whole batch; "" resolves MAKO_BACKEND/default.
-  std::string backend;
   /// Rank count for the batch's shared Communicator (0 resolves $MAKO_RANKS,
   /// then 1) and the named cluster topology for its cost model.  Every job
   /// view shares the one communicator, so a batch reduces over a single
@@ -98,9 +96,6 @@ struct BatchOptions {
   /// Parent cancel token; nullptr links under CancelToken::process() so the
   /// CLI signal handlers keep cancelling the whole batch.
   CancelToken* cancel = nullptr;
-  /// Publish the batch backend as the process-wide active backend (see
-  /// ExecutionContextOptions::make_active).
-  bool make_active = true;
 };
 
 /// Aggregate throughput + cache-reuse statistics of one run() call.

@@ -1,12 +1,9 @@
 #include "core/execution_context.hpp"
 
-#include "util/log.hpp"
-
 namespace mako {
 
 ExecutionContext::ExecutionContext(ExecutionContextOptions options)
-    : backend_(&GemmBackendRegistry::instance().resolve(options.backend)),
-      precision_(options.precision),
+    : precision_(options.precision),
       enable_quantization_(options.enable_quantization),
       pool_(options.pool != nullptr ? options.pool : &ThreadPool::global()),
       plans_(options.plans != nullptr ? options.plans
@@ -18,22 +15,11 @@ ExecutionContext::ExecutionContext(ExecutionContextOptions options)
       tracer_(&obs::Tracer::instance()),
       components_(std::make_shared<ComponentCache>()),
       comm_(make_communicator(
-          CommSpec{options.ranks, std::move(options.cluster), {}})) {
-  if (options.make_active) {
-    GemmBackendRegistry::instance().set_active(*backend_);
-  }
-  if (enable_quantization_ && !backend_->capabilities().quantized) {
-    log_info(
-        "ExecutionContext: backend '%s' has no reduced-precision datapath; "
-        "quantized work will run at FP64",
-        backend_->name().c_str());
-  }
-}
+          CommSpec{options.ranks, std::move(options.cluster), {}})) {}
 
 ExecutionContext::ExecutionContext(const ExecutionContext& parent,
                                    CancelToken& cancel)
-    : backend_(parent.backend_),
-      precision_(parent.precision_),
+    : precision_(parent.precision_),
       enable_quantization_(parent.enable_quantization_),
       pool_(parent.pool_),
       plans_(parent.plans_),
@@ -45,13 +31,7 @@ ExecutionContext::ExecutionContext(const ExecutionContext& parent,
       comm_(parent.comm_) {}
 
 const ExecutionContext& ExecutionContext::process() {
-  // Leaky singleton; make_active=false so a bare run_scf never steals the
-  // active-backend slot from an engine-owned context in the same process.
-  static ExecutionContext* ctx = [] {
-    ExecutionContextOptions options;
-    options.make_active = false;
-    return new ExecutionContext(std::move(options));
-  }();
+  static ExecutionContext* ctx = new ExecutionContext();  // leaky singleton
   return *ctx;
 }
 

@@ -4,16 +4,17 @@
 // Before this layer existed, the thread pool, plan cache,
 // precision policy, GEMM kernels, fault hooks, and observability sinks were
 // threaded ad hoc: some as per-call parameters, some as process singletons
-// looked up at every site.  That blocked the ROADMAP's multi-backend /
-// multi-rank north star — a second device or a second backend had nowhere to
-// live.  ExecutionContext gathers them into one object constructed once by
-// MakoEngine (or by a test) and passed by reference through batched_eri,
-// fock, scf, diis, xc, and simcomm.
+// looked up at every site.  That blocked the ROADMAP's multi-rank north
+// star — a second rank topology had nowhere to live.  ExecutionContext
+// gathers them into one object constructed once by MakoEngine (or by a
+// test) and passed by reference through batched_eri, fock, scf, xc, and
+// simcomm.
 //
 // Ownership graph (see DESIGN.md, "Execution layer"):
 //
 //   MakoEngine ──owns──> ExecutionContext
-//                          ├─ backend   -> GemmBackend        (registry-owned)
+//                          ├─ backend   -> GemmBackend        (the one
+//                          │                instance)
 //                          ├─ pool      -> ThreadPool         (borrowed;
 //                          │                global by default)
 //                          ├─ plans     -> EriPlanCache       (borrowed;
@@ -53,12 +54,8 @@
 namespace mako {
 
 /// Everything configurable about an ExecutionContext.  Defaults reproduce
-/// the pre-context behavior: process-wide pool/plan-cache, the default (or
-/// MAKO_BACKEND-selected) GEMM backend, quantization off.
+/// the pre-context behavior: process-wide pool/plan-cache, quantization off.
 struct ExecutionContextOptions {
-  /// GEMM backend name; "" resolves MAKO_BACKEND, then the built-in default.
-  /// Unknown names throw InputError from the constructor.
-  std::string backend;
   /// Precision-governance configuration (mode, schedule thresholds, ladder,
   /// per-L cap) the context's governors are built from.
   PrecisionConfig precision{};
@@ -73,10 +70,6 @@ struct ExecutionContextOptions {
   /// signal handlers trip).  Tests pass their own token to cancel one run
   /// without touching the process-wide one.
   CancelToken* cancel = nullptr;
-  /// Publish this context's backend as the process-wide active backend so
-  /// ambient matmul()/gemm() wrappers (eigen, DIIS extrapolation) route
-  /// through it too.  Tests that juggle several contexts can opt out.
-  bool make_active = true;
   /// Rank count for the owned Communicator; 0 resolves $MAKO_RANKS, then 1
   /// (MakoOptions::ranks / mako --ranks).  Must be a power of two in
   /// [1, kMaxCommRanks] after resolution; anything else throws InputError.
@@ -122,8 +115,7 @@ class ExecutionContext {
   /// `parent` — backend, pool, ERI plan cache, ComponentCache (and
   /// with it the FockPlanCache) — but polls its own CancelToken, so one
   /// job's deadline or fault cancels only that job.  The parent (and the
-  /// token) must outlive the view.  Never touches the process-wide active
-  /// backend slot.
+  /// token) must outlive the view.
   ExecutionContext(const ExecutionContext& parent, CancelToken& cancel);
 
   ExecutionContext(const ExecutionContext&) = delete;
@@ -131,13 +123,13 @@ class ExecutionContext {
 
   /// Default process-wide context for entry points not reached through a
   /// MakoEngine (bare run_scf calls in tests, benches).  Built on first use
-  /// with default options except make_active=false — it never overrides a
-  /// backend selection made by an engine-owned context.
+  /// with default options.
   static const ExecutionContext& process();
 
-  /// The GEMM backend every matmul of this run dispatches through.
+  /// The GEMM backend every matmul of this run dispatches through (the
+  /// one GemmBackend::instance()).
   [[nodiscard]] const GemmBackend& backend() const noexcept {
-    return *backend_;
+    return GemmBackend::instance();
   }
   [[nodiscard]] ThreadPool& pool() const noexcept { return *pool_; }
   [[nodiscard]] EriPlanCache& plans() const noexcept { return *plans_; }
@@ -148,24 +140,15 @@ class ExecutionContext {
   [[nodiscard]] bool quantization_enabled() const noexcept {
     return enable_quantization_;
   }
-  /// True when quantized kernels may actually run: quantization is enabled
-  /// AND the backend has a reduced-precision datapath.  On backends without
-  /// the capability the governor must not route quantized work (it would
-  /// silently execute at FP64 and waste the pruning-threshold slack).
-  [[nodiscard]] bool quantized_execution_allowed() const noexcept {
-    return enable_quantization_ && backend_->capabilities().quantized;
-  }
   /// Governor factory — the single construction point of precision
-  /// authority.  The context supplies the backend's capabilities (so
-  /// capability degradation is counted and carries a reason); the caller
-  /// supplies the run's config and fallback prune threshold, because a
-  /// governor is stateful per run (latches, ladder stage) while the context
-  /// is immutable and may be shared by concurrent batch jobs.
+  /// authority.  The caller supplies the run's config and fallback prune
+  /// threshold, because a governor is stateful per run (latches, ladder
+  /// stage) while the context is immutable and may be shared by concurrent
+  /// batch jobs.
   [[nodiscard]] PrecisionGovernor make_governor(
       const PrecisionConfig& config, bool enable_quantization,
       double fallback_prune_threshold) const {
     return PrecisionGovernor(config, enable_quantization,
-                             backend_->capabilities(), backend_->name(),
                              fallback_prune_threshold);
   }
   /// Governor over the context's own configuration (engine-owned runs).
@@ -198,10 +181,10 @@ class ExecutionContext {
     return *components_;
   }
 
-  /// The rank communicator of this run, owned by the context exactly like
-  /// the GEMM backend: "local" for one rank, "simcomm" for 2..kMaxCommRanks
-  /// in-process ranks.  Job views share their parent's communicator, so a
-  /// batch's jobs reduce over one consistent rank topology.
+  /// The rank communicator of this run, owned by the context: "local" for
+  /// one rank, "simcomm" for 2..kMaxCommRanks in-process ranks.  Job views
+  /// share their parent's communicator, so a batch's jobs reduce over one
+  /// consistent rank topology.
   [[nodiscard]] Communicator& comm() const noexcept { return *comm_; }
 
   /// Simulated communicator over `size` ranks, wired to this context's
@@ -211,7 +194,6 @@ class ExecutionContext {
                                   CommRetryPolicy retry = {}) const;
 
  private:
-  const GemmBackend* backend_;  ///< registry-owned, never null
   PrecisionConfig precision_;
   bool enable_quantization_;
   ThreadPool* pool_;      ///< borrowed, never null

@@ -15,9 +15,6 @@ std::string MakoReport::summary() const {
   out << "== Mako run report ==\n";
   out << "basis functions:        " << nbf << " (" << num_shells
       << " shells)\n";
-  if (!backend.empty()) {
-    out << "GEMM backend:           " << backend << "\n";
-  }
   if (ranks > 1) {
     out << "ranks:                  " << ranks << " (simcomm)\n";
   }
@@ -50,7 +47,6 @@ std::string MakoReport::summary() const {
 MakoEngine::MakoEngine(MakoOptions options)
     : options_(std::move(options)),
       context_(ExecutionContextOptions{
-          .backend = options_.backend,
           .precision =
               PrecisionConfig{
                   .mode = resolve_precision_mode(options_.precision),
@@ -83,7 +79,6 @@ MakoReport MakoEngine::compute_energy(const Molecule& mol) {
   MAKO_TRACE_SCOPE(obs::TraceCat::kApp, "mako.compute_energy");
   Timer total;
   MakoReport report;
-  report.backend = context_.backend().name();
   report.ranks = context_.comm().size();
 
   const BasisSet basis(mol, options_.basis);

@@ -1,10 +1,10 @@
 // Mako public API.
 //
 // MakoEngine is the top-level entry point a downstream user touches: give it
-// a molecule and options (basis, functional, backend, quantization,
-// precision), get back converged energies with the per-stage performance
-// report the paper's artifact prints (total wall-clock time + average SCF
-// iteration time excluding the first).
+// a molecule and options (basis, functional, quantization, precision), get
+// back converged energies with the per-stage performance report the paper's
+// artifact prints (total wall-clock time + average SCF iteration time
+// excluding the first).
 //
 //   mako::MakoEngine engine({.basis = "def2-tzvp", .functional = "b3lyp",
 //                            .quantization = true});
@@ -24,9 +24,6 @@ namespace mako {
 struct MakoOptions {
   std::string basis = "sto-3g";
   std::string functional = "hf";   ///< "hf", "lda", "blyp", "b3lyp"
-  /// GEMM backend name ("reference", "blocked+quantized");
-  /// "" resolves MAKO_BACKEND, then the built-in default.
-  std::string backend;
   /// Rank count for the execution context's Communicator (mako --ranks);
   /// 0 resolves $MAKO_RANKS, then 1.  Must be a power of two in
   /// [1, kMaxCommRanks]; results are bit-identical for every supported rank
@@ -39,8 +36,7 @@ struct MakoOptions {
   /// Precision-governance mode ("adaptive", "fp64", "fp32", "tf32", "fp16");
   /// "" resolves MAKO_PRECISION, then "adaptive".  "adaptive" follows the
   /// convergence-aware schedule (quantized work only when `quantization` is
-  /// on); "fp64" forces exact FP64 everywhere (bit-identical across
-  /// backends); the fixed formats pin the quantized-kernel storage format
+  /// on); "fp64" forces exact FP64 everywhere; the fixed formats pin the quantized-kernel storage format
   /// and imply quantization.  Parsed by scf_options_from; an unknown name
   /// throws InputError (FaultKind::kInvalidInput).
   std::string precision;
@@ -73,8 +69,7 @@ struct MakoReport {
   double total_seconds = 0.0;
   std::size_t nbf = 0;
   std::size_t num_shells = 0;
-  std::string backend;  ///< GEMM backend the run executed on
-  int ranks = 1;        ///< communicator size the run executed with
+  int ranks = 1;  ///< communicator size the run executed with
 
   /// Artifact-style text report (energies + the two timing metrics).
   [[nodiscard]] std::string summary() const;

@@ -24,7 +24,7 @@ void quartet_cart_to_sph(int la, int lb, int lc, int ld,
   const std::size_t nsab = kab.rows();
   const std::size_t nscd = kcd.rows();
 
-  const GemmBackend& be = GemmBackendRegistry::instance().active();
+  const GemmBackend& be = GemmBackend::instance();
   // tmp = K_ab * cart : [nsab x nccd]
   std::vector<double> tmp(nsab * nccd, 0.0);
   be.fp64(kab.data(), false, cart.data(), false, tmp.data(), nsab, nccd, ncab);

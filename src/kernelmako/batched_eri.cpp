@@ -36,12 +36,6 @@ EriClassKey BatchedEriEngine::classify(const QuartetRef& q) {
   return key;
 }
 
-const GemmBackend& BatchedEriEngine::backend() const {
-  return backend_ != nullptr
-             ? *backend_
-             : resolve_gemm_backend(GemmBackendRegistry::kDefaultName);
-}
-
 BatchStats BatchedEriEngine::compute_batch(
     const EriClassKey& key, std::span<const QuartetRef> batch,
     std::vector<std::vector<double>>& out) const {
@@ -164,13 +158,12 @@ BatchStats BatchedEriEngine::compute_batch(
                             scratch.r_blocked.data(), nht, scratch.rint);
 
   // --- Quantized execution (Section 3.2) ----------------------------------
-  // Needs the backend's reduced-precision datapath; on a backend without it
-  // both GEMMs run exact FP64 instead.  Scales: static per pair for E'
-  // (PairOperand::scale), per quartet for P and T; dequantization happens at
-  // the FP32->FP64 widening of each GEMM (dual-stage accumulation).
-  const GemmBackend& be = backend();
+  // Scales: static per pair for E' (PairOperand::scale), per quartet for P
+  // and T; dequantization happens at the FP32->FP64 widening of each GEMM
+  // (dual-stage accumulation).
+  const GemmBackend& be = GemmBackend::instance();
   const GemmConfig& gc = config_.gemm;
-  const bool quant = config_.quantized() && be.capabilities().quantized;
+  const bool quant = config_.quantized();
   if (quant) {
     scratch.q_ops.resize(mb * nsb + mk * nsk);
     scratch.q_dyn.resize(std::max(pq_size, t_size));

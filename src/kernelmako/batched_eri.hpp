@@ -69,24 +69,17 @@ struct BatchStats {
 
 /// Batched matrix-aligned ERI engine.
 ///
-/// Every basis-transformation GEMM dispatches through a GemmBackend; the
-/// ExecutionContext (via FockBuilder) injects the run's backend and plan
-/// cache.  When none is injected the engine pins the registry's built-in
-/// default backend — deliberately ignoring the MAKO_BACKEND ambient override
-/// so direct unit tests of quantized kernel numerics stay deterministic.
-/// Quantized execution additionally requires the backend's `quantized`
-/// capability; without it the transform GEMMs degrade to exact FP64.
+/// Every basis-transformation GEMM dispatches through the one GemmBackend;
+/// the ExecutionContext (via FockBuilder) injects the run's plan cache.  The
+/// `backend` argument is that same backend's handle and selects nothing.
 class BatchedEriEngine {
  public:
   explicit BatchedEriEngine(KernelConfig config = {},
-                            const GemmBackend* backend = nullptr,
+                            const GemmBackend* /*backend*/ = nullptr,
                             EriPlanCache* plans = nullptr)
-      : config_(config), backend_(backend), plans_(plans) {}
+      : config_(config), plans_(plans) {}
 
   [[nodiscard]] const KernelConfig& config() const noexcept { return config_; }
-
-  /// The backend this engine dispatches through.
-  [[nodiscard]] const GemmBackend& backend() const;
 
   /// Computes spherical quartets for a class-homogeneous batch.
   /// out is resized to batch.size(); out[i] is row-major
@@ -115,8 +108,7 @@ class BatchedEriEngine {
 
  private:
   KernelConfig config_;
-  const GemmBackend* backend_;  ///< null -> registry default
-  EriPlanCache* plans_;         ///< null -> process-wide cache
+  EriPlanCache* plans_;  ///< null -> process-wide cache
 };
 
 }  // namespace mako

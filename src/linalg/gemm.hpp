@@ -13,9 +13,9 @@
 // bit-for-bit up to FMA contraction.
 //
 // NOTE: this header is private to src/linalg/.  Everything else routes GEMMs
-// through the GemmBackend interface in linalg/backend.hpp (which also owns
-// GemmConfig and the Matrix matmul wrappers); a grep check in
-// scripts/check_gemm_includes.sh enforces the boundary.
+// through GemmBackend in linalg/backend.hpp (which also owns GemmConfig and
+// the Matrix matmul wrappers); a grep check in scripts/check_gemm_includes.sh
+// enforces the boundary.
 #pragma once
 
 #include <cstddef>

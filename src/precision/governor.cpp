@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 
 namespace mako {
 
@@ -24,8 +22,6 @@ const char* to_string(PlanReason reason) noexcept {
       return "mode-forced";
     case PlanReason::kQuantizationDisabled:
       return "quantization-off";
-    case PlanReason::kCapabilityDegraded:
-      return "capability-degraded";
     case PlanReason::kRecoveryLatch:
       return "recovery-latch";
   }
@@ -102,31 +98,14 @@ namespace {
 
 PrecisionGovernor::PrecisionGovernor(PrecisionConfig config,
                                      bool enable_quantization,
-                                     GemmCapabilities capabilities,
-                                     std::string backend_name,
                                      double fallback_prune_threshold)
     : config_(config),
       enable_quantization_(enable_quantization ||
                            is_fixed_format(config.mode)),
-      capabilities_(std::move(capabilities)),
-      backend_name_(std::move(backend_name)),
-      fallback_prune_threshold_(fallback_prune_threshold) {
-  if (config_.mode != PrecisionMode::kFP64 && enable_quantization_ &&
-      !capabilities_.quantized) {
-    char reason[224];
-    std::snprintf(reason, sizeof reason,
-                  "backend '%s' has no reduced-precision datapath; quantized "
-                  "scheduling degraded to pure FP64",
-                  backend_name_.c_str());
-    degradation_reason_ = reason;
-    MAKO_METRIC_COUNT("precision.capability_degradations", 1);
-    log_info("PrecisionGovernor: %s", reason);
-  }
-}
+      fallback_prune_threshold_(fallback_prune_threshold) {}
 
 bool PrecisionGovernor::quantized_execution() const noexcept {
-  return config_.mode != PrecisionMode::kFP64 && enable_quantization_ &&
-         capabilities_.quantized;
+  return config_.mode != PrecisionMode::kFP64 && enable_quantization_;
 }
 
 IterationPrecisionPlan PrecisionGovernor::fp64_plan(PlanReason reason) const {
@@ -157,8 +136,6 @@ IterationPrecisionPlan PrecisionGovernor::plan_for_iteration(int iteration,
     p = fp64_plan(PlanReason::kModeForced);
   } else if (!enable_quantization_) {
     p = fp64_plan(PlanReason::kQuantizationDisabled);
-  } else if (!capabilities_.quantized) {
-    p = fp64_plan(PlanReason::kCapabilityDegraded);
   } else if (state_.fp64_latched != 0) {
     p = fp64_plan(PlanReason::kRecoveryLatch);
   } else if (state_.exact_final != 0) {

@@ -1,29 +1,24 @@
 // PrecisionGovernor — the single source of truth for every precision
 // decision (Section 3.2.3 made first-class).
 //
-// Before this layer, "what runs at which precision" was smeared across four
-// half-owners: the quantmako scheduler picked per-iteration thresholds, the
-// recovery ladder latched FP64 out of band, the Fock routing pass applied
-// the thresholds per quartet, and the linalg capability gate silently
-// degraded quantized requests.  The governor inverts that: it consumes the
-// convergence error, health-sentinel feedback, recovery-ladder directives,
-// and the selected backend's GemmCapabilities, and emits one immutable
-// IterationPrecisionPlan per SCF iteration.  Everything downstream is a pure
-// plan consumer.
+// Before this layer, "what runs at which precision" was smeared across
+// three half-owners: the quantmako scheduler picked per-iteration
+// thresholds, the recovery ladder latched FP64 out of band, and the Fock
+// routing pass applied the thresholds per quartet.  The governor inverts
+// that: it consumes the convergence error, health-sentinel feedback and
+// recovery-ladder directives, and emits one immutable IterationPrecisionPlan
+// per SCF iteration.  Everything downstream is a pure plan consumer.
 //
-// Lifecycle: ExecutionContext holds the PrecisionConfig and backend
-// capabilities and acts as the governor factory (make_governor); the SCF
-// driver constructs one governor per run (the governor is stateful — FP64
-// latch, exact-final flag, ladder stage — and a context may be shared by
-// concurrent batch jobs).  Governor state is checkpointed (GovernorState)
+// Lifecycle: ExecutionContext holds the PrecisionConfig and acts as the
+// governor factory (make_governor); the SCF driver constructs one governor
+// per run (the governor is stateful — FP64 latch, exact-final flag, ladder
+// stage — and a context may be shared by concurrent batch jobs).  Governor state is checkpointed (GovernorState)
 // so a restored run resumes the exact policy trajectory.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
-#include "linalg/backend.hpp"
 #include "precision/plan.hpp"
 #include "robust/status.hpp"
 #include "util/precision.hpp"
@@ -32,9 +27,8 @@ namespace mako {
 
 /// User-facing precision mode (MakoOptions::precision, `mako --precision`,
 /// MAKO_PRECISION).  kAdaptive is the paper's convergence-aware schedule;
-/// kFP64 forces every operation to full precision (bit-identical across
-/// backends); the fixed formats pin the quantized-kernel storage format
-/// while keeping the adaptive thresholds.
+/// kFP64 forces every operation to full precision; the fixed formats pin the
+/// quantized-kernel storage format while keeping the adaptive thresholds.
 enum class PrecisionMode : std::uint8_t {
   kAdaptive,
   kFP64,
@@ -50,7 +44,7 @@ enum class PrecisionMode : std::uint8_t {
 /// modes on anything else.
 [[nodiscard]] PrecisionMode parse_precision_mode(std::string_view name);
 
-/// Resolves a mode the way backends are resolved: an explicit name wins, ""
+/// Resolves a mode: an explicit name wins, ""
 /// falls back to the MAKO_PRECISION environment variable, and an unset (or
 /// empty) variable means kAdaptive.  Throws InputError on garbage in either
 /// source, naming which one supplied the bad value.
@@ -90,8 +84,7 @@ struct GovernorState {
 };
 
 /// Stateful per-run precision authority.  Construct via
-/// ExecutionContext::make_governor so the backend's capabilities (and their
-/// observable degradation) are wired in.
+/// ExecutionContext::make_governor.
 class PrecisionGovernor {
  public:
   /// `fallback_prune_threshold` is the Schwarz prune bound used whenever the
@@ -99,7 +92,6 @@ class PrecisionGovernor {
   /// exact switch (ScfOptions::prune_threshold — kept distinct from
   /// PrecisionConfig::prune_threshold for exact pre-governor parity).
   PrecisionGovernor(PrecisionConfig config, bool enable_quantization,
-                    GemmCapabilities capabilities, std::string backend_name,
                     double fallback_prune_threshold);
 
   /// The plan for an iteration whose incoming DIIS/commutator error is
@@ -128,17 +120,9 @@ class PrecisionGovernor {
     return state_.exact_final != 0;
   }
 
-  /// True when quantized kernels can actually execute this run: the mode
-  /// wants them, quantization is enabled, and the backend has the datapath.
+  /// True when quantized kernels can execute this run: the mode wants
+  /// them and quantization is enabled.
   [[nodiscard]] bool quantized_execution() const noexcept;
-
-  /// Human-readable reason when quantized execution is unavailable despite
-  /// being requested ("" otherwise) — satellite of the observable-degrade
-  /// contract: the condition is a counted metric and a queryable string, not
-  /// a log line.
-  [[nodiscard]] const std::string& degradation_reason() const noexcept {
-    return degradation_reason_;
-  }
 
   [[nodiscard]] const PrecisionConfig& config() const noexcept {
     return config_;
@@ -152,10 +136,7 @@ class PrecisionGovernor {
 
   PrecisionConfig config_;
   bool enable_quantization_;
-  GemmCapabilities capabilities_;
-  std::string backend_name_;
   double fallback_prune_threshold_;
-  std::string degradation_reason_;
   GovernorState state_;
 };
 

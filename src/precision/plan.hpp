@@ -4,7 +4,7 @@
 // One immutable IterationPrecisionPlan per SCF iteration is emitted by the
 // PrecisionGovernor (precision/governor.hpp) and consumed by the Fock
 // routing pass (FP64/quantized/prune thresholds, per-angular-momentum cap),
-// the quantizer (kernel storage format), and the GEMM backends (via the
+// the quantizer (kernel storage format), and the GEMM backend (via the
 // KernelConfig the Fock builder derives from it).  Consumers never construct
 // or mutate plans with ad-hoc thresholds — that rule is enforced by
 // scripts/check_precision_owners.sh (wired into ctest).
@@ -24,7 +24,6 @@ enum class PlanReason : std::uint8_t {
   kFinalExactPolish,      ///< converged on quantized kernels; FP64 re-run
   kModeForced,            ///< --precision fp64 pins everything to FP64
   kQuantizationDisabled,  ///< quantization not enabled for this run
-  kCapabilityDegraded,    ///< backend has no reduced-precision datapath
   kRecoveryLatch,         ///< recovery rung 3 latched FP64 for the run
 };
 

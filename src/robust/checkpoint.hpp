@@ -24,8 +24,8 @@
 // know: files from builds that still wrote the retired opaque RNG section
 // ("RNGS") load unchanged.
 //
-// The fingerprint (computed by run_scf) hashes the molecule, basis, backend
-// name, rank count, XC functional, XC grid, ERI engine and every
+// The fingerprint (computed by run_scf) hashes the molecule, basis, the
+// GEMM path's name, rank count, XC functional, XC grid, ERI engine and every
 // trajectory-shaping option; restoring against a different problem is an
 // InputError, never a silent restart-from-garbage.  Every section carries its
 // own CRC32 and the reader validates all of them eagerly — a single flipped

@@ -1,14 +1,18 @@
 // Liveness watchdog over the worker pool.
 //
-// A wedged run — a worker stuck in a pathological kernel, a deadlocked
-// dependency, an NFS stall inside a checkpoint write — looks identical to a
-// slow run from the outside.  The watchdog makes the difference observable:
-// every ThreadPool::parallel_for chunk stamps a per-worker heartbeat, and a
+// A wedged run — a worker stuck in a pathological kernel or a deadlocked
+// dependency inside a parallel region — looks identical to a slow run from
+// the outside.  The watchdog makes the difference observable: every
+// ThreadPool::parallel_for chunk stamps a per-worker heartbeat, and a
 // monitor thread checks that *some* heartbeat advanced within the stall
 // window whenever a parallel region is active.  A violation records a
 // FaultKind::kWedged audit event, bumps `robust.watchdog_stalls`, and
 // logs — it does not kill the run (the deadline/cancellation machinery in
 // cancel.hpp is the enforcement arm; the watchdog is the detection arm).
+// The deadline is cooperative: a chunk that never polls its token cannot be
+// stopped by it, and that is the hang only the watchdog reports.  Work
+// outside parallel regions (checkpoint writes, diagonalization on the
+// driver thread) is not watched: the monitor ignores an idle pool.
 //
 // Cost: one relaxed atomic store per chunk (a chunk is thousands-to-millions
 // of loop iterations), one atomic increment/decrement per parallel_for.

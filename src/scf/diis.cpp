@@ -11,11 +11,11 @@
 namespace mako {
 
 MatrixD diis_error_matrix(const MatrixD& f, const MatrixD& d, const MatrixD& s,
-                          const MatrixD& x, const GemmBackend* backend) {
-  MatrixD fds = matmul(matmul(f, d, backend), s, backend);
-  MatrixD sdf = matmul(matmul(s, d, backend), f, backend);
+                          const MatrixD& x) {
+  MatrixD fds = matmul(matmul(f, d), s);
+  MatrixD sdf = matmul(matmul(s, d), f);
   fds -= sdf;
-  return matmul(matmul(x, Trans::kYes, fds, Trans::kNo, backend), x, backend);
+  return matmul(matmul(x, Trans::kYes, fds, Trans::kNo), x);
 }
 
 double diis_error_norm(const MatrixD& error) {

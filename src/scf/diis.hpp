@@ -8,8 +8,6 @@
 
 namespace mako {
 
-class GemmBackend;
-
 /// Classic commutator-DIIS: extrapolates the Fock matrix from the history of
 /// (F, error) pairs with error = FDS - SDF expressed in an orthonormal basis.
 /// The caller owns the history (two parallel vectors, oldest first), so the
@@ -28,10 +26,7 @@ MatrixD diis_extrapolate(std::vector<MatrixD>& focks,
 [[nodiscard]] double diis_error_norm(const MatrixD& error);
 
 /// Builds the DIIS error matrix  X^T (F D S - S D F) X  (X orthogonalizer).
-/// GEMMs route through `backend` (the run's ExecutionContext backend), or
-/// the process-wide active backend when null.
 MatrixD diis_error_matrix(const MatrixD& f, const MatrixD& d, const MatrixD& s,
-                          const MatrixD& x,
-                          const GemmBackend* backend = nullptr);
+                          const MatrixD& x);
 
 }  // namespace mako

@@ -361,8 +361,8 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
         KernelConfig config;
         config.gemm.precision =
             quantized ? policy.quant_precision : Precision::kFP64;
-        // Engines are bound to the context's backend, plan cache and
-        // precision at construction; the precision is part of the key.
+        // Engines are bound to the context's plan cache and precision at
+        // construction; the precision is part of the key.
         const BatchedEriEngine& engine =
             engines_
                 .try_emplace(std::make_pair(key, config.gemm.precision),

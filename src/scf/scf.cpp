@@ -49,13 +49,12 @@ inline void fnv1a(std::uint64_t& h, const void* data, std::size_t n) {
 }
 
 /// Content fingerprint of everything that shapes the SCF trajectory: the
-/// basis (via FockPlan::fingerprint), molecule, backend, rank count, XC
-/// functional and grid, and every trajectory-shaping option.  A
-/// checkpoint restore validates this — resuming against a different problem
-/// must fail loudly, never compute garbage.
+/// basis (via FockPlan::fingerprint), molecule, rank count, XC functional
+/// and grid, and every trajectory-shaping option.  A checkpoint restore
+/// validates this — resuming against a different problem must fail loudly,
+/// never compute garbage.
 std::uint64_t scf_fingerprint(const Molecule& mol, const BasisSet& basis,
-                              const ScfOptions& options,
-                              const std::string& backend_name, int ranks) {
+                              const ScfOptions& options, int ranks) {
   std::uint64_t h = FockPlan::fingerprint(basis);
   const int charge = mol.charge();
   fnv1a(h, &charge, sizeof charge);
@@ -65,7 +64,11 @@ std::uint64_t scf_fingerprint(const Molecule& mol, const BasisSet& basis,
   }
   const char* xc_name = options.xc.name();
   fnv1a(h, xc_name, std::strlen(xc_name));
-  fnv1a(h, backend_name.data(), backend_name.size());
+  // The name of the one GEMM path, hashed where the selected backend's name
+  // used to be, so checkpoints written before the backend selection was
+  // retired still restore.
+  static constexpr char kGemmPath[] = "blocked+quantized";
+  fnv1a(h, kGemmPath, sizeof kGemmPath - 1);
   const std::int32_t ints[] = {
       static_cast<std::int32_t>(options.diagonalizer),
       options.incremental_fock ? 1 : 0,
@@ -231,7 +234,6 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
 
   // Execution environment: the engine-owned context, or the process default.
   const ExecutionContext& exec = ctx ? *ctx : ExecutionContext::process();
-  const GemmBackend* const be = &exec.backend();
   // Rank communicator of the run ("local" on one rank).  The driver itself
   // stays replicated — DIIS, diagonalization, and the convergence test run
   // identically on every rank — while the Fock build is owner-computes with
@@ -258,10 +260,6 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
 
   // The run's precision authority: every per-iteration plan — thresholds,
   // kernel format, allow_quantized verdict, per-L cap — comes from here.
-  // Capability degradation (quantization requested on a backend without a
-  // reduced-precision datapath) is counted and carries a reason; the
-  // governor then plans pure FP64 rather than silently running quantized
-  // math at full precision with loosened prune thresholds.
   PrecisionGovernor governor = exec.make_governor(
       options.precision, options.enable_quantization, options.prune_threshold);
 
@@ -283,8 +281,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
   const bool durable =
       !dur.checkpoint_path.empty() || !dur.restore_path.empty();
   const std::uint64_t fingerprint =
-      durable ? scf_fingerprint(mol, basis, options, be->name(), comm.size())
-              : 0;
+      durable ? scf_fingerprint(mol, basis, options, comm.size()) : 0;
 
   // Every loop-carried datum of the run (robust/checkpoint.hpp).  The loop
   // reads and writes it directly; a checkpoint is this struct serialized.
@@ -307,13 +304,13 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
              dur.restore_path.c_str(), st.next_iteration, st.last_energy);
   } else {
     // Core-Hamiltonian initial guess.
-    MatrixD f0 = matmul(matmul(x, Trans::kYes, hcore, Trans::kNo, be), x, be);
+    MatrixD f0 = matmul(matmul(x, Trans::kYes, hcore, Trans::kNo), x);
     EigenResult es = eigh(f0);
     if (!es.converged) {
       throw std::runtime_error(
           "run_scf: core-Hamiltonian guess: QL iteration did not converge");
     }
-    st.coefficients = matmul(x, es.eigenvectors, be);
+    st.coefficients = matmul(x, es.eigenvectors);
     st.orbital_energies = es.eigenvalues;
     st.density = build_density(st.coefficients, nocc);
     if (comm.size() > 1) {
@@ -479,7 +476,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
          ++attempt) {
       // Precision plan for this attempt.  The governor folds in everything
       // that used to be scattered: the convergence-aware schedule, the
-      // capability gate, the rung-3 FP64 latch, and the exact-final polish.
+      // rung-3 FP64 latch, and the exact-final polish.
       policy =
           governor.plan_for_iteration(iter, iter == 0 ? 1.0 : st.last_error);
 
@@ -565,7 +562,8 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     XcResult xres;
     if (grid) {
       MAKO_TRACE_SCOPE(obs::TraceCat::kScf, "scf.xc");
-      xres = integrate_xc(basis, *grid, xc, st.density, be, &cancel);
+      xres = integrate_xc(basis, *grid, xc, st.density, &exec.backend(),
+                          &cancel);
       MAKO_METRIC_COUNT("scf.xc_builds", 1);
       if (xres.cancelled) {
         cancelled_stop = true;  // partial quadrature; discard the iteration
@@ -603,7 +601,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     MatrixD f_use = fock;
     if (options.use_diis) {
       MAKO_TRACE_SCOPE(obs::TraceCat::kScf, "scf.diis");
-      const MatrixD err = diis_error_matrix(fock, st.density, s, x, be);
+      const MatrixD err = diis_error_matrix(fock, st.density, s, x);
       f_use = diis_extrapolate(st.diis_focks, st.diis_errors, fock, err);
       st.last_error = diis_error_norm(err);
     } else {
@@ -611,8 +609,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     }
 
     // Diagonalize in the orthonormal basis.
-    MatrixD f_ortho =
-        matmul(matmul(x, Trans::kYes, f_use, Trans::kNo, be), x, be);
+    MatrixD f_ortho = matmul(matmul(x, Trans::kYes, f_use, Trans::kNo), x);
     // Rung-2 level shift: F_ortho += shift * (I - Y_occ Y_occ^T) raises the
     // virtual block, suppressing occupied/virtual mixing while the run is
     // still far from converged.  Tapers off near convergence so final
@@ -621,7 +618,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
         st.last_error > 10.0 * options.diis_convergence &&
         robust.level_shift > 0.0) {
       MatrixD p_occ =
-          matmul(st.prev_y_occ, Trans::kNo, st.prev_y_occ, Trans::kYes, be);
+          matmul(st.prev_y_occ, Trans::kNo, st.prev_y_occ, Trans::kYes);
       p_occ *= robust.level_shift;
       for (std::size_t i = 0; i < f_ortho.rows(); ++i) {
         f_ortho(i, i) += robust.level_shift;
@@ -701,7 +698,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
       }
     }
 
-    st.coefficients = matmul(x, es.eigenvectors, be);
+    st.coefficients = matmul(x, es.eigenvectors);
     st.orbital_energies = es.eigenvalues;
     MatrixD d_new = build_density(st.coefficients, nocc);
     if (st.damping) {

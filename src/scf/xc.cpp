@@ -284,14 +284,13 @@ void evaluate_aos(const BasisSet& basis, const GridPoint* pts,
 
 XcResult integrate_xc(const BasisSet& basis, const MolecularGrid& grid,
                       const XcFunctional& xc, const MatrixD& d,
-                      const GemmBackend* backend, const CancelToken* cancel) {
+                      const GemmBackend* /*backend*/,
+                      const CancelToken* cancel) {
   XcResult result;
   const std::size_t nbf = basis.nbf();
   result.vxc.resize(nbf, nbf, 0.0);
   if (xc.is_hf_only()) return result;
-  const GemmBackend& be = backend != nullptr
-                              ? *backend
-                              : GemmBackendRegistry::instance().active();
+  const GemmBackend& be = GemmBackend::instance();
 
   const bool grads = xc.needs_gradient();
   constexpr std::size_t kChunk = 256;

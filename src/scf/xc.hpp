@@ -70,9 +70,8 @@ struct XcResult {
 /// Numerically integrates the XC energy and potential matrix for density
 /// matrix `d` (closed-shell convention) on `grid`.  This is the
 /// triple-product-projection stage the paper notes is already MatMul-
-/// amenable: AO values on point blocks contract with D through GEMMs, which
-/// dispatch through `backend` (the run's ExecutionContext backend) or the
-/// process-wide active backend when null.
+/// amenable: AO values on point blocks contract with D through GEMMs on the
+/// one GemmBackend (`backend` is its handle and selects nothing).
 /// `cancel` (optional) is polled once per point chunk; on a trip the
 /// quadrature stops early and the result is marked cancelled.
 XcResult integrate_xc(const BasisSet& basis, const MolecularGrid& grid,

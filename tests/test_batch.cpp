@@ -76,7 +76,6 @@ TEST_F(BatchTest, MixedBatchIsolatesPerJobOutcomes) {
 
   BatchOptions options;
   options.concurrency = 4;
-  options.make_active = false;
   BatchScheduler scheduler(options);
   const std::vector<BatchJobResult> results = scheduler.run(jobs);
 
@@ -113,42 +112,34 @@ TEST_F(BatchTest, MixedBatchIsolatesPerJobOutcomes) {
 
 // The determinism contract the shared caches must not break: a job run inside
 // a concurrent batch produces the SAME bits as the same job run solo through
-// run_scf, on the default backend and on the reference backend.
+// run_scf.
 TEST_F(BatchTest, BatchedJobMatchesSoloRunBitForBit) {
-  for (const std::string backend : {std::string(""), std::string("reference")}) {
-    SCOPED_TRACE("backend '" + backend + "'");
-    const Molecule water = make_water();
+  const Molecule water = make_water();
 
-    // Solo leg: exactly what MakoEngine would run (same expansion point).
-    const BasisSet basis(water, "sto-3g");
-    const ExecutionContext solo_ctx(ExecutionContextOptions{
-        .backend = backend, .make_active = false});
-    MakoOptions mako_options;
-    mako_options.backend = backend;
-    const ScfResult solo =
-        run_scf(water, basis, scf_options_from(mako_options), &solo_ctx);
-    ASSERT_TRUE(solo.converged);
+  // Solo leg: exactly what MakoEngine would run (same expansion point).
+  const BasisSet basis(water, "sto-3g");
+  const ExecutionContext solo_ctx;
+  const ScfResult solo =
+      run_scf(water, basis, scf_options_from(MakoOptions{}), &solo_ctx);
+  ASSERT_TRUE(solo.converged);
 
-    // Batch leg: the same job racing three siblings over shared caches.
-    std::vector<BatchJobSpec> jobs;
-    for (const char* name : {"a", "b", "c", "d"}) jobs.push_back(water_job(name));
-    jobs[2].molecule = make_water_cluster(2);  // different chemistry in flight
+  // Batch leg: the same job racing three siblings over shared caches.
+  std::vector<BatchJobSpec> jobs;
+  for (const char* name : {"a", "b", "c", "d"}) jobs.push_back(water_job(name));
+  jobs[2].molecule = make_water_cluster(2);  // different chemistry in flight
 
-    BatchOptions options;
-    options.concurrency = 4;
-    options.backend = backend;
-    options.make_active = false;
-    BatchScheduler scheduler(options);
-    const std::vector<BatchJobResult> results = scheduler.run(jobs);
+  BatchOptions options;
+  options.concurrency = 4;
+  BatchScheduler scheduler(options);
+  const std::vector<BatchJobResult> results = scheduler.run(jobs);
 
-    for (const std::size_t i : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-      ASSERT_TRUE(results[i].ran);
-      EXPECT_EQ(results[i].health, solo.health);
-      EXPECT_EQ(results[i].scf.iterations, solo.iterations);
-      EXPECT_EQ(results[i].scf.energy, solo.energy);  // bitwise, not NEAR
-      EXPECT_EQ(results[i].scf.e_coulomb, solo.e_coulomb);
-      EXPECT_EQ(results[i].scf.e_exact_exchange, solo.e_exact_exchange);
-    }
+  for (const std::size_t i : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    ASSERT_TRUE(results[i].ran);
+    EXPECT_EQ(results[i].health, solo.health);
+    EXPECT_EQ(results[i].scf.iterations, solo.iterations);
+    EXPECT_EQ(results[i].scf.energy, solo.energy);  // bitwise, not NEAR
+    EXPECT_EQ(results[i].scf.e_coulomb, solo.e_coulomb);
+    EXPECT_EQ(results[i].scf.e_exact_exchange, solo.e_exact_exchange);
   }
 }
 
@@ -172,7 +163,6 @@ TEST_F(BatchTest, FaultedJobRecoversWithoutDisturbingSiblings) {
 
   BatchOptions options;
   options.concurrency = 2;
-  options.make_active = false;
   BatchScheduler scheduler(options);
   const std::vector<BatchJobResult> results = scheduler.run(jobs);
 
@@ -191,7 +181,6 @@ TEST_F(BatchTest, FaultedJobRecoversWithoutDisturbingSiblings) {
 
 TEST_F(BatchTest, EmptyJobListThrows) {
   BatchOptions options;
-  options.make_active = false;
   BatchScheduler scheduler(options);
   EXPECT_THROW(scheduler.run({}), InputError);
 }
@@ -284,7 +273,6 @@ TEST_F(BatchTest, ResultsJsonRoundTripsThroughParser) {
 
   BatchOptions options;
   options.concurrency = 2;
-  options.make_active = false;
   BatchScheduler scheduler(options);
   const std::vector<BatchJobResult> results = scheduler.run(jobs);
 

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <latch>
 #include <string>
 #include <thread>
 
@@ -121,8 +122,7 @@ TEST(ScfCancelTest, PreCancelledTokenStopsBeforeAnyIteration) {
   const BasisSet bs(w, "sto-3g");
   CancelToken token;
   token.request(CancelReason::kUser);
-  const ExecutionContext ctx(
-      ExecutionContextOptions{.backend = "", .cancel = &token, .make_active = false});
+  const ExecutionContext ctx(ExecutionContextOptions{.cancel = &token});
   const ScfResult r = run_scf(w, bs, {}, &ctx);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.iterations, 0);
@@ -135,8 +135,7 @@ TEST(ScfCancelTest, ExpiredBudgetDoesNotPoisonTheNextRun) {
   const Molecule w = make_water();
   const BasisSet bs(w, "sto-3g");
   CancelToken token;
-  const ExecutionContext ctx(
-      ExecutionContextOptions{.backend = "", .cancel = &token, .make_active = false});
+  const ExecutionContext ctx(ExecutionContextOptions{.cancel = &token});
 
   ScfOptions strangled;
   strangled.durability.max_seconds = 1e-6;  // expires at the first poll
@@ -167,8 +166,7 @@ TEST(ScfCancelTest, BudgetExpiryLeavesALoadableCheckpoint) {
   opt.durability.checkpoint_path = ck;
   opt.durability.max_seconds = 1.0;  // enough for a few iterations, not 10k
   CancelToken token;
-  const ExecutionContext ctx(
-      ExecutionContextOptions{.backend = "", .cancel = &token, .make_active = false});
+  const ExecutionContext ctx(ExecutionContextOptions{.cancel = &token});
   const ScfResult r = run_scf(w, bs, opt, &ctx);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.health, Health::kDeadlineExceeded);
@@ -202,8 +200,7 @@ TEST(ScfCancelTest, MidRunUserCancelReturnsBestSoFar) {
   opt.energy_convergence = 0.0;
   opt.max_iterations = 10000;
   CancelToken token;
-  const ExecutionContext ctx(
-      ExecutionContextOptions{.backend = "", .cancel = &token, .make_active = false});
+  const ExecutionContext ctx(ExecutionContextOptions{.cancel = &token});
   std::thread killer([&token] {
     sleep_ms(150);
     token.request(CancelReason::kUser);
@@ -259,6 +256,39 @@ TEST(WatchdogTest, HealthyPoolTrafficDoesNotTrip) {
   if (ThreadPool::global().size() > 1) {
     EXPECT_GT(wd.beats(), beats_before);
   }
+}
+
+// The case the watchdog exists for: a chunk wedged on a latch it never
+// polls past.  The run's deadline has already expired, but cancellation is
+// cooperative, so only the watchdog can report the hang; the helper thread
+// releases the latch once an event is recorded (or after a generous cap, so
+// a failing build still terminates).
+TEST(WatchdogTest, FlagsAWedgedChunkAnExpiredDeadlineCannotStop) {
+  Watchdog& wd = Watchdog::instance();
+  wd.reset_events();
+  CancelToken token;
+  ScopedDeadline deadline(token, 1e-9);
+  sleep_ms(2);
+  ASSERT_TRUE(token.cancelled());
+
+  ThreadPool pool(2);  // two workers: the loop is a pooled parallel region
+  std::latch gate(1);
+  std::size_t events_at_release = 0;
+  ScopedWatchdog guard(0.05);
+  std::thread helper([&] {
+    for (int waited_ms = 0; waited_ms < 10000 && wd.events().empty();
+         waited_ms += 5) {
+      sleep_ms(5);
+    }
+    events_at_release = wd.events().size();
+    gate.count_down();
+  });
+  pool.parallel_for(2, [&gate](std::size_t) { gate.wait(); });
+  helper.join();
+
+  EXPECT_GE(events_at_release, 1u);
+  EXPECT_EQ(wd.last_status().kind(), FaultKind::kWedged);
+  wd.reset_events();
 }
 
 // --- parent-linked tokens (the batch isolation chain) ---------------------
@@ -341,13 +371,19 @@ TEST(WatchdogTest, NestedInlineLoopStampsHeartbeat) {
   const std::uint64_t beats_before = wd.beats();
   std::atomic<std::uint64_t> nested_on_worker{0};
   // The caller drains chunks cooperatively and may win them all on a loaded
-  // host; retry until a worker actually executes one.
+  // host.  Its indices therefore hold (bounded) until a worker has run one,
+  // which leaves the remaining chunks to the workers; retry regardless.
   for (int attempt = 0; attempt < 5 && nested_on_worker.load() == 0;
        ++attempt) {
     parallel_for(256, [&nested_on_worker](std::size_t) {
       if (ThreadPool::current() != nullptr) {
         nested_on_worker.fetch_add(1, std::memory_order_relaxed);
         parallel_for(4, [](std::size_t) {});  // nested: runs inline
+        return;
+      }
+      for (int waited_ms = 0; waited_ms < 200 && nested_on_worker.load() == 0;
+           ++waited_ms) {
+        sleep_ms(1);
       }
     });
   }

@@ -707,10 +707,6 @@ TEST_F(CheckpointTest, ResumeIsBitIdenticalWithIncrementalFock) {
 /// TF32 step latched, and the resumed run must continue with non-default
 /// governor state — same TF32 kernels, same trajectory, bit for bit.
 TEST_F(CheckpointTest, ResumeIsBitIdenticalMidPrecisionLadder) {
-  if (!ExecutionContext::process().backend().capabilities().quantized) {
-    GTEST_SKIP() << "ambient backend has no quantized datapath; the ladder "
-                    "never steps (governance degrades to pure FP64)";
-  }
   const Molecule w = make_water();
   const BasisSet bs(w, "sto-3g");
   ScfOptions base;

@@ -2,11 +2,12 @@
 // zero-cost local collectives, pinned-tree allreduce semantics through the
 // NVI seam, verified delivery under fault injection, the rank-invariance
 // contract (`--ranks N` SCF is bit-identical to `--ranks 1` on every
-// supported rank count and GEMM backend), comm failures hard-faulting the
+// supported rank count), comm failures hard-faulting the
 // SCF, and checkpoint topology guarding.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,10 +47,8 @@ class CommunicatorTest : public ::testing::Test {
   std::string saved_env_;
 };
 
-ExecutionContext make_context(const std::string& backend, int ranks) {
+ExecutionContext make_context(int ranks) {
   ExecutionContextOptions opt;
-  opt.backend = backend;
-  opt.make_active = false;
   opt.ranks = ranks;
   return ExecutionContext(opt);
 }
@@ -179,32 +178,60 @@ TEST_F(CommunicatorTest, FaultInjectedAllreduceRedeliversVerified) {
 
 // --- The tentpole acceptance: rank-count invariance --------------------------
 
-TEST_F(CommunicatorTest, ScfIsBitIdenticalAcrossRankCountsAndBackends) {
+TEST_F(CommunicatorTest, ScfIsBitIdenticalAcrossRankCounts) {
   const Molecule w = make_water();
   const BasisSet bs(w, "sto-3g");
   ScfOptions options;
 
-  for (const char* backend : {"blocked+quantized", "reference"}) {
-    const ExecutionContext ref_ctx = make_context(backend, 1);
-    const ScfResult ref = run_scf(w, bs, options, &ref_ctx);
-    ASSERT_TRUE(ref.converged) << backend;
+  const ExecutionContext ref_ctx = make_context(1);
+  const ScfResult ref = run_scf(w, bs, options, &ref_ctx);
+  ASSERT_TRUE(ref.converged);
 
-    for (int ranks : {2, 4, 8}) {
-      const ExecutionContext ctx = make_context(backend, ranks);
-      const ScfResult r = run_scf(w, bs, options, &ctx);
-      // Bit-identical energy and trajectory — EXPECT_EQ on doubles is exact.
-      EXPECT_EQ(r.energy, ref.energy) << backend << " ranks=" << ranks;
-      EXPECT_EQ(r.iterations, ref.iterations)
-          << backend << " ranks=" << ranks;
-      ASSERT_EQ(r.density.size(), ref.density.size());
-      EXPECT_EQ(0, std::memcmp(r.density.data(), ref.density.data(),
-                               r.density.size() * sizeof(double)))
-          << backend << " ranks=" << ranks;
-      // Multi-rank runs charge modeled collective time; the energies above
-      // prove the charge never leaks into the numbers.
-      EXPECT_GT(r.comm_seconds, 0.0) << backend << " ranks=" << ranks;
-      EXPECT_GT(r.comm_bytes, 0u) << backend << " ranks=" << ranks;
-    }
+  for (int ranks : {2, 4, 8}) {
+    const ExecutionContext ctx = make_context(ranks);
+    const ScfResult r = run_scf(w, bs, options, &ctx);
+    // Bit-identical energy and trajectory — EXPECT_EQ on doubles is exact.
+    EXPECT_EQ(r.energy, ref.energy) << "ranks=" << ranks;
+    EXPECT_EQ(r.iterations, ref.iterations) << "ranks=" << ranks;
+    ASSERT_EQ(r.density.size(), ref.density.size());
+    EXPECT_EQ(0, std::memcmp(r.density.data(), ref.density.data(),
+                             r.density.size() * sizeof(double)))
+        << "ranks=" << ranks;
+    // Multi-rank runs charge modeled collective time; the energies above
+    // prove the charge never leaks into the numbers.
+    EXPECT_GT(r.comm_seconds, 0.0) << "ranks=" << ranks;
+    EXPECT_GT(r.comm_bytes, 0u) << "ranks=" << ranks;
+  }
+}
+
+// The same contract on the quantized schedule: the reduced-precision GEMMs
+// and the governor's per-iteration routing see the same reduced J/K at every
+// rank count, so the trajectory cannot fork.
+TEST_F(CommunicatorTest, QuantizedScfIsBitIdenticalAcrossRankCounts) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "sto-3g");
+  ScfOptions options;
+  options.enable_quantization = true;
+  options.precision.start_fp64_threshold = 1e2;  // route everything early
+
+  const auto run = [&](int ranks) {
+    const ExecutionContext ctx = make_context(ranks);
+    return run_scf(w, bs, options, &ctx);
+  };
+  const ScfResult ref = run(1);
+  ASSERT_TRUE(ref.converged);
+  std::int64_t quantized = 0;
+  for (const auto& rec : ref.iteration_log) quantized += rec.quartets_quantized;
+  ASSERT_GT(quantized, 0) << "the schedule never quantized; nothing tested";
+
+  for (int ranks : {2, 4}) {
+    const ScfResult r = run(ranks);
+    EXPECT_EQ(r.energy, ref.energy) << "ranks=" << ranks;
+    EXPECT_EQ(r.iterations, ref.iterations) << "ranks=" << ranks;
+    ASSERT_EQ(r.density.size(), ref.density.size());
+    EXPECT_EQ(0, std::memcmp(r.density.data(), ref.density.data(),
+                             r.density.size() * sizeof(double)))
+        << "ranks=" << ranks;
   }
 }
 
@@ -214,7 +241,7 @@ TEST_F(CommunicatorTest, ExhaustedAllreduceRetryBudgetHardFaultsTheScf) {
   }
   const Molecule w = make_water();
   const BasisSet bs(w, "sto-3g");
-  const ExecutionContext ctx = make_context("", 2);
+  const ExecutionContext ctx = make_context(2);
 
   FaultSpec fault;
   fault.mode = FaultMode::kNaN;
@@ -239,7 +266,7 @@ TEST_F(CommunicatorTest, CheckpointWrittenUnderOtherTopologyIsRefused) {
   ScfOptions write_opt;
   write_opt.fixed_iterations = 2;
   write_opt.durability.checkpoint_path = path;
-  const ExecutionContext ctx1 = make_context("", 1);
+  const ExecutionContext ctx1 = make_context(1);
   (void)run_scf(w, bs, write_opt, &ctx1);
 
   // Identical trajectory-shaping options: only the rank topology differs,
@@ -247,7 +274,7 @@ TEST_F(CommunicatorTest, CheckpointWrittenUnderOtherTopologyIsRefused) {
   ScfOptions restore_opt = write_opt;
   restore_opt.durability.checkpoint_path.clear();
   restore_opt.durability.restore_path = path;
-  const ExecutionContext ctx4 = make_context("", 4);
+  const ExecutionContext ctx4 = make_context(4);
   try {
     (void)run_scf(w, bs, restore_opt, &ctx4);
     FAIL() << "expected InputError: rank topology is part of the fingerprint";
@@ -257,7 +284,7 @@ TEST_F(CommunicatorTest, CheckpointWrittenUnderOtherTopologyIsRefused) {
 
   // Same topology restores fine — the refusal above is the mismatch, not
   // some general breakage of durable multi-rank runs.
-  const ExecutionContext ctx1b = make_context("", 1);
+  const ExecutionContext ctx1b = make_context(1);
   EXPECT_NO_THROW((void)run_scf(w, bs, restore_opt, &ctx1b));
   std::remove(path.c_str());
 }

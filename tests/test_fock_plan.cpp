@@ -184,23 +184,24 @@ TEST(FockPlanTest, ParallelSchwarzMatchesSerial) {
 
 // --- Plan reuse: bit-identical iterations ------------------------------------
 
-class PlanReuseTest : public ::testing::TestWithParam<std::string> {};
+// Over each route a quartet can take: pure FP64, and the quantized route at
+// both reduced precisions (the precision ladder's FP16 and TF32 rungs).
+class PlanReuseTest : public ::testing::TestWithParam<Precision> {};
 
 TEST_P(PlanReuseTest, ReusedBuilderMatchesFreshBuildersBitForBit) {
-  ExecutionContextOptions ctx_opt;
-  ctx_opt.backend = GetParam();
-  ctx_opt.make_active = false;
-  const ExecutionContext ctx(ctx_opt);
+  const ExecutionContext ctx;
 
   const Molecule w = make_water();
   const BasisSet bs(w, "6-31g");
   const FockOptions options;
 
   IterationPolicy policy;
-  policy.allow_quantized = true;
-  policy.fp64_threshold = 1e-6;
+  policy.allow_quantized = GetParam() != Precision::kFP64;
+  // High enough that the quantized route carries real quartets (asserted
+  // below); at 1e-4 or lower every quartet of this system stays on FP64.
+  policy.fp64_threshold = 1e-2;
   policy.prune_threshold = 1e-13;
-  policy.quant_precision = Precision::kFP16;
+  if (policy.allow_quantized) policy.quant_precision = GetParam();
 
   // One long-lived builder plays >= 3 SCF iterations (different densities);
   // a brand-new builder per density is the fresh-build baseline.
@@ -225,16 +226,19 @@ TEST_P(PlanReuseTest, ReusedBuilderMatchesFreshBuildersBitForBit) {
     EXPECT_EQ(max_abs_diff(j1, j3), 0.0);
     EXPECT_EQ(max_abs_diff(k1, k3), 0.0);
     EXPECT_EQ(s1.quartets_fp64, s3.quartets_fp64);
+    EXPECT_EQ(s1.quartets_quantized > 0, policy.allow_quantized);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Backends, PlanReuseTest,
-    ::testing::Values(std::string("reference"),
-                      std::string("blocked+quantized")),
+    Precisions, PlanReuseTest,
+    ::testing::Values(Precision::kFP64, Precision::kTF32, Precision::kFP16),
     [](const auto& info) {
-      return std::string(info.param == "reference" ? "RefBackend"
-                                                   : "QuantBackend");
+      switch (info.param) {
+        case Precision::kTF32: return std::string("Tf32");
+        case Precision::kFP16: return std::string("Fp16");
+        default: return std::string("Fp64");
+      }
     });
 
 // --- Early-exit screening vs exhaustive enumeration --------------------------
@@ -345,7 +349,6 @@ TEST(FockPlanTest, SteadyStateBuildAllocatesNothing) {
   // simulated communicator every build, e.g. under MAKO_RANKS in CI).
   ThreadPool pool(1);
   ExecutionContextOptions ctx_opt;
-  ctx_opt.make_active = false;
   ctx_opt.ranks = 1;
   ctx_opt.pool = &pool;
   const ExecutionContext ctx(ctx_opt);
@@ -370,9 +373,7 @@ TEST(FockPlanTest, SteadyStateBuildAllocatesNothing) {
 // --- Plan cache: second builder performs no construction work -----------------
 
 TEST(FockPlanTest, SecondBuilderOverSameBasisHitsThePlanCache) {
-  ExecutionContextOptions ctx_opt;
-  ctx_opt.make_active = false;
-  const ExecutionContext ctx(ctx_opt);
+  const ExecutionContext ctx;
   FockPlanCache& cache = ctx.components().get<FockPlanCache>();
   EXPECT_EQ(cache.builds(), 0);
   EXPECT_EQ(cache.hits(), 0);
@@ -409,9 +410,7 @@ TEST(FockPlanTest, SecondBuilderOverSameBasisHitsThePlanCache) {
 // --- Plan cache: a plan lives exactly as long as its basis --------------------
 
 TEST(FockPlanTest, LongLivedContextHoldsNoPlanOfADeadBasis) {
-  ExecutionContextOptions ctx_opt;
-  ctx_opt.make_active = false;
-  const ExecutionContext ctx(ctx_opt);
+  const ExecutionContext ctx;
   FockPlanCache& cache = ctx.components().get<FockPlanCache>();
   const Molecule w = make_water();
 
@@ -451,9 +450,7 @@ TEST(FockPlanTest, PlanOfALiveBasisDiesWithItsContext) {
   const BasisSet bs(w, "sto-3g");
   std::weak_ptr<const FockPlan> plan;
   {
-    ExecutionContextOptions ctx_opt;
-    ctx_opt.make_active = false;
-    const ExecutionContext ctx(ctx_opt);
+    const ExecutionContext ctx;
     plan = ctx.components().get<FockPlanCache>().get(bs, ctx.pool());
     EXPECT_FALSE(plan.expired());
   }

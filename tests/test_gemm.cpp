@@ -1,13 +1,20 @@
 // GEMM kernel tests: correctness across shapes (direct and packed regimes,
-// register-tile fringes) and the numerical contracts of the quantized
-// (tensor-core-emulating) path.
+// register-tile fringes), the numerical contracts of the quantized
+// (tensor-core-emulating) path, and the one GemmBackend: its entry points
+// are the packed kernels bit for bit, each counts one "gemm.calls", and it
+// is safe to call from pool workers concurrently.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "linalg/gemm.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace mako {
@@ -206,12 +213,8 @@ TEST(GemmTest, MatrixWrappers) {
 // --- Quantized path ----------------------------------------------------------
 //
 // The double operands are rounded through the precision by quantize_to_float
-// and multiplied through the default backend's `mixed` entry point, which
+// and multiplied through the backend's `mixed` entry point, which
 // accumulates at FP32 — the ERI engine's quantized GEMMs.
-
-const GemmBackend& quantized_backend() {
-  return resolve_gemm_backend(GemmBackendRegistry::kDefaultName);
-}
 
 /// c = a * b ([m x k] x [k x n]) on operands rounded through `p`.
 void quantized_gemm(const std::vector<double>& a, const std::vector<double>& b,
@@ -220,8 +223,8 @@ void quantized_gemm(const std::vector<double>& a, const std::vector<double>& b,
   std::vector<float> qa(m * k), qb(k * n);
   quantize_to_float(a.data(), qa.data(), m * k, p);
   quantize_to_float(b.data(), qb.data(), k * n, p);
-  quantized_backend().mixed(qa.data(), false, qb.data(), false, c.data(), m,
-                            n, k, 1.0, 0.0);
+  GemmBackend::instance().mixed(qa.data(), false, qb.data(), false, c.data(),
+                                m, n, k, 1.0, 0.0);
 }
 
 class QuantGemmTest : public ::testing::TestWithParam<Precision> {};
@@ -257,8 +260,8 @@ TEST(QuantGemmTest, Fp64PathIsExact) {
   const auto a = random_buffer(m * k, rng);
   const auto b = random_buffer(k * n, rng);
   std::vector<double> c(m * n, 0.0), expected(m * n, 0.0);
-  quantized_backend().fp64(a.data(), false, b.data(), false, c.data(), m, n,
-                           k);
+  GemmBackend::instance().fp64(a.data(), false, b.data(), false, c.data(), m,
+                               n, k);
   naive_gemm(a, b, expected, m, n, k, 1.0, 0.0);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], expected[i], 1e-13);
 }
@@ -280,6 +283,163 @@ TEST(QuantGemmTest, Fp16OverflowsWithoutScaling) {
   std::vector<double> c(1, 0.0);
   quantized_gemm(a, b, c, 1, 1, 1, Precision::kFP16);
   EXPECT_TRUE(std::isinf(c[0]));
+}
+
+// --- The one GemmBackend ------------------------------------------------------
+//
+// Every library GEMM goes through GemmBackend::instance(); there is no second
+// implementation behind it.  Its entry points must therefore be the packed
+// kernels exactly — same bits, not merely close — over the direct and the
+// packed dispatch and every transpose combination.
+
+/// Bitwise equality of two double buffers (EXPECT_EQ on doubles is exact
+/// too, but memcmp also tells -0.0 from 0.0).
+bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+using TransposePair = std::tuple<bool, bool>;
+
+class GemmBackendFp64Test : public ::testing::TestWithParam<TransposePair> {};
+
+TEST_P(GemmBackendFp64Test, Fp64IsTheFp64KernelBitForBit) {
+  const auto [ta, tb] = GetParam();
+  // 5x10x7 stays on the direct path; 36x90x90 is panel-packed.
+  for (const auto& [m, n, k] : {std::tuple<int, int, int>{5, 10, 7},
+                                std::tuple<int, int, int>{36, 90, 90}}) {
+    Rng rng(m * 31 + n * 7 + k + (ta ? 1 : 0) + (tb ? 2 : 0));
+    const auto a = random_buffer(static_cast<std::size_t>(m) * k, rng);
+    const auto b = random_buffer(static_cast<std::size_t>(k) * n, rng);
+    const auto c0 = random_buffer(static_cast<std::size_t>(m) * n, rng);
+    auto via_backend = c0;
+    auto via_kernel = c0;
+    GemmBackend::instance().fp64(a.data(), ta, b.data(), tb,
+                                 via_backend.data(), m, n, k, -1.25, 0.5);
+    gemm_fp64_ex(a.data(), ta, b.data(), tb, via_kernel.data(), m, n, k,
+                 -1.25, 0.5);
+    EXPECT_TRUE(same_bits(via_backend, via_kernel))
+        << "m=" << m << " n=" << n << " k=" << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transposes, GemmBackendFp64Test,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "T" : "N") +
+             (std::get<1>(info.param) ? "T" : "N");
+    });
+
+class GemmBackendMixedTest : public ::testing::TestWithParam<Precision> {};
+
+TEST_P(GemmBackendMixedTest, MixedIsTheQuantizedKernelBitForBit) {
+  const Precision p = GetParam();
+  const std::size_t m = 17, n = 19, k = 23;
+  Rng rng(static_cast<unsigned>(p) + 101);
+  const auto a = random_buffer(m * k, rng);
+  const auto b = random_buffer(k * n, rng);
+  const auto c0 = random_buffer(m * n, rng);
+  std::vector<float> qa(m * k), qb(k * n);
+  quantize_to_float(a.data(), qa.data(), qa.size(), p);
+  quantize_to_float(b.data(), qb.data(), qb.size(), p);
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      auto via_backend = c0;
+      auto via_kernel = c0;
+      GemmBackend::instance().mixed(qa.data(), ta, qb.data(), tb,
+                                    via_backend.data(), m, n, k, 2.0, 1.0);
+      gemm_quantized_ops(qa.data(), ta, qb.data(), tb, via_kernel.data(), m,
+                         n, k, 2.0, 1.0);
+      EXPECT_TRUE(same_bits(via_backend, via_kernel))
+          << "trans_a=" << ta << " trans_b=" << tb;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ReducedPrecisions, GemmBackendMixedTest,
+                         ::testing::Values(Precision::kTF32,
+                                           Precision::kFP16),
+                         [](const auto& info) {
+                           return info.param == Precision::kTF32 ? "Tf32"
+                                                                 : "Fp16";
+                         });
+
+std::int64_t gemm_calls() {
+  const obs::Counter* c =
+      obs::MetricsRegistry::global().find_counter("gemm.calls");
+  return c != nullptr ? c->value() : 0;
+}
+
+// perfbench reads "gemm.calls"; every entry point, the Matrix wrappers
+// included, must count exactly one call per GEMM.
+TEST(GemmBackendTest, EveryEntryPointCountsOneGemmCall) {
+#if !MAKO_OBSERVABILITY
+  GTEST_SKIP() << "registry counters are compiled out";
+#else
+  const GemmBackend& backend = GemmBackend::instance();
+  std::vector<double> a(6, 1.0), b(6, 1.0), c(4, 0.0);
+  std::vector<float> qa(6, 1.0f), qb(6, 1.0f);
+  MatrixD ma(2, 3, 1.0), mb(3, 2, 1.0), mc;
+
+  std::int64_t before = gemm_calls();
+  backend.fp64(a.data(), false, b.data(), false, c.data(), 2, 2, 3);
+  EXPECT_EQ(gemm_calls() - before, 1) << "fp64";
+
+  before = gemm_calls();
+  backend.mixed(qa.data(), false, qb.data(), false, c.data(), 2, 2, 3, 1.0,
+                0.0);
+  EXPECT_EQ(gemm_calls() - before, 1) << "mixed";
+
+  before = gemm_calls();
+  gemm(ma, Trans::kNo, mb, Trans::kNo, mc);
+  EXPECT_EQ(gemm_calls() - before, 1) << "gemm()";
+
+  before = gemm_calls();
+  (void)matmul(ma, mb);
+  EXPECT_EQ(gemm_calls() - before, 1) << "matmul()";
+
+  before = gemm_calls();
+  (void)matmul(ma, Trans::kYes, ma, Trans::kNo);
+  EXPECT_EQ(gemm_calls() - before, 1) << "matmul(op, op)";
+#endif
+}
+
+// The thread-safety contract of backend.hpp: per-call scratch is
+// thread_local, so GEMMs issued concurrently from pool workers (as the ERI
+// engine issues them) give the same bits as the same GEMMs run serially.
+TEST(GemmBackendTest, ConcurrentCallsFromPoolWorkersMatchSerial) {
+  constexpr std::size_t kJobs = 16;
+  const std::size_t m = 40, n = 33, k = 70;  // panel-packed shapes
+  Rng rng(77);
+  std::vector<std::vector<double>> as, bs;
+  std::vector<std::vector<float>> qas, qbs;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    as.push_back(random_buffer(m * k, rng));
+    bs.push_back(random_buffer(k * n, rng));
+    qas.emplace_back(m * k);
+    qbs.emplace_back(k * n);
+    quantize_to_float(as[j].data(), qas[j].data(), m * k, Precision::kFP16);
+    quantize_to_float(bs[j].data(), qbs[j].data(), k * n, Precision::kFP16);
+  }
+  const GemmBackend& backend = GemmBackend::instance();
+  const auto run = [&](std::size_t j, std::vector<double>& c) {
+    c.assign(m * n, 0.0);
+    if (j % 2 == 0) {
+      backend.fp64(as[j].data(), false, bs[j].data(), j % 4 == 0, c.data(), m,
+                   n, k);
+    } else {
+      backend.mixed(qas[j].data(), false, qbs[j].data(), false, c.data(), m,
+                    n, k, 1.0, 0.0);
+    }
+  };
+  std::vector<std::vector<double>> serial(kJobs), pooled(kJobs);
+  for (std::size_t j = 0; j < kJobs; ++j) run(j, serial[j]);
+  ThreadPool pool(4);
+  pool.parallel_for(kJobs, [&](std::size_t j) { run(j, pooled[j]); });
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    EXPECT_TRUE(same_bits(pooled[j], serial[j])) << "job " << j;
+  }
 }
 
 TEST(GemmTest, FlopsCount) {

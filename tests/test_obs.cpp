@@ -302,10 +302,7 @@ TEST(TelemetryTest, QuantizedRunReportsPolicy) {
   const BasisSet bs(w, "6-31g");
   ScfOptions options;
   options.enable_quantization = true;
-  // Pin the quantized-capable backend: under MAKO_BACKEND=reference the
-  // schedule would degrade to FP64 and no quantized routing would appear.
-  const ExecutionContext ctx(ExecutionContextOptions{
-      .backend = GemmBackendRegistry::kDefaultName, .make_active = false});
+  const ExecutionContext ctx;
   const ScfResult r = run_scf(w, bs, options, &ctx);
   ASSERT_FALSE(r.telemetry.empty());
   // Early iterations run quantized under the convergence-aware schedule.

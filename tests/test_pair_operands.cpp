@@ -167,7 +167,6 @@ TEST(PairOperandTest, ConcurrentQuantizedBuildsShareOnePlan) {
   // two builds really race on the plan.
   ThreadPool pool(1);
   ExecutionContextOptions ctx_opt;
-  ctx_opt.make_active = false;
   ctx_opt.pool = &pool;
   const ExecutionContext ctx(ctx_opt);
   const Molecule water = make_water();
@@ -191,9 +190,7 @@ class BatchInvarianceTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(BatchInvarianceTest, JkBitIdenticalForEveryBatchSize) {
   const bool quantized = GetParam();
-  ExecutionContextOptions ctx_opt;
-  ctx_opt.make_active = false;
-  const ExecutionContext ctx(ctx_opt);
+  const ExecutionContext ctx;
   const Molecule dimer = make_water_cluster(2, 5);
   const BasisSet basis(dimer, "def2-tzvp");
   const MatrixD d = random_symmetric_density(basis.nbf(), 4);
@@ -231,12 +228,7 @@ TEST_P(GemmCountTest, BuildJkRunsExactlyTwoGemmsPerQuartet) {
   GTEST_SKIP() << "registry counters are compiled out";
 #else
   const bool quantized = GetParam();
-  // Pinned to the default backend: its kernels count gemm.calls, and it has
-  // the quantized datapath.
-  ExecutionContextOptions ctx_opt;
-  ctx_opt.backend = GemmBackendRegistry::kDefaultName;
-  ctx_opt.make_active = false;
-  const ExecutionContext ctx(ctx_opt);
+  const ExecutionContext ctx;
   const Molecule water = make_water();
   const BasisSet basis(water, "def2-tzvp");
   const FockBuilder builder(basis, {}, &ctx);

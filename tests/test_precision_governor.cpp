@@ -1,34 +1,22 @@
 // PrecisionGovernor unit tests: the convergence-aware schedule (Section
 // 3.2.3), mode parsing/resolution, the FP16 -> TF32 -> FP64 precision
-// ladder, recovery/exact-final latches, capability degradation, and
-// checkpointable state round-trips.
+// ladder, recovery/exact-final latches, and checkpointable state
+// round-trips.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 
-#include "obs/metrics.hpp"
 #include "precision/governor.hpp"
 #include "robust/status.hpp"
 
 namespace mako {
 namespace {
 
-GemmCapabilities quantized_caps() {
-  return GemmCapabilities{/*quantized=*/true,
-                          "test backend with a quantized datapath"};
-}
-
-GemmCapabilities fp64_only_caps() {
-  return GemmCapabilities{/*quantized=*/false,
-                          "test backend without a quantized datapath"};
-}
-
 PrecisionGovernor make_governor(PrecisionConfig config = {},
-                                bool enable_quantization = true,
-                                GemmCapabilities caps = quantized_caps()) {
-  return PrecisionGovernor(config, enable_quantization, std::move(caps),
-                           "test", /*fallback_prune_threshold=*/1e-11);
+                                bool enable_quantization = true) {
+  return PrecisionGovernor(config, enable_quantization,
+                           /*fallback_prune_threshold=*/1e-11);
 }
 
 // --- adaptive schedule ------------------------------------------------------
@@ -231,33 +219,6 @@ TEST(GovernorLatchTest, ExactFinalRequestsOnePureFp64Pass) {
   EXPECT_FALSE(p.allow_quantized);
   EXPECT_EQ(p.reason, PlanReason::kFinalExactPolish);
   EXPECT_TRUE(gov.exact_final());
-}
-
-// --- capability degradation (satellite 2) -----------------------------------
-
-TEST(GovernorDegradationTest, MissingDatapathIsObservable) {
-  obs::Counter& degrades = obs::MetricsRegistry::global().counter(
-      "precision.capability_degradations");
-  const std::int64_t before = degrades.value();
-  PrecisionGovernor gov =
-      make_governor({}, /*enable_quantization=*/true, fp64_only_caps());
-  EXPECT_EQ(degrades.value(), before + 1);
-  EXPECT_FALSE(gov.quantized_execution());
-  EXPECT_NE(gov.degradation_reason().find("no reduced-precision datapath"),
-            std::string::npos);
-  const IterationPrecisionPlan p = gov.plan_for_iteration(0, 1.0);
-  EXPECT_FALSE(p.allow_quantized);
-  EXPECT_EQ(p.reason, PlanReason::kCapabilityDegraded);
-}
-
-TEST(GovernorDegradationTest, NoDegradationWithoutQuantizedRequest) {
-  obs::Counter& degrades = obs::MetricsRegistry::global().counter(
-      "precision.capability_degradations");
-  const std::int64_t before = degrades.value();
-  PrecisionGovernor gov =
-      make_governor({}, /*enable_quantization=*/false, fp64_only_caps());
-  EXPECT_EQ(degrades.value(), before);
-  EXPECT_TRUE(gov.degradation_reason().empty());
 }
 
 // --- checkpointable state ----------------------------------------------------

@@ -32,16 +32,6 @@ class RecoveryLadderTest : public ::testing::Test {
         r.recovery_log.begin(), r.recovery_log.end(),
         [action](const RecoveryEvent& e) { return e.action == action; });
   }
-
-  /// Faults injected into the quantized datapath need a backend that has
-  /// one: pin the quantized-capable default instead of inheriting
-  /// MAKO_BACKEND (the reference backend degrades the schedule to FP64 and
-  /// the poisoned path never runs).
-  static const ExecutionContext& quantized_context() {
-    static const ExecutionContext ctx(ExecutionContextOptions{
-        .backend = GemmBackendRegistry::kDefaultName, .make_active = false});
-    return ctx;
-  }
 };
 
 TEST_F(RecoveryLadderTest, HealthyRunStaysOnRungZero) {
@@ -74,7 +64,7 @@ TEST_F(RecoveryLadderTest, NaNInJEscalatesToFp64AndConvergesExact) {
   ScfOptions opt;
   opt.enable_quantization = true;
   opt.precision.start_fp64_threshold = 1e2;  // route everything early
-  const ScfResult r = run_scf(w, bs, opt, &quantized_context());
+  const ScfResult r = run_scf(w, bs, opt);
 
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.status.is_ok());
@@ -102,7 +92,7 @@ TEST_F(RecoveryLadderTest, QuantizedOperandCorruptionRecovers) {
   ScfOptions opt;
   opt.enable_quantization = true;
   opt.precision.start_fp64_threshold = 1e2;
-  const ScfResult r = run_scf(w, bs, opt, &quantized_context());
+  const ScfResult r = run_scf(w, bs, opt);
 
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.fp64_latched);
@@ -201,8 +191,7 @@ TEST_F(RecoveryLadderTest, FullRebuildLatchReusesCachedPlan) {
   const BasisSet bs(w, "sto-3g");
 
   // Prime the per-context plan cache with a clean run: exactly one build.
-  const ExecutionContext ctx(
-      ExecutionContextOptions{.backend = "", .make_active = false});
+  const ExecutionContext ctx;
   (void)run_scf(w, bs, {}, &ctx);
   const FockPlanCache& cache = ctx.components().get<FockPlanCache>();
   ASSERT_EQ(cache.builds(), 1);
@@ -245,7 +234,7 @@ TEST_F(RecoveryLadderTest, PlanBuildCorruptionIsSanitized) {
 
   // Fresh context -> fresh FockPlanCache -> the plan is actually rebuilt
   // (and corrupted) instead of served from another test's cache.
-  const ExecutionContext ctx(ExecutionContextOptions{.backend = "", .make_active = false});
+  const ExecutionContext ctx;
   const ScfResult r = run_scf(w, bs, {}, &ctx);
 
   EXPECT_EQ(FaultInjector::instance().fires("fock.plan_build"), 1u);
@@ -266,7 +255,7 @@ TEST_F(RecoveryLadderTest, RouteCorruptionSelfHeals) {
   spec.max_fires = 1;
   FaultInjector::instance().arm("fock.route", spec);
 
-  const ExecutionContext ctx(ExecutionContextOptions{.backend = "", .make_active = false});
+  const ExecutionContext ctx;
   const ScfResult r = run_scf(w, bs, {}, &ctx);
 
   EXPECT_EQ(FaultInjector::instance().fires("fock.route"), 1u);

@@ -23,16 +23,6 @@ Molecule h2_molecule() {
   return m;
 }
 
-/// Tests that assert on the quantized datapath pin the quantized-capable
-/// default backend: under a MAKO_BACKEND=reference run the process context
-/// would degrade the schedule to pure FP64 and there would be nothing to
-/// assert on.
-const ExecutionContext& quantized_context() {
-  static const ExecutionContext ctx(ExecutionContextOptions{
-      .backend = GemmBackendRegistry::kDefaultName, .make_active = false});
-  return ctx;
-}
-
 TEST(ScfTest, H2Sto3gMatchesLiterature) {
   const Molecule h2 = h2_molecule();
   const BasisSet bs(h2, "sto-3g");
@@ -80,7 +70,7 @@ TEST(ScfTest, QuantizedIterationsActuallyQuantize) {
   ScfOptions quant;
   quant.enable_quantization = true;
   quant.precision.start_fp64_threshold = 1e2;  // route everything early
-  const ScfResult r = run_scf(w, bs, quant, &quantized_context());
+  const ScfResult r = run_scf(w, bs, quant);
   EXPECT_GT(r.iteration_log.front().quartets_quantized, 0);
   // Final iterations are exact.
   EXPECT_EQ(r.iteration_log.back().quartets_quantized, 0);
@@ -233,12 +223,8 @@ TEST_P(ThreadCountInvarianceTest, OneThreadAndFourThreadPoolsAgreeBitForBit) {
   const auto run = [&](std::size_t threads) {
     ThreadPool pool(threads);
     ExecutionContextOptions o;
-    // Quantized runs pin the quantized-capable default backend (a
-    // MAKO_BACKEND=reference leg would otherwise degrade them to FP64).
-    if (quantized) o.backend = GemmBackendRegistry::kDefaultName;
     o.enable_quantization = quantized;
     o.pool = &pool;
-    o.make_active = false;
     o.ranks = 1;
     const ExecutionContext ctx(o);
     return run_scf(w, bs, opts, &ctx);

@@ -51,13 +51,11 @@ TEST(IncrementalFockTest, WorksWithQuantization) {
 }
 
 TEST(PrecisionLadderTest, StepsFp16ToTf32) {
-  const GemmCapabilities caps{/*quantized=*/true, "test"};
   PrecisionConfig ladder_cfg;
   ladder_cfg.use_precision_ladder = true;
   PrecisionGovernor plain(PrecisionConfig{}, /*enable_quantization=*/true,
-                          caps, "test", 1e-11);
-  PrecisionGovernor ladder(ladder_cfg, /*enable_quantization=*/true, caps,
-                           "test", 1e-11);
+                          1e-11);
+  PrecisionGovernor ladder(ladder_cfg, /*enable_quantization=*/true, 1e-11);
 
   // Far from convergence: FP16 either way.
   EXPECT_EQ(ladder.plan_for_iteration(0, 0.5).quant_precision,
