@@ -7,8 +7,14 @@
 // host build must reproduce the *shape*: Mako ahead everywhere, with the
 // advantage growing with angular momentum.
 //
+// A third column runs the same calibration batch through one engine at
+// Precision::kFP16 (QuantMako's route: P/T staging plus the FP32 GEMMs), so
+// the per-class FP16/FP64 kernel ratio is a repeated measurement too.  Each
+// side is timed as the median of kReps warm calls.
+//
 // `--json=PATH` additionally writes the records as a JSON document (consumed
 // by bench/run_benchmarks.sh to produce BENCH_fig6.json).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -31,11 +37,14 @@ std::size_t quartets_for_class(const EriClassKey& key) {
   return 4;
 }
 
+constexpr int kReps = 7;  ///< timed calls per side, after one warm-up
+
 struct Row {
   std::string name;
   int kab = 0;
   int kcd = 0;
   double mako_qps = 0.0;
+  double mako_fp16_qps = 0.0;
   double ref_qps = 0.0;
 };
 
@@ -45,6 +54,34 @@ struct Group {
   double geo_mean = 0.0;
 };
 
+/// Quartets per second of `call` over nq quartets: one warm-up call, then
+/// the median of kReps timed calls.
+template <typename F>
+double median_qps(std::size_t nq, F&& call) {
+  call();
+  std::vector<double> s;
+  for (int r = 0; r < kReps; ++r) {
+    Timer t;
+    call();
+    s.push_back(t.seconds());
+  }
+  std::nth_element(s.begin(), s.begin() + kReps / 2, s.end());
+  return static_cast<double>(nq) / s[kReps / 2];
+}
+
+/// Batched engine at `precision` over the calibration batch.
+double engine_qps(const EriClassKey& key, const CalibrationBatch& batch,
+                  Precision precision) {
+  KernelConfig config;
+  config.gemm.precision = precision;
+  const BatchedEriEngine engine(config);
+  std::vector<std::vector<double>> out;
+  return median_qps(batch.quartets.size(), [&] {
+    engine.compute_batch(key, std::span<const QuartetRef>(batch.quartets),
+                         out);
+  });
+}
+
 Row run_class(const EriClassKey& key) {
   const std::size_t nq = quartets_for_class(key);
   const CalibrationBatch batch = make_calibration_batch(key, nq, 17);
@@ -53,27 +90,16 @@ Row run_class(const EriClassKey& key) {
   row.name = key.name();
   row.kab = key.kab;
   row.kcd = key.kcd;
-  // Mako batched engine (default KernelMako config, FP64).
-  {
-    const BatchedEriEngine engine;
-    std::vector<std::vector<double>> out;
-    engine.compute_batch(key, std::span<const QuartetRef>(batch.quartets),
-                         out);  // warm-up
-    Timer t;
-    engine.compute_batch(key, std::span<const QuartetRef>(batch.quartets),
-                         out);
-    row.mako_qps = static_cast<double>(nq) / t.seconds();
-  }
+  row.mako_qps = engine_qps(key, batch, Precision::kFP64);
+  row.mako_fp16_qps = engine_qps(key, batch, Precision::kFP16);
   // Reference per-quartet engine.
-  {
-    ReferenceEriEngine engine;
-    std::vector<double> out;
-    Timer t;
+  ReferenceEriEngine engine;
+  std::vector<double> out;
+  row.ref_qps = median_qps(nq, [&] {
     for (const QuartetRef& q : batch.quartets) {
       engine.compute(*q.a, *q.b, *q.c, *q.d, out);
     }
-    row.ref_qps = static_cast<double>(nq) / t.seconds();
-  }
+  });
   return row;
 }
 
@@ -81,14 +107,17 @@ Group run_contraction(const char* label, int kab, int kcd, int max_l) {
   Group group;
   group.label = label;
   std::printf("\ncontraction degrees %s\n", label);
-  std::printf("%-18s %16s %16s %9s\n", "ERI class", "Mako [quartet/s]",
-              "ref  [quartet/s]", "speedup");
+  std::printf("%-18s %16s %16s %16s %9s %10s\n", "ERI class",
+              "Mako [quartet/s]", "FP16 [quartet/s]", "ref  [quartet/s]",
+              "speedup", "FP16/FP64");
   double geo = 1.0;
   for (int l = 0; l <= max_l; ++l) {
     const EriClassKey key{l, l, l, l, kab, kcd};
     Row row = run_class(key);
-    std::printf("%-18s %16.0f %16.0f %8.2fx\n", row.name.c_str(),
-                row.mako_qps, row.ref_qps, row.mako_qps / row.ref_qps);
+    std::printf("%-18s %16.0f %16.0f %16.0f %8.2fx %9.2fx\n",
+                row.name.c_str(), row.mako_qps, row.mako_fp16_qps,
+                row.ref_qps, row.mako_qps / row.ref_qps,
+                row.mako_fp16_qps / row.mako_qps);
     geo *= row.mako_qps / row.ref_qps;
     group.rows.push_back(std::move(row));
   }
@@ -104,8 +133,11 @@ void write_json(const char* path, const std::vector<Group>& groups) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
     return;
   }
-  std::fprintf(f, "{\n  \"figure\": \"fig6\",\n  \"metric\": "
-                  "\"shell quartets per second\",\n  \"groups\": [\n");
+  std::fprintf(f,
+               "{\n  \"figure\": \"fig6\",\n  \"metric\": "
+               "\"shell quartets per second\",\n  \"timing\": \"median "
+               "of %d warm calls per side\",\n  \"groups\": [\n",
+               kReps);
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const Group& group = groups[g];
     std::fprintf(f, "  {\n    \"contraction\": \"%s\",\n"
@@ -116,9 +148,13 @@ void write_json(const char* path, const std::vector<Group>& groups) {
       std::fprintf(
           f,
           "      {\"class\": \"%s\", \"kab\": %d, \"kcd\": %d, "
-          "\"mako_qps\": %.1f, \"ref_qps\": %.1f, \"speedup\": %.4f}%s\n",
-          row.name.c_str(), row.kab, row.kcd, row.mako_qps, row.ref_qps,
-          row.mako_qps / row.ref_qps, r + 1 < group.rows.size() ? "," : "");
+          "\"mako_qps\": %.1f, \"mako_fp16_qps\": %.1f, "
+          "\"ref_qps\": %.1f, \"speedup\": %.4f, "
+          "\"fp16_over_fp64\": %.4f}%s\n",
+          row.name.c_str(), row.kab, row.kcd, row.mako_qps,
+          row.mako_fp16_qps, row.ref_qps, row.mako_qps / row.ref_qps,
+          row.mako_fp16_qps / row.mako_qps,
+          r + 1 < group.rows.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n  }%s\n", g + 1 < groups.size() ? "," : "");
   }
@@ -139,8 +175,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("[Figure 6] FP64 ERI kernels: Mako vs per-quartet reference "
-              "(shell quartets per second)\n");
+  std::printf("[Figure 6] FP64 ERI kernels: Mako vs per-quartet reference, "
+              "and Mako at FP16 (shell quartets per second, median of %d "
+              "warm calls)\n",
+              kReps);
   std::vector<Group> groups;
   groups.push_back(run_contraction("{1,1}", 1, 1, 4));  // up to (gg|gg)
   groups.push_back(run_contraction("{1,5}", 1, 5, 3));  // up to (ff|ff)

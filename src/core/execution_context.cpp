@@ -3,9 +3,7 @@
 namespace mako {
 
 ExecutionContext::ExecutionContext(ExecutionContextOptions options)
-    : precision_(options.precision),
-      enable_quantization_(options.enable_quantization),
-      pool_(options.pool != nullptr ? options.pool : &ThreadPool::global()),
+    : pool_(options.pool != nullptr ? options.pool : &ThreadPool::global()),
       plans_(options.plans != nullptr ? options.plans
                                       : &EriPlanCache::process()),
       cancel_(options.cancel != nullptr ? options.cancel
@@ -19,9 +17,7 @@ ExecutionContext::ExecutionContext(ExecutionContextOptions options)
 
 ExecutionContext::ExecutionContext(const ExecutionContext& parent,
                                    CancelToken& cancel)
-    : precision_(parent.precision_),
-      enable_quantization_(parent.enable_quantization_),
-      pool_(parent.pool_),
+    : pool_(parent.pool_),
       plans_(parent.plans_),
       cancel_(&cancel),
       faults_(parent.faults_),

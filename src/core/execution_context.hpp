@@ -19,8 +19,6 @@
 //                          │                global by default)
 //                          ├─ plans     -> EriPlanCache       (borrowed;
 //                          │                process-wide by default)
-//                          ├─ precision -> PrecisionConfig    (by value; the
-//                          │                governor factory's input)
 //                          ├─ faults    -> FaultInjector      (process-wide)
 //                          ├─ metrics   -> obs::MetricsRegistry (process-wide)
 //                          ├─ tracer    -> obs::Tracer        (process-wide)
@@ -54,12 +52,11 @@
 namespace mako {
 
 /// Everything configurable about an ExecutionContext.  Defaults reproduce
-/// the pre-context behavior: process-wide pool/plan-cache, quantization off.
+/// the pre-context behavior: process-wide pool/plan-cache.
 struct ExecutionContextOptions {
-  /// Precision-governance configuration (mode, schedule thresholds, ladder,
-  /// per-L cap) the context's governors are built from.
-  PrecisionConfig precision{};
-  /// Master switch for QuantMako scheduling (MakoOptions::quantization).
+  /// Ignored: run_scf takes the quantization switch from
+  /// ScfOptions::enable_quantization.  Kept only because the benchmark
+  /// program writes it; it goes when the benchmark stops doing so.
   bool enable_quantization = false;
   /// Worker pool; nullptr borrows ThreadPool::global().
   ThreadPool* pool = nullptr;
@@ -134,12 +131,6 @@ class ExecutionContext {
   [[nodiscard]] ThreadPool& pool() const noexcept { return *pool_; }
   [[nodiscard]] EriPlanCache& plans() const noexcept { return *plans_; }
 
-  [[nodiscard]] const PrecisionConfig& precision_config() const noexcept {
-    return precision_;
-  }
-  [[nodiscard]] bool quantization_enabled() const noexcept {
-    return enable_quantization_;
-  }
   /// Governor factory — the single construction point of precision
   /// authority.  The caller supplies the run's config and fallback prune
   /// threshold, because a governor is stateful per run (latches, ladder
@@ -150,12 +141,6 @@ class ExecutionContext {
       double fallback_prune_threshold) const {
     return PrecisionGovernor(config, enable_quantization,
                              fallback_prune_threshold);
-  }
-  /// Governor over the context's own configuration (engine-owned runs).
-  [[nodiscard]] PrecisionGovernor make_governor(
-      double fallback_prune_threshold) const {
-    return make_governor(precision_, enable_quantization_,
-                         fallback_prune_threshold);
   }
 
   /// Fault-injection hooks (process-wide registry; sites fire only when a
@@ -194,8 +179,6 @@ class ExecutionContext {
                                   CommRetryPolicy retry = {}) const;
 
  private:
-  PrecisionConfig precision_;
-  bool enable_quantization_;
   ThreadPool* pool_;      ///< borrowed, never null
   EriPlanCache* plans_;   ///< borrowed, never null
   CancelToken* cancel_;   ///< borrowed, never null

@@ -46,14 +46,8 @@ std::string MakoReport::summary() const {
 
 MakoEngine::MakoEngine(MakoOptions options)
     : options_(std::move(options)),
-      context_(ExecutionContextOptions{
-          .precision =
-              PrecisionConfig{
-                  .mode = resolve_precision_mode(options_.precision),
-                  .use_precision_ladder = options_.precision_ladder},
-          .enable_quantization = options_.quantization,
-          .ranks = options_.ranks,
-          .cluster = options_.cluster}) {}
+      context_(ExecutionContextOptions{.ranks = options_.ranks,
+                                       .cluster = options_.cluster}) {}
 
 ScfOptions scf_options_from(const MakoOptions& options) {
   ScfOptions scf;

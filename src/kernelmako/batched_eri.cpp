@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <type_traits>
 
 #include "basis/spherical.hpp"
 #include "integrals/hermite.hpp"
@@ -16,12 +17,6 @@ namespace mako {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
-
-double max_abs(const double* p, std::size_t n) {
-  double m = 0.0;
-  for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(p[i]));
-  return m;
-}
 
 }  // namespace
 
@@ -167,8 +162,9 @@ BatchStats BatchedEriEngine::compute_batch(
   if (quant) {
     scratch.q_ops.resize(mb * nsb + mk * nsk);
     scratch.q_dyn.resize(std::max(pq_size, t_size));
+  } else {
+    scratch.pq_one.resize(pq_size);
   }
-  scratch.pq_one.resize(pq_size);
   scratch.t_one.resize(t_size);
 
   // Injection site: corrupt one element of a quantized bra operand tile
@@ -197,32 +193,30 @@ BatchStats BatchedEriEngine::compute_batch(
   // Coalesced (Eq. 11): each quartet's P feeds GEMM1 and T feeds GEMM2
   // while the tiles are hot.  Destinations are zeroed first so beta = 0
   // never reads stale (possibly non-finite) data.
-  double* pq = scratch.pq_one.data();
-  double* t = scratch.t_one.data();
-  for (std::size_t q = 0; q < nq; ++q) {
-    const double* rq = scratch.r_blocked.data() + q * kk * nht;
-    // Per-quartet P scale: max|P| is max|r| over the quartet's block, since
-    // every total-order Hermite index is reachable from some (p~, q~).
-    double s_pq = 1.0;
-    if (quant) {
-      const double m = max_abs(rq, kk * nht);
-      if (m > 0.0) s_pq = 1.0 / m;
-    }
-    // P[(jp,hp),(kp,hq)] = s * (-1)^{|q~|} R^{jp,kp}_{p~+q~} (Eq. 6).
+  //
+  // P[(jp,hp),(kp,hq)] = s * (-1)^{|q~|} R^{jp,kp}_{p~+q~} (Eq. 6), formed
+  // in double and stored as T_P: on the quantized route that is float, and
+  // the rounding through the GEMM precision follows in one vector pass, so
+  // no FP64 P exists there.
+  const auto assemble_p = [&](const double* rq, double s, auto* dst) {
+    using T_P = std::remove_pointer_t<decltype(dst)>;
     for (std::size_t jp = 0; jp < kab; ++jp) {
       for (std::size_t hp = 0; hp < nhb; ++hp) {
         const int* comb = plan.combined.data() + hp * nhk;
-        double* row = pq + (jp * nhb + hp) * mk;
+        T_P* row = dst + (jp * nhb + hp) * mk;
         for (std::size_t kp = 0; kp < kcd; ++kp) {
           const double* r = rq + (jp * kcd + kp) * nht;
-          double* dst = row + kp * nhk;
+          T_P* d = row + kp * nhk;
           for (std::size_t hq = 0; hq < nhk; ++hq) {
-            dst[hq] = s_pq * plan.sign_cd[hq] * r[comb[hq]];
+            d[hq] = static_cast<T_P>(s * plan.sign_cd[hq] * r[comb[hq]]);
           }
         }
       }
     }
-
+  };
+  double* t = scratch.t_one.data();
+  for (std::size_t q = 0; q < nq; ++q) {
+    const double* rq = scratch.r_blocked.data() + q * kk * nht;
     // T = E'_AB^T x P,  out = T x E'_CD.  E'_AB enters through the packed
     // kernel's native transpose (no copies).
     const PairOperand& bo = bra_op(q);
@@ -231,20 +225,27 @@ BatchStats BatchedEriEngine::compute_batch(
     out[q].assign(out_size, 0.0);
     double* o = out[q].data();
     if (quant) {
+      // Per-quartet P scale: max|P| is max|r| over the quartet's block,
+      // since every total-order Hermite index is reachable from some
+      // (p~, q~).
+      const double r_max = max_abs(rq, kk * nht);
+      const double s_pq = r_max > 0.0 ? 1.0 / r_max : 1.0;
+      float* qp = scratch.q_dyn.data();
+      assemble_p(rq, s_pq, qp);
+      quantize_in_place(qp, pq_size, gc.precision);
       const float* qb = quantized_operand(bo, scratch.q_ops.data(), true);
       const float* qk =
           quantized_operand(ko, scratch.q_ops.data() + mb * nsb, false);
-      quantize_to_float(pq, scratch.q_dyn.data(), pq_size, gc.precision);
-      be.mixed(qb, /*trans_a=*/true, scratch.q_dyn.data(), false, t, nsb, mk,
-               mb, 1.0 / (bo.scale * s_pq), 0.0);
-      // T is rescaled in place by 1 / max|T| before its rounding.
-      const double m = max_abs(t, t_size);
-      const double s_t = m > 0.0 ? 1.0 / m : 1.0;
-      for (std::size_t i = 0; i < t_size; ++i) t[i] *= s_t;
-      quantize_to_float(t, scratch.q_dyn.data(), t_size, gc.precision);
+      // GEMM1 returns max|T|; T is scaled by its inverse as it is rounded.
+      const double t_max = be.mixed(qb, /*trans_a=*/true, qp, false, t, nsb,
+                                    mk, mb, 1.0 / (bo.scale * s_pq), 0.0);
+      const double s_t = t_max > 0.0 ? 1.0 / t_max : 1.0;
+      quantize_to_float(t, scratch.q_dyn.data(), t_size, gc.precision, s_t);
       be.mixed(scratch.q_dyn.data(), false, qk, false, o, nsb, nsk, mk,
                1.0 / (s_t * ko.scale), 0.0);
     } else {
+      double* pq = scratch.pq_one.data();
+      assemble_p(rq, 1.0, pq);
       be.fp64(bo.e.data(), /*trans_a=*/true, pq, false, t, nsb, mk, mb);
       be.fp64(t, false, ko.e.data(), false, o, nsb, nsk, mk);
     }

@@ -121,14 +121,7 @@ void build_pair_operand(const Shell& a, const Shell& b, const MatrixD& sph,
 }
 
 void quantize_pair_operand(const PairOperand& op, Precision p, float* dst) {
-  // Scale through a stack buffer so the rounding is quantize_to_float's.
-  constexpr std::size_t kChunk = 512;
-  double buf[kChunk];
-  for (std::size_t off = 0; off < op.e.size(); off += kChunk) {
-    const std::size_t n = std::min(kChunk, op.e.size() - off);
-    for (std::size_t i = 0; i < n; ++i) buf[i] = op.scale * op.e[off + i];
-    quantize_to_float(buf, dst + off, n, p);
-  }
+  quantize_to_float(op.e.data(), dst, op.e.size(), p, op.scale);
 }
 
 const EriClassPlan& EriClassPlan::get(const EriClassKey& key) {

@@ -151,7 +151,7 @@ struct EriScratch {
   /// storage).
   RIntegralWorkspace rint;
   /// r-integrals over the items, quartet-blocked [nitem x nht] as Stage 1
-  /// writes them; the current quartet's P and T.
+  /// writes them; the current quartet's P (FP64 route only) and T.
   std::vector<double> r_blocked, pq_one, t_one;
 };
 

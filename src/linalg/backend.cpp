@@ -17,10 +17,11 @@ void GemmBackend::fp64(const double* a, bool trans_a, const double* b,
   gemm_fp64_ex(a, trans_a, b, trans_b, c, m, n, k, alpha, beta);
 }
 
-void GemmBackend::mixed(const float* qa, bool trans_a, const float* qb,
-                        bool trans_b, double* c, std::size_t m, std::size_t n,
-                        std::size_t k, double alpha, double beta) const {
-  gemm_quantized_ops(qa, trans_a, qb, trans_b, c, m, n, k, alpha, beta);
+double GemmBackend::mixed(const float* qa, bool trans_a, const float* qb,
+                          bool trans_b, double* c, std::size_t m,
+                          std::size_t n, std::size_t k, double alpha,
+                          double beta) const {
+  return gemm_quantized_ops(qa, trans_a, qb, trans_b, c, m, n, k, alpha, beta);
 }
 
 // --- Matrix convenience wrappers --------------------------------------------

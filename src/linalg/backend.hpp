@@ -45,11 +45,6 @@ constexpr double gemm_flops(std::size_t m, std::size_t n, std::size_t k) {
          static_cast<double>(k);
 }
 
-/// Rounds a double buffer to the storage format of `p`, widened to float —
-/// the operand staging of the reduced-precision GEMM paths.
-void quantize_to_float(const double* src, float* dst, std::size_t n,
-                       Precision p);
-
 /// The multi-precision GEMM backend.  All matrices are dense row-major;
 /// C = alpha * op(A) * op(B) + beta * C with op(X) = X or X^T.
 class GemmBackend {
@@ -70,10 +65,11 @@ class GemmBackend {
   /// at FP32, and widens alpha*(op(A)*op(B)) into the FP64 destination —
   /// stage one of dual-stage accumulation.  This is the reuse-aware path:
   /// invariant operands are quantized once (e.g. per shell pair), not once
-  /// per call.
-  void mixed(const float* qa, bool trans_a, const float* qb, bool trans_b,
-             double* c, std::size_t m, std::size_t n, std::size_t k,
-             double alpha, double beta) const;
+  /// per call.  Returns max |C| over the result (NaNs skipped), the scale
+  /// input of a chained GEMM, at no extra pass.
+  double mixed(const float* qa, bool trans_a, const float* qb, bool trans_b,
+               double* c, std::size_t m, std::size_t n, std::size_t k,
+               double alpha, double beta) const;
 
  private:
   GemmBackend() = default;

@@ -5,6 +5,10 @@
 #include <cstdio>
 #include <vector>
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -36,6 +40,14 @@ constexpr int kNR = 8;  ///< micro-kernel cols (register fragment width)
 constexpr std::size_t kBlockM = 96;   ///< A panel rows per pass
 constexpr std::size_t kBlockK = 256;  ///< reduction depth per pass
 constexpr std::size_t kBlockN = 1024; ///< B panel cols per pass
+
+/// True when an (m, n, k) problem of `elem`-byte operands runs on the direct
+/// kernel: its working set fits the innermost cache, so packing cannot pay.
+inline bool l1_resident(std::size_t m, std::size_t n, std::size_t k,
+                        std::size_t elem) {
+  constexpr std::size_t kDirectLimit = 48 * 1024;
+  return (m * k + k * n + m * n) * elem <= kDirectLimit;
+}
 
 /// op(A)(r, c) for a dense row-major operand with optional transpose.
 template <typename T>
@@ -187,9 +199,7 @@ void gemm_packed(const T* a, bool trans_a, const T* b, bool trans_b, T* c,
 
   // L1-resident problems skip packing entirely: panel staging only pays for
   // itself once the working set spills the innermost cache.
-  const std::size_t footprint = (m * k + k * n + m * n) * sizeof(T);
-  constexpr std::size_t kDirectLimit = 48 * 1024;
-  if (footprint <= kDirectLimit) {
+  if (l1_resident(m, n, k, sizeof(T))) {
     const T* b_eff = b;
     std::size_t ldb_eff = ldb;
     if (trans_b) {
@@ -242,6 +252,114 @@ void gemm_packed(const T* a, bool trans_a, const T* b, bool trans_b, T* c,
   }
 }
 
+#if defined(__AVX512F__)
+// --- 16-lane FP32 kernel of the quantized GEMMs -----------------------------
+//
+// gemm_quantized_ops runs here instead of on gemm_packed<float>, with
+// bitwise the same result.  Every element's FP32 sum runs over p in order
+// from +0, each step a multiply then an add (no FMA intrinsic, and
+// -ffp-contract=off keeps the compiler from fusing).  gemm_packed restarts
+// that sum every kBlockK unless the problem is L1-resident and adds the
+// partial sums in order into a zeroed buffer; the tile below does the same
+// in registers.  Adding the first partial sum to +0 is the identity, since
+// a round-to-nearest sum started at +0 is never -0, so the buffer is not
+// needed: the tile is widened straight into C as c = beta*c + alpha*sum,
+// and the max |c| the next scale needs is taken on the way.  Operands are
+// read in place (packing only changes where values sit) and column fringes
+// are masked lanes, not a scalar loop.
+
+constexpr int kQR = 4;  ///< rows of the FP32 tile, one 16-lane zmm each
+
+/// Rows [i0, i0 + MR) x lanes `mask` of columns [j0, j0 + 16), summed in
+/// partial sums of depth kc.
+template <bool TA, int MR>
+void quantized_tile(const float* a, std::size_t lda, const float* b,
+                    std::size_t n, std::size_t k, std::size_t kc,
+                    std::size_t i0, std::size_t j0, __mmask16 mask, double* c,
+                    double alpha, double beta, __m512d& vmax) {
+  __m512 acc[MR];
+  for (int i = 0; i < MR; ++i) acc[i] = _mm512_setzero_ps();
+  for (std::size_t p0 = 0; p0 < k; p0 += kc) {
+    const std::size_t p1 = std::min(k, p0 + kc);
+    __m512 part[MR];
+    for (int i = 0; i < MR; ++i) part[i] = _mm512_setzero_ps();
+    for (std::size_t p = p0; p < p1; ++p) {
+      const __m512 bv = _mm512_maskz_loadu_ps(mask, b + p * n + j0);
+      for (int i = 0; i < MR; ++i) {
+        const float av = TA ? a[p * lda + i0 + i] : a[(i0 + i) * lda + p];
+        part[i] =
+            _mm512_add_ps(part[i], _mm512_mul_ps(_mm512_set1_ps(av), bv));
+      }
+    }
+    for (int i = 0; i < MR; ++i) acc[i] = _mm512_add_ps(acc[i], part[i]);
+  }
+  const __m512d va = _mm512_set1_pd(alpha);
+  const __m512d vb = _mm512_set1_pd(beta);
+  for (int i = 0; i < MR; ++i) {
+    double* crow = c + (i0 + i) * n + j0;
+    // The maskz forms also keep GCC 12 from flagging its own headers'
+    // unset pass-through operands.
+    const __m512d acc_pd = _mm512_castps_pd(acc[i]);
+    const __m256 half[2] = {
+        _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xF, acc_pd, 0)),
+        _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xF, acc_pd, 1))};
+    for (int h = 0; h < 2; ++h) {
+      const auto mh = static_cast<__mmask8>(mask >> (8 * h));
+      if (mh == 0) break;
+      const __m512d cv = _mm512_maskz_loadu_pd(mh, crow + 8 * h);
+      const __m512d sum = _mm512_maskz_cvtps_pd(mh, half[h]);
+      const __m512d r =
+          _mm512_add_pd(_mm512_mul_pd(vb, cv), _mm512_mul_pd(va, sum));
+      _mm512_mask_storeu_pd(crow + 8 * h, mh, r);
+      // VMAXPD keeps its second operand unless the first is greater: a NaN
+      // element leaves the maximum alone, as std::max(m, NaN) does.
+      vmax = _mm512_mask_max_pd(vmax, mh, _mm512_abs_pd(r), vmax);
+    }
+  }
+}
+
+/// C = beta*C + alpha*(op(A)*B) over FP32 operands; returns max |C| (NaNs
+/// skipped).
+template <bool TA>
+double quantized_gemm(const float* a, const float* b, double* c,
+                      std::size_t m, std::size_t n, std::size_t k,
+                      double alpha, double beta) {
+  const std::size_t lda = TA ? m : k;
+  const std::size_t kc = l1_resident(m, n, k, sizeof(float)) ? k : kBlockK;
+  __m512d vmax = _mm512_setzero_pd();
+  for (std::size_t j0 = 0; j0 < n; j0 += 16) {
+    const std::size_t nr = std::min<std::size_t>(16, n - j0);
+    const auto mask = static_cast<__mmask16>((1u << nr) - 1u);
+    std::size_t i0 = 0;
+    for (; i0 + kQR <= m; i0 += kQR) {
+      quantized_tile<TA, kQR>(a, lda, b, n, k, kc, i0, j0, mask, c, alpha,
+                              beta, vmax);
+    }
+    switch (m - i0) {
+      case 3:
+        quantized_tile<TA, 3>(a, lda, b, n, k, kc, i0, j0, mask, c, alpha,
+                              beta, vmax);
+        break;
+      case 2:
+        quantized_tile<TA, 2>(a, lda, b, n, k, kc, i0, j0, mask, c, alpha,
+                              beta, vmax);
+        break;
+      case 1:
+        quantized_tile<TA, 1>(a, lda, b, n, k, kc, i0, j0, mask, c, alpha,
+                              beta, vmax);
+        break;
+      default:
+        break;
+    }
+  }
+  alignas(64) double lanes[8];
+  _mm512_store_pd(lanes, vmax);
+  double mx = 0.0;
+  for (const double v : lanes) mx = std::max(mx, v);
+  return mx;
+}
+#endif  // __AVX512F__
+
 }  // namespace
 
 void gemm_fp64_ex(const double* a, bool trans_a, const double* b, bool trans_b,
@@ -253,43 +371,30 @@ void gemm_fp64_ex(const double* a, bool trans_a, const double* b, bool trans_b,
   gemm_packed<double>(a, trans_a, b, trans_b, c, m, n, k, alpha, beta);
 }
 
-void quantize_to_float(const double* src, float* dst, std::size_t n,
-                       Precision p) {
-  MAKO_TRACE_SCOPE(obs::TraceCat::kQuant, "quantize_to_float");
-  MAKO_METRIC_COUNT("quant.calls", 1);
-  MAKO_METRIC_COUNT("quant.elements", static_cast<std::int64_t>(n));
-  switch (p) {
-    case Precision::kFP16:
-      for (std::size_t i = 0; i < n; ++i)
-        dst[i] = half_t(static_cast<float>(src[i])).to_float();
-      break;
-    case Precision::kTF32:
-      for (std::size_t i = 0; i < n; ++i)
-        dst[i] = to_tf32(static_cast<float>(src[i]));
-      break;
-    default:
-      for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<float>(src[i]);
-      break;
-  }
-}
-
-void gemm_quantized_ops(const float* qa, bool trans_a, const float* qb,
-                        bool trans_b, double* c, std::size_t m, std::size_t n,
-                        std::size_t k, double alpha, double beta) {
+double gemm_quantized_ops(const float* qa, bool trans_a, const float* qb,
+                          bool trans_b, double* c, std::size_t m,
+                          std::size_t n, std::size_t k, double alpha,
+                          double beta) {
   obs::TraceSpan span(obs::TraceCat::kGemm, "gemm_quantized_ops");
   annotate_gemm_span(span, m, n, k);
   MAKO_METRIC_COUNT("gemm.calls", 1);
-  MAKO_METRIC_COUNT("gemm.quantized_calls", 1);
+#if defined(__AVX512F__)
+  if (!trans_b) {
+    return trans_a ? quantized_gemm<true>(qa, qb, c, m, n, k, alpha, beta)
+                   : quantized_gemm<false>(qa, qb, c, m, n, k, alpha, beta);
+  }
+#endif
   // Stage one of dual-stage accumulation: FP32 multiply/accumulate over the
-  // pre-rounded operands.
+  // pre-rounded operands, into a buffer gemm_packed zeroes (beta = 0).
   static thread_local std::vector<float> acc;
-  acc.assign(m * n, 0.0f);
+  acc.resize(m * n);
   gemm_packed<float>(qa, trans_a, qb, trans_b, acc.data(), m, n, k, 1.0f,
                      0.0f);
   // Stage two: widen into the FP64 destination.
   for (std::size_t i = 0; i < m * n; ++i) {
     c[i] = beta * c[i] + alpha * static_cast<double>(acc[i]);
   }
+  return max_abs(c, m * n);
 }
 
 }  // namespace mako

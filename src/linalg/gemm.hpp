@@ -5,7 +5,8 @@
 // (the host counterpart of shared-memory staging) and a register-resident
 // MR x NR micro-kernel keeps the C fragment out of memory for the whole K
 // loop.  L1-resident problems skip the packing and run the same register
-// blocking directly on the operands.
+// blocking directly on the operands.  Under AVX-512F the FP32 GEMMs of the
+// quantized route run a 4x16 register tile on the operands in place.
 //
 // Precision behaviour mirrors tensor cores: FP16 and TF32 operands are
 // rounded with round-to-nearest-even on entry and all products are
@@ -20,7 +21,7 @@
 
 #include <cstddef>
 
-#include "linalg/backend.hpp"  // quantize_to_float
+#include "linalg/backend.hpp"
 #include "util/precision.hpp"
 
 namespace mako {
@@ -39,9 +40,16 @@ void gemm_fp64_ex(const double* a, bool trans_a, const double* b, bool trans_b,
 /// (see quantize_to_float): multiplies at FP32, accumulates at FP32, and
 /// widens alpha*(op(A)*op(B)) into the FP64 destination (dual-stage
 /// accumulation).  This is the reuse-aware path: invariant operands are
-/// quantized once instead of once per GEMM call.
-void gemm_quantized_ops(const float* qa, bool trans_a, const float* qb,
-                        bool trans_b, double* c, std::size_t m, std::size_t n,
-                        std::size_t k, double alpha, double beta);
+/// quantized once instead of once per GEMM call.  Returns max |C| over the
+/// result (NaNs skipped), taken during the widening.
+///
+/// Each element's FP32 sum runs over k in order; problems that are not
+/// L1-resident restart it every kBlockK and add the partial sums in order.
+/// Under AVX-512F a 16-lane kernel keeps that order (B transposed aside),
+/// so results do not depend on the build's vector width.
+double gemm_quantized_ops(const float* qa, bool trans_a, const float* qb,
+                          bool trans_b, double* c, std::size_t m,
+                          std::size_t n, std::size_t k, double alpha,
+                          double beta);
 
 }  // namespace mako

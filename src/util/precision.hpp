@@ -104,6 +104,25 @@ inline double quantize_roundtrip(double x, Precision p) noexcept {
   return x;
 }
 
+/// Operand staging of the reduced-precision GEMMs: dst[i] is scale * src[i],
+/// formed in double, rounded to float and then through `p`, i.e.
+/// float(quantize_roundtrip(scale * src[i], p)) bit for bit.
+///
+/// FP16 rounds eight lanes at a time through F16C (VCVTPS2PH with an
+/// explicit round-to-nearest-even immediate, so MXCSR does not matter) when
+/// the build targets it; half_t is the fallback for builds without F16C and
+/// for the tails, and the oracle of both.
+void quantize_to_float(const double* src, float* dst, std::size_t n,
+                       Precision p, double scale = 1.0);
+
+/// Rounds n floats in place through `p`: x[i] = float(quantize_roundtrip(
+/// x[i], p)).  FP16 runs 16 lanes at a time under AVX-512F, 8 under F16C.
+void quantize_in_place(float* x, std::size_t n, Precision p);
+
+/// max |x[i]| over n doubles, 0 when n == 0.  NaNs are skipped, as in the
+/// scalar scan `m = std::max(m, std::fabs(x[i]))` from m = 0.
+double max_abs(const double* x, std::size_t n);
+
 /// Bytes used to store one element at the given precision.
 constexpr std::size_t bytes_per_element(Precision p) noexcept {
   switch (p) {

@@ -223,7 +223,6 @@ TEST_P(ThreadCountInvarianceTest, OneThreadAndFourThreadPoolsAgreeBitForBit) {
   const auto run = [&](std::size_t threads) {
     ThreadPool pool(threads);
     ExecutionContextOptions o;
-    o.enable_quantization = quantized;
     o.pool = &pool;
     o.ranks = 1;
     const ExecutionContext ctx(o);
