@@ -12,6 +12,9 @@
 #   4. corruption: a flipped byte (header or payload) must be rejected with a
 #      clean "checkpoint:" error and exit 1, never a crash or a silent
 #      restart.
+#   5. compatibility: sample/water_it4.ckpt, written after 4 iterations by a
+#      build from before the subspace diagonalizer and its options left
+#      ScfOptions, must still restore and reach the fresh run's energy.
 #
 # Usage: test_durability_cli.sh <path-to-mako-binary> <sample-dir>
 set -u
@@ -121,5 +124,26 @@ code=$?
 grep -q 'checkpoint' "$WORK/bad2.log" ||
   fail "corrupt-payload restore did not name the checkpoint in its error"
 pass "corrupted checkpoints are rejected with exit 1"
+
+# ---- 5. a checkpoint from an earlier build restores -----------------------
+# The file was written with `--precision adaptive --ranks 1`; passing the
+# same flags keeps the fingerprint equal under any MAKO_PRECISION/MAKO_RANKS.
+OLD_CKPT="$SAMPLES/water_it4.ckpt"
+[ -f "$OLD_CKPT" ] || fail "sample checkpoint '$OLD_CKPT' missing"
+"$MAKO" --mol "$MOL" --precision adaptive --ranks 1 >"$WORK/fresh5.log" 2>&1
+code=$?
+[ "$code" -eq 0 ] || fail "fresh adaptive run exited $code (want 0)"
+"$MAKO" --mol "$MOL" --precision adaptive --ranks 1 --restore "$OLD_CKPT" \
+  >"$WORK/old_resume.log" 2>&1
+code=$?
+[ "$code" -eq 0 ] || fail "restoring '$OLD_CKPT' exited $code (want 0)"
+grep -q 'resumed from iteration 4' "$WORK/old_resume.log" ||
+  fail "restore of '$OLD_CKPT' did not report iteration 4"
+e_fresh="$(energy_line "$WORK/fresh5.log")"
+e_old="$(energy_line "$WORK/old_resume.log")"
+[ -n "$e_fresh" ] || fail "fresh adaptive run printed no energy"
+[ "$e_fresh" = "$e_old" ] ||
+  fail "restored energy differs: '$e_old' vs fresh '$e_fresh'"
+pass "a checkpoint from an earlier build restores to the fresh energy"
 
 echo "durability_cli: all legs passed"

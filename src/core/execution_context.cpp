@@ -31,9 +31,4 @@ const ExecutionContext& ExecutionContext::process() {
   return *ctx;
 }
 
-SimComm ExecutionContext::make_comm(int size, ClusterModel cluster,
-                                    CommRetryPolicy retry) const {
-  return SimComm(size, cluster, retry);
-}
-
 }  // namespace mako

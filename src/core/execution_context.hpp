@@ -43,7 +43,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/communicator.hpp"
-#include "parallel/simcomm.hpp"
 #include "parallel/thread_pool.hpp"
 #include "precision/governor.hpp"
 #include "robust/cancel.hpp"
@@ -171,12 +170,6 @@ class ExecutionContext {
   /// share their parent's communicator, so a batch's jobs reduce over one
   /// consistent rank topology.
   [[nodiscard]] Communicator& comm() const noexcept { return *comm_; }
-
-  /// Simulated communicator over `size` ranks, wired to this context's
-  /// fault hooks (SimComm reads the process registry internally today; the
-  /// factory is the seam where a per-context injector would plug in).
-  [[nodiscard]] SimComm make_comm(int size, ClusterModel cluster = {},
-                                  CommRetryPolicy retry = {}) const;
 
  private:
   ThreadPool* pool_;      ///< borrowed, never null

@@ -65,7 +65,7 @@ ScfOptions scf_options_from(const MakoOptions& options) {
   scf.precision.mode = resolve_precision_mode(options.precision);
   scf.precision.use_precision_ladder = options.precision_ladder;
   scf.durability = options.durability;
-  scf.robust.watchdog_seconds = options.watchdog_seconds;
+  scf.watchdog_seconds = options.watchdog_seconds;
   return scf;
 }
 

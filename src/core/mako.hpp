@@ -53,7 +53,8 @@ struct MakoOptions {
   /// crash-consistent checkpoints, resume bit-identically, stop gracefully
   /// when the budget expires.
   DurabilityOptions durability{};
-  /// >0: liveness watchdog stall window (seconds); see ResilienceOptions.
+  /// >0: liveness watchdog stall window (seconds); see
+  /// ScfOptions::watchdog_seconds.
   double watchdog_seconds = 0.0;
 };
 

@@ -184,85 +184,6 @@ EigenResult eigh(const MatrixD& a) {
   return result;
 }
 
-EigenResult eigh_subspace(const MatrixD& a, std::size_t nev,
-                          std::size_t max_iter, double tol) {
-  MAKO_TRACE_SCOPE(obs::TraceCat::kLinalg, "eigh_subspace");
-  MAKO_METRIC_COUNT("linalg.eigh_subspace_calls", 1);
-  const std::size_t n = a.rows();
-  nev = std::min(nev, n);
-  if (nev == 0) return {};
-
-  // Shift so the target (lowest) eigenvalues become largest in magnitude:
-  // iterate with (sigma*I - A), sigma = Gershgorin upper bound.
-  double sigma = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double row = 0.0;
-    for (std::size_t j = 0; j < n; ++j)
-      row += (i == j) ? a(i, i) : std::fabs(a(i, j));
-    sigma = std::max(sigma, row);
-  }
-  MatrixD b(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      b(i, j) = (i == j ? sigma : 0.0) - a(i, j);
-
-  // Start from a deterministic full-rank block.
-  const std::size_t block = std::min(n, nev + std::min<std::size_t>(nev, 8));
-  MatrixD v(n, block, 0.0);
-  for (std::size_t j = 0; j < block; ++j) {
-    v(j % n, j) = 1.0;
-    v((7 * j + 3) % n, j) += 0.5;
-  }
-
-  VectorD prev(nev, 1e300);
-  EigenResult out;
-  out.converged = false;
-  for (std::size_t it = 0; it < max_iter; ++it) {
-    out.iterations = it + 1;
-    // Power step: W = B * V  (a GEMM).
-    MatrixD w = matmul(b, v);
-
-    // Rayleigh-Ritz in the subspace: G = W^T W, H = W^T (B W).
-    MatrixD g = matmul(w, Trans::kYes, w, Trans::kNo);
-    MatrixD bw = matmul(b, w);
-    MatrixD h = matmul(w, Trans::kYes, bw, Trans::kNo);
-
-    // Orthonormalize via G^{-1/2}, then diagonalize the projected operator.
-    MatrixD ghalf = inverse_sqrt(g, 1e-12);
-    MatrixD hp = matmul(ghalf, Trans::kYes, matmul(h, ghalf), Trans::kNo);
-    EigenResult sub = eigh(hp);
-    if (!sub.converged) break;  // out.converged stays false
-
-    // Ritz vectors: V = W * G^{-1/2} * U, descending order of shifted op
-    // = ascending order of A.
-    MatrixD u(sub.eigenvectors.rows(), sub.eigenvectors.cols());
-    const std::size_t bcols = sub.eigenvalues.size();
-    for (std::size_t jj = 0; jj < bcols; ++jj)
-      for (std::size_t ii = 0; ii < u.rows(); ++ii)
-        u(ii, jj) = sub.eigenvectors(ii, bcols - 1 - jj);
-    v = matmul(matmul(w, ghalf), u);
-
-    // Convergence check on the leading nev Ritz values (mapped back to A).
-    VectorD ritz(nev);
-    for (std::size_t jv = 0; jv < nev; ++jv)
-      ritz[jv] = sigma - sub.eigenvalues[bcols - 1 - jv];
-    double delta = 0.0;
-    for (std::size_t jv = 0; jv < nev; ++jv)
-      delta = std::max(delta, std::fabs(ritz[jv] - prev[jv]));
-    prev = ritz;
-    if (delta < tol) {
-      out.converged = true;
-      break;
-    }
-  }
-
-  out.eigenvalues.assign(prev.begin(), prev.end());
-  out.eigenvectors.resize(n, nev);
-  for (std::size_t j = 0; j < nev; ++j)
-    for (std::size_t i = 0; i < n; ++i) out.eigenvectors(i, j) = v(i, j);
-  return out;
-}
-
 MatrixD inverse_sqrt(const MatrixD& s, double lindep_threshold) {
   EigenResult es = eigh(s);
   if (!es.converged) {

@@ -2,12 +2,11 @@
 //
 // Fock-matrix diagonalization is one of the three DFT stages (Section 2.1);
 // the paper delegates it to iterative MatMul-based eigensolvers on GPU.  Here
-// we provide a robust direct solver (Householder tridiagonalization followed
-// by implicit-shift QL) plus a subspace-iteration solver that expresses the
-// diagonalization through GEMMs, mirroring the MatMul-aligned formulation.
+// it is one direct solver (Householder tridiagonalization followed by
+// implicit-shift QL): diagonalization is <1% of an SCF iteration on the host,
+// and the accelerator-shaped replacement is density purification, not a
+// subspace iteration (DESIGN.md, "Resilience layer").
 #pragma once
-
-#include <cstddef>
 
 #include "linalg/matrix.hpp"
 
@@ -17,25 +16,15 @@ namespace mako {
 struct EigenResult {
   VectorD eigenvalues;   ///< ascending
   MatrixD eigenvectors;  ///< column i is the eigenvector for eigenvalues[i]
-  /// Whether the solver met its tolerance within its iteration budget: the
-  /// subspace solver's Ritz tolerance, or the direct solver's QL sweeps.
-  /// When false the eigenpairs are unusable.  The SCF resilience layer keys
-  /// its diagonalizer-fallback rung and its hard fault off this.
+  /// Whether every QL sweep converged within its iteration budget.  When
+  /// false the eigenpairs are unusable and the SCF driver ends the run.
   bool converged = true;
-  std::size_t iterations = 0;
 };
 
 /// Full eigendecomposition of a symmetric matrix (direct method).
 /// Throws std::invalid_argument if `a` is not square; reports QL
 /// non-convergence (e.g. overflow-scale input) as `converged = false`.
 EigenResult eigh(const MatrixD& a);
-
-/// Blocked subspace iteration for the lowest `nev` eigenpairs, expressed
-/// entirely through GEMMs + small dense solves.  This is the MatMul-aligned
-/// iterative eigensolver path; it is validated against eigh() in tests.
-/// `max_iter`/`tol` bound the orthogonal iteration.
-EigenResult eigh_subspace(const MatrixD& a, std::size_t nev,
-                          std::size_t max_iter = 200, double tol = 1e-10);
 
 /// Symmetric (Löwdin) inverse square root S^{-1/2}; eigenvalues below
 /// `lindep_threshold` are dropped (canonical orthogonalization), so the

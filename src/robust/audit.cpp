@@ -104,8 +104,7 @@ Status audit_eigen(const EigenResult& es, const char* what,
   if (!(max_dev <= ortho_tol)) {
     std::snprintf(buf, sizeof(buf),
                   "%s eigenvector block lost orthonormality: max |V^T V - I| "
-                  "= %.3e over %zu probed columns; subspace iteration likely "
-                  "stalled",
+                  "= %.3e over %zu probed columns",
                   what, max_dev, cols);
     return Status::fault(FaultKind::kOrthonormalityLoss, buf);
   }

@@ -49,6 +49,9 @@ void append(std::vector<unsigned char>& out, const void* p, std::size_t n) {
 /// (with `State` = const ScfState) when saving and a ByteSource when loading.
 template <class Io, class State>
 void visit(Io& io, State& s) {
+  // The retired diagonalizer-fallback latch keeps its META byte: written as
+  // 0, ignored on load.
+  bool retired_latch = false;
   io.section(fourcc("META"), [&] {
     io.scalar(s.next_iteration);
     io.scalar(s.force_exact);
@@ -56,7 +59,7 @@ void visit(Io& io, State& s) {
     io.scalar(s.ladder_rung);
     io.flag(s.damping);
     io.scalar(s.fp64_latched);
-    io.flag(s.direct_diag);
+    io.flag(retired_latch);
     io.flag(s.full_rebuild);
     io.scalar(s.cooldown_until);
     io.scalar(s.rise_streak);

@@ -87,8 +87,7 @@ struct ScfState {
   // --- recovery ladder (rung 3 lives in the governor) --------------------
   std::int32_t ladder_rung = 0;
   bool damping = false;       ///< rung 2 active
-  bool direct_diag = false;   ///< rung 4 latched
-  bool full_rebuild = false;  ///< rung 5 latched
+  bool full_rebuild = false;  ///< rung 4 latched
   /// Soft detectors stay quiet until this iteration, giving each escalation
   /// a window to take effect before the next one is considered.
   std::int32_t cooldown_until = 0;

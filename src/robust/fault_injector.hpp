@@ -2,15 +2,16 @@
 //
 // Every recovery rung of the SCF resilience ladder is exercised by tests
 // rather than hoped-for: named injection sites in the hot paths (kernelmako's
-// quantized E-operand cache, the Fock J digestion, SimComm collectives, the
-// subspace diagonalizer) corrupt data on demand, reproducibly.
+// quantized E-operand cache, the Fock plan and J digestion, the SCF density,
+// SimComm collectives) corrupt data on demand, reproducibly.
 //
 // Site naming convention: "<subsystem>.<what>", e.g.
 //   kernelmako.quant_e_tile   corrupt the quantized bra E-operand cache
+//   fock.plan_build           corrupt the Schwarz bounds of a new Fock plan
+//   fock.route                corrupt the per-block density maxima of a build
 //   fock.j_poison             corrupt one J entry after a quantized build
 //   scf.incremental_drift     bias the incremental Fock delta contribution
 //   scf.density_perturb       symmetric perturbation of the next density
-//   linalg.subspace_stall     starve the subspace diagonalizer of iterations
 //   simcomm.allreduce         corrupt/drop an allreduce payload
 //   simcomm.broadcast         corrupt/drop a broadcast payload
 //

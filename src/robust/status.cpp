@@ -22,8 +22,6 @@ const char* to_string(FaultKind kind) noexcept {
       return "oscillation";
     case FaultKind::kStagnation:
       return "stagnation";
-    case FaultKind::kSubspaceStall:
-      return "subspace-stall";
     case FaultKind::kCommCorruption:
       return "comm-corruption";
     case FaultKind::kIncrementalDrift:
@@ -74,8 +72,6 @@ const char* to_string(RecoveryAction action) noexcept {
       return "damping+level-shift";
     case RecoveryAction::kPrecisionEscalation:
       return "precision-escalation";
-    case RecoveryAction::kDiagonalizerFallback:
-      return "diagonalizer-fallback";
     case RecoveryAction::kFockRebuild:
       return "full-fock-rebuild";
     case RecoveryAction::kCommRetry:

@@ -16,27 +16,28 @@
 namespace mako {
 
 /// Everything the numerical-health sentinels can detect.  Values are stable
-/// (used as bit positions in per-iteration fault masks).
+/// (used as bit positions in per-iteration fault masks and stored in
+/// checkpointed recovery logs), so each is spelled out; 9 belonged to the
+/// retired subspace-diagonalizer stall and stays unused.
 enum class FaultKind : std::uint32_t {
-  kNone = 0,             ///< healthy
-  kNonFinite,            ///< NaN/Inf observed in a matrix or scalar
-  kAsymmetry,            ///< J/K/Fock lost its required symmetry
-  kEigenDisorder,        ///< eigenvalues non-finite or not ascending
-  kOrthonormalityLoss,   ///< eigenvector block no longer orthonormal
-  kDomainError,          ///< Boys/Hermite argument outside its domain
-  kDivergence,           ///< SCF energy rising for N consecutive iterations
-  kOscillation,          ///< DIIS error oscillating without net progress
-  kStagnation,           ///< DIIS error flat above the convergence target
-  kSubspaceStall,        ///< iterative diagonalizer failed to converge
-  kCommCorruption,       ///< collective payload failed checksum verification
-  kIncrementalDrift,     ///< delta-density Fock accumulation drifted
-  kInvalidInput,         ///< caller-supplied molecule/basis/options rejected
-  kDeadlineExceeded,     ///< wall-clock budget expired before convergence
-  kCancelled,            ///< cooperative cancellation (signal or API request)
-  kWedged,               ///< watchdog saw no worker heartbeat for the window
-  kCheckpointCorrupt,    ///< checkpoint magic/CRC/structure failed validation
-  kCheckpointMismatch,   ///< checkpoint fingerprint is for a different problem
-  kCheckpointError,      ///< checkpoint I/O failed (write, fsync, rename)
+  kNone = 0,                 ///< healthy
+  kNonFinite = 1,            ///< NaN/Inf observed in a matrix or scalar
+  kAsymmetry = 2,            ///< J/K/Fock lost its required symmetry
+  kEigenDisorder = 3,        ///< eigenvalues non-finite or not ascending
+  kOrthonormalityLoss = 4,   ///< eigenvector block no longer orthonormal
+  kDomainError = 5,          ///< Boys/Hermite argument outside its domain
+  kDivergence = 6,           ///< SCF energy rose N iterations in a row
+  kOscillation = 7,          ///< DIIS error oscillating without net progress
+  kStagnation = 8,           ///< DIIS error flat above the convergence target
+  kCommCorruption = 10,      ///< collective payload failed its checksum
+  kIncrementalDrift = 11,    ///< delta-density Fock accumulation drifted
+  kInvalidInput = 12,        ///< caller's molecule/basis/options rejected
+  kDeadlineExceeded = 13,    ///< wall-clock budget expired before convergence
+  kCancelled = 14,           ///< cooperative cancellation (signal or API)
+  kWedged = 15,              ///< no worker heartbeat in the watchdog window
+  kCheckpointCorrupt = 16,   ///< checkpoint magic/CRC/structure invalid
+  kCheckpointMismatch = 17,  ///< checkpoint is for a different problem
+  kCheckpointError = 18,     ///< checkpoint I/O failed (write, fsync, rename)
 };
 
 /// Bit for `kind` in a per-iteration fault mask.
@@ -51,16 +52,17 @@ enum class FaultKind : std::uint32_t {
 /// The staged recovery ladder, in escalation order.  Rungs are applied
 /// lowest-first; rungs kPrecisionEscalation and above latch for the rest of
 /// the run.  kCommRetry is SimComm's local rung (checksum-verify + retry with
-/// backoff) and does not participate in the SCF ladder ordering.
+/// backoff) and does not participate in the SCF ladder ordering.  Values are
+/// stable (recovery-mask bits, checkpointed recovery logs); 4 belonged to the
+/// retired diagonalizer fallback and stays unused.
 enum class RecoveryAction : std::uint32_t {
   kNone = 0,
-  kDiisReset,             ///< rung 1: drop the DIIS history
-  kDamping,               ///< rung 2: static density damping + level shift
-  kPrecisionEscalation,   ///< rung 3: force FP64, latch quantization off
-  kDiagonalizerFallback,  ///< rung 4: kSubspace -> kDirect for the run
-  kFockRebuild,           ///< rung 5: full (non-incremental) Fock rebuilds
-  kCommRetry,             ///< SimComm: resend after checksum mismatch/drop
-  kAbort,                 ///< ladder exhausted; run stopped with a fault
+  kDiisReset = 1,            ///< rung 1: drop the DIIS history
+  kDamping = 2,              ///< rung 2: static density damping + level shift
+  kPrecisionEscalation = 3,  ///< rung 3: force FP64, latch quantization off
+  kFockRebuild = 5,          ///< rung 4: full (non-incremental) Fock rebuilds
+  kCommRetry = 6,            ///< SimComm: resend after checksum mismatch/drop
+  kAbort = 7,                ///< ladder exhausted; run stopped with a fault
 };
 
 [[nodiscard]] constexpr std::uint32_t recovery_bit(RecoveryAction a) noexcept {

@@ -26,6 +26,32 @@
 namespace mako {
 namespace {
 
+// --- Health sentinels and the recovery ladder -------------------------------
+//
+// The ladder escalates strictly in order; reaching a rung applies every rung
+// below it first, and rungs 3-4 latch for the rest of the run:
+//   1. DIIS reset            (discard a possibly-poisoned subspace)
+//   2. damping + level shift (static density mixing, virtual level shift)
+//   3. precision escalation  (force FP64, quantization latched off)
+//   4. full Fock rebuilds    (incremental deltas latched off)
+// Soft faults (divergence / oscillation / stagnation) climb one rung per
+// event.  Hard numeric faults (non-finite or asymmetric J/K, a failed eigen
+// audit) jump to rung 3, or one rung up if already there; J/K faults retry
+// the build within the same iteration.  A Fock matrix that QL cannot
+// diagonalize ends the run.  The tuning below is fixed: no caller changed it.
+constexpr int kTopRung = 4;
+constexpr double kLindepThreshold = 1e-8;  ///< overlap eigenvalues dropped
+constexpr double kSymmetryTol = 1e-10;     ///< relative J/K symmetry audit
+constexpr double kOrthoTol = 1e-8;         ///< eigenvector orthonormality
+constexpr int kDivergenceWindow = 3;       ///< consecutive energy rises
+constexpr double kDivergenceTol = 1e-7;    ///< energy rises below this ignored
+constexpr int kStagnationWindow = 6;       ///< iterations without progress
+/// "No progress" means err_now > factor * err_(now - window).
+constexpr double kStagnationFactor = 0.9;
+constexpr int kMaxRetriesPerIteration = 3;  ///< hard-fault J/K rebuilds
+constexpr double kDampingFactor = 0.3;      ///< rung-2 static density mixing
+constexpr double kLevelShift = 0.25;        ///< rung-2 virtual level shift (Ha)
+
 /// Closed-shell density D = 2 C_occ C_occ^T from MO coefficients.
 MatrixD build_density(const MatrixD& c, std::size_t nocc) {
   const std::size_t n = c.rows();
@@ -69,19 +95,21 @@ std::uint64_t scf_fingerprint(const Molecule& mol, const BasisSet& basis,
   // retired still restore.
   static constexpr char kGemmPath[] = "blocked+quantized";
   fnv1a(h, kGemmPath, sizeof kGemmPath - 1);
+  // Slots of options that became constants or left hash the value the
+  // option always had, so checkpoints written while it existed still restore.
   const std::int32_t ints[] = {
-      static_cast<std::int32_t>(options.diagonalizer),
+      0,  // diagonalizer: direct
       options.incremental_fock ? 1 : 0,
       options.incremental_rebuild_period,
-      options.use_diis ? 1 : 0,
+      1,  // DIIS on
       options.enable_quantization ? 1 : 0,
       options.fixed_iterations,
-      options.robust.sentinels ? 1 : 0,
-      options.robust.recovery ? 1 : 0,
-      options.robust.divergence_window,
-      options.robust.stagnation_window,
-      options.robust.max_retries_per_iteration,
-      static_cast<std::int32_t>(options.subspace_max_iter),
+      1,  // sentinels on
+      1,  // recovery ladder on
+      kDivergenceWindow,
+      kStagnationWindow,
+      kMaxRetriesPerIteration,
+      300,  // subspace-diagonalizer iteration budget
       // Precision governance: mode, kernel format, ladder, and per-L cap all
       // shape the trajectory — a checkpoint written under one --precision
       // must be refused under another (kCheckpointMismatch), never resumed
@@ -99,11 +127,11 @@ std::uint64_t scf_fingerprint(const Molecule& mol, const BasisSet& basis,
   fnv1a(h, ints, sizeof ints);
   const double doubles[] = {
       options.energy_convergence,    options.diis_convergence,
-      options.lindep_threshold,      options.prune_threshold,
-      options.subspace_tol,          options.robust.divergence_tol,
-      options.robust.stagnation_factor, options.robust.damping_factor,
-      options.robust.level_shift,    options.robust.symmetry_tol,
-      options.robust.ortho_tol,      options.precision.start_fp64_threshold,
+      kLindepThreshold,              options.prune_threshold,
+      1e-11 /* subspace tolerance */, kDivergenceTol,
+      kStagnationFactor,             kDampingFactor,
+      kLevelShift,                   kSymmetryTol,
+      kOrthoTol,                     options.precision.start_fp64_threshold,
       options.precision.end_fp64_threshold,
       options.precision.prune_threshold,
       options.precision.exact_switch_error,
@@ -162,8 +190,8 @@ void validate_inputs(const Molecule& mol, const BasisSet& basis,
 /// consistent CRCs and the right fingerprint can still carry any shape or
 /// iteration cursor, and the loop indexes the matrices as nbf x nbf (AO
 /// basis), northo x northo (orthogonal basis) or northo x nocc.  The MO
-/// coefficients hold between nocc (subspace diagonalizer) and northo
-/// columns, one orbital energy each.
+/// coefficients are the full eigenvector set of the orthogonal-basis Fock
+/// matrix: nbf x northo, with northo orbital energies.
 void validate_restored_state(const ScfState& st, const std::string& path,
                              std::size_t nbf, std::size_t northo,
                              std::size_t nocc) {
@@ -200,14 +228,11 @@ void validate_restored_state(const ScfState& st, const std::string& path,
     check(st.diis_errors[i], northo, northo, "DIIS error matrix",
           "northo x northo");
   }
-  const MatrixD& c = st.coefficients;
-  if (c.rows() != nbf || c.cols() < nocc || c.cols() > northo) {
-    refuse("MO coefficient matrix", c.rows(), c.cols(),
-           "nbf x (nocc..northo)");
-  }
-  if (st.orbital_energies.size() != c.cols()) {
+  check(st.coefficients, nbf, northo, "MO coefficient matrix",
+        "nbf x northo");
+  if (st.orbital_energies.size() != northo) {
     refuse("orbital energy vector", st.orbital_energies.size(), 1,
-           "one per MO coefficient column");
+           "northo x 1");
   }
 }
 
@@ -244,7 +269,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
 
   // One-electron pieces and the orthogonalizer.
   const MatrixD s = overlap_matrix(basis);
-  const MatrixD x = inverse_sqrt(s, options.lindep_threshold);
+  const MatrixD x = inverse_sqrt(s, kLindepThreshold);
   const MatrixD hcore = core_hamiltonian(basis, mol);
 
   // XC machinery.
@@ -265,7 +290,6 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
 
   const int niter = (options.fixed_iterations > 0) ? options.fixed_iterations
                                                    : options.max_iterations;
-  const ResilienceOptions& robust = options.robust;
   const DurabilityOptions& dur = options.durability;
 
   // Cooperative cancellation: the run's token (CLI signal handlers or a test
@@ -276,7 +300,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
   ScopedDeadline deadline_guard(cancel, dur.max_seconds);
   // Liveness watchdog: detection only — a wedged parallel region records a
   // kWedged audit event and metrics; enforcement stays with the deadline.
-  ScopedWatchdog watchdog_guard(robust.watchdog_seconds);
+  ScopedWatchdog watchdog_guard(options.watchdog_seconds);
 
   const bool durable =
       !dur.checkpoint_path.empty() || !dur.restore_path.empty();
@@ -297,6 +321,9 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     st = load_checkpoint(dur.restore_path, fingerprint);
     validate_restored_state(st, dur.restore_path, basis.nbf(), x.cols(),
                             nocc);
+    // Files written while the ladder had a fifth rung may sit above the top
+    // rung; their latched flags already carry every effect of the rungs.
+    st.ladder_rung = std::min(st.ladder_rung, kTopRung);
     governor.restore(GovernorState{st.governor_ladder_stage, st.fp64_latched,
                                    st.force_exact});
     MAKO_METRIC_COUNT("scf.restores", 1);
@@ -425,12 +452,11 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     // Applies every ladder rung up to `target`, recording each activation.
     auto escalate = [&](FaultKind fault, int target,
                         const std::string& detail) {
-      if (!robust.recovery) return;
       // Health-sentinel feedback to the precision authority: with the TF32
       // ladder active, divergence/oscillation advances the format step early
       // (noisy kernels are the first suspect); otherwise a no-op.
       governor.observe_fault(fault);
-      target = std::min(target, 5);
+      target = std::min(target, kTopRung);
       while (st.ladder_rung < target) {
         ++st.ladder_rung;
         RecoveryAction action = RecoveryAction::kNone;
@@ -451,10 +477,6 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
             action = RecoveryAction::kPrecisionEscalation;
             break;
           case 4:
-            st.direct_diag = true;
-            action = RecoveryAction::kDiagonalizerFallback;
-            break;
-          case 5:
             st.full_rebuild = true;
             action = RecoveryAction::kFockRebuild;
             break;
@@ -472,8 +494,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     MatrixD j, k;
     bool force_full_this_iter = st.full_rebuild;
     bool built_ok = false;
-    for (int attempt = 0; attempt <= robust.max_retries_per_iteration;
-         ++attempt) {
+    for (int attempt = 0; attempt <= kMaxRetriesPerIteration; ++attempt) {
       // Precision plan for this attempt.  The governor folds in everything
       // that used to be scattered: the convergence-aware schedule, the
       // rung-3 FP64 latch, and the exact-final polish.
@@ -493,7 +514,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
         fs = fock_builder.build_jk(delta, policy, dj, dk);
         if (MAKO_FAULT_POINT("scf.incremental_drift")) {
           // Symmetric bias on the delta contribution: models accumulated
-          // incremental error that only full rebuilds (rung 5) clear.
+          // incremental error that only full rebuilds (rung 4) clear.
           const FaultSpec spec =
               exec.faults().armed_spec("scf.incremental_drift");
           dj(0, 0) += spec.magnitude;
@@ -522,19 +543,17 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
       // symmetric and finite — so comm health routes into the same
       // hard-fault retry path as the numeric audits.
       Status audit = fs.comm_status;
-      if (audit.is_ok() && robust.sentinels) {
-        audit = audit_finite(j, "J");
-        if (audit.is_ok()) audit = audit_finite(k, "K");
-        if (audit.is_ok()) audit = audit_symmetry(j, "J", robust.symmetry_tol);
-        if (audit.is_ok()) audit = audit_symmetry(k, "K", robust.symmetry_tol);
-      }
+      if (audit.is_ok()) audit = audit_finite(j, "J");
+      if (audit.is_ok()) audit = audit_finite(k, "K");
+      if (audit.is_ok()) audit = audit_symmetry(j, "J", kSymmetryTol);
+      if (audit.is_ok()) audit = audit_symmetry(k, "K", kSymmetryTol);
       if (audit.is_ok()) {
         built_ok = true;
         break;
       }
       record.fault_mask |= fault_bit(audit.kind());
       log_warn("scf iter %d: %s", iter, audit.message().c_str());
-      if (!robust.recovery || attempt == robust.max_retries_per_iteration) {
+      if (attempt == kMaxRetriesPerIteration) {
         result.status = audit;
         break;
       }
@@ -590,7 +609,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     const double e_elec = e_one + e_coul + e_xx + xres.energy;
     const double energy = e_elec + st.e_nuclear;
 
-    if (robust.sentinels && !std::isfinite(energy)) {
+    if (!std::isfinite(energy)) {
       record.fault_mask |= fault_bit(FaultKind::kNonFinite);
       abort_iteration(Status::fault(FaultKind::kNonFinite,
                                     "run_scf: total energy is non-finite"));
@@ -598,14 +617,12 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     }
 
     // DIIS extrapolation.
-    MatrixD f_use = fock;
-    if (options.use_diis) {
+    MatrixD f_use;
+    {
       MAKO_TRACE_SCOPE(obs::TraceCat::kScf, "scf.diis");
       const MatrixD err = diis_error_matrix(fock, st.density, s, x);
       f_use = diis_extrapolate(st.diis_focks, st.diis_errors, fock, err);
       st.last_error = diis_error_norm(err);
-    } else {
-      st.last_error = std::fabs(energy - st.last_energy);
     }
 
     // Diagonalize in the orthonormal basis.
@@ -615,13 +632,12 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     // still far from converged.  Tapers off near convergence so final
     // orbital energies are unshifted.
     if (st.damping && st.prev_y_occ.rows() == f_ortho.rows() &&
-        st.last_error > 10.0 * options.diis_convergence &&
-        robust.level_shift > 0.0) {
+        st.last_error > 10.0 * options.diis_convergence) {
       MatrixD p_occ =
           matmul(st.prev_y_occ, Trans::kNo, st.prev_y_occ, Trans::kYes);
-      p_occ *= robust.level_shift;
+      p_occ *= kLevelShift;
       for (std::size_t i = 0; i < f_ortho.rows(); ++i) {
-        f_ortho(i, i) += robust.level_shift;
+        f_ortho(i, i) += kLevelShift;
       }
       f_ortho -= p_occ;
     }
@@ -632,61 +648,25 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     }
     obs::TraceSpan diag_span(obs::TraceCat::kScf, "scf.diagonalize");
     Timer diag_timer;
-    EigenResult es;
-    bool used_subspace = false;
-    if (options.diagonalizer == Diagonalizer::kSubspace &&
-        !st.direct_diag) {
-      // MatMul-aligned iterative path: only the occupied block (plus a
-      // small buffer) is solved for.
-      const std::size_t nev =
-          std::min(f_ortho.rows(), nocc + std::min<std::size_t>(nocc, 6) + 2);
-      std::size_t sub_iters = options.subspace_max_iter;
-      if (MAKO_FAULT_POINT("linalg.subspace_stall")) {
-        sub_iters = 1;  // starve the solver: models a stalled eigensolver
-      }
-      es = eigh_subspace(f_ortho, nev, sub_iters, options.subspace_tol);
-      used_subspace = true;
-    } else {
-      es = eigh(f_ortho);
-    }
-    if (robust.sentinels) {
-      Status dst = Status::ok();
-      if (used_subspace && !es.converged) {
-        dst = Status::fault(
-            FaultKind::kSubspaceStall,
-            "run_scf: subspace diagonalizer failed to converge within its "
-            "iteration budget");
-      } else if (!es.converged) {
-        dst = Status::fault(FaultKind::kEigenDisorder,
-                            "run_scf: direct diagonalizer (QL) did not "
-                            "converge on the Fock matrix");
-      } else {
-        const std::size_t probe =
-            std::min(nocc + 2, es.eigenvectors.cols());
-        dst = audit_eigen(es, "Fock diagonalization", probe,
-                          robust.ortho_tol);
-      }
-      if (!dst.is_ok()) {
-        record.fault_mask |= fault_bit(dst.kind());
-        log_warn("scf iter %d: %s", iter, dst.message().c_str());
-        if (robust.recovery) {
-          // Diagonalizer fault: fall back to the direct solver immediately.
-          escalate(dst.kind(), std::max(4, st.ladder_rung + 1), dst.message());
-          es = eigh(f_ortho);
-          used_subspace = false;
-          ++record.retries;
-        }
-      }
-    }
-    diag_span.end();
-    if (!used_subspace && !es.converged) {
-      // The direct solver is the last rung: nothing is left to fall back to.
+    const EigenResult es = eigh(f_ortho);
+    if (!es.converged) {
+      // QL is the only diagonalizer and it is deterministic: a Fock matrix
+      // it cannot diagonalize (overflow-scale input) ends the run.
       record.fault_mask |= fault_bit(FaultKind::kEigenDisorder);
       abort_iteration(Status::fault(FaultKind::kEigenDisorder,
                                     "run_scf: direct diagonalizer (QL) did "
                                     "not converge on the Fock matrix"));
       break;
     }
+    const Status dst = audit_eigen(
+        es, "Fock diagonalization", std::min(nocc + 2, es.eigenvectors.cols()),
+        kOrthoTol);
+    if (!dst.is_ok()) {
+      record.fault_mask |= fault_bit(dst.kind());
+      log_warn("scf iter %d: %s", iter, dst.message().c_str());
+      escalate(dst.kind(), std::max(3, st.ladder_rung + 1), dst.message());
+    }
+    diag_span.end();
     MAKO_METRIC_OBSERVE("scf.diag_s", diag_timer.seconds());
     // Save the occupied ortho-basis block for the next level shift.
     if (es.eigenvectors.cols() >= nocc) {
@@ -703,10 +683,9 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     MatrixD d_new = build_density(st.coefficients, nocc);
     if (st.damping) {
       // Rung-2 static damping: mix back a fraction of the previous density.
-      const double a = robust.damping_factor;
-      d_new *= (1.0 - a);
+      d_new *= (1.0 - kDampingFactor);
       MatrixD d_old = st.density;
-      d_old *= a;
+      d_old *= kDampingFactor;
       d_new += d_old;
     }
     st.density = std::move(d_new);
@@ -733,17 +712,15 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     record.seconds = iter_timer.seconds();
 
     // --- Soft sentinels: divergence / oscillation / stagnation ------------
-    if (robust.sentinels && options.fixed_iterations <= 0) {
-      if (iter > 0 && energy > st.last_energy + robust.divergence_tol) {
+    if (options.fixed_iterations <= 0) {
+      if (iter > 0 && energy > st.last_energy + kDivergenceTol) {
         ++st.rise_streak;
       } else {
         st.rise_streak = 0;
       }
       st.err_hist.push_back(st.last_error);
-      const std::size_t w =
-          static_cast<std::size_t>(std::max(robust.stagnation_window, 1));
-      if (iter >= st.cooldown_until &&
-          st.rise_streak >= robust.divergence_window) {
+      const std::size_t w = kStagnationWindow;
+      if (iter >= st.cooldown_until && st.rise_streak >= kDivergenceWindow) {
         record.fault_mask |= fault_bit(FaultKind::kDivergence);
         char detail[128];
         std::snprintf(detail, sizeof detail,
@@ -751,10 +728,10 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
                       st.rise_streak, energy);
         escalate(FaultKind::kDivergence, st.ladder_rung + 1, detail);
         st.rise_streak = 0;
-        st.cooldown_until = iter + robust.divergence_window + 1;
+        st.cooldown_until = iter + kDivergenceWindow + 1;
       } else if (iter >= st.cooldown_until && st.err_hist.size() > w) {
         const double err_then = st.err_hist[st.err_hist.size() - 1 - w];
-        if (st.last_error > robust.stagnation_factor * err_then &&
+        if (st.last_error > kStagnationFactor * err_then &&
             st.last_error > options.diis_convergence) {
           // Classify: oscillation if the error bounced within the window,
           // stagnation if it sat flat.
@@ -837,7 +814,6 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
   result.orbital_energies = std::move(st.orbital_energies);
   result.recovery_log = std::move(st.recovery_log);
   result.fp64_latched = governor.fp64_latched();
-  result.diagonalizer_fallback = st.direct_diag;
   result.full_rebuild_latched = st.full_rebuild;
 
   // Terminal health classification — the CLI exit-code contract.  A cancel

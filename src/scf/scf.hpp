@@ -21,50 +21,6 @@ namespace mako {
 
 class ExecutionContext;
 
-/// Fock-matrix diagonalization strategy.
-enum class Diagonalizer {
-  kDirect,    ///< full tridiagonalization + QL (robust default)
-  kSubspace,  ///< MatMul-aligned blocked subspace iteration over the
-              ///< occupied block (the paper's iterative-eigensolver path)
-};
-
-/// Numerical-health sentinels + staged recovery ladder configuration.
-///
-/// The ladder escalates strictly in order; reaching a rung applies every
-/// rung below it first, and rungs 3-5 latch for the rest of the run:
-///   1. DIIS reset            (discard a possibly-poisoned subspace)
-///   2. damping + level shift (static density mixing, virtual level shift)
-///   3. precision escalation  (force FP64, quantization latched off)
-///   4. diagonalizer fallback (kSubspace -> kDirect)
-///   5. full Fock rebuilds    (incremental deltas latched off)
-/// Soft faults (divergence / oscillation / stagnation) climb one rung per
-/// event; hard numeric faults (non-finite or asymmetric J/K) jump straight
-/// to rung 3 and retry the build within the same iteration; diagonalizer
-/// faults jump to rung 4.
-struct ResilienceOptions {
-  /// Master switch for the health sentinels (finite/symmetry audits on J and
-  /// K, eigen-solution sanity, divergence/oscillation detectors).
-  bool sentinels = true;
-  /// Master switch for the recovery ladder.  With this off, sentinels still
-  /// record faults in the iteration log but nothing escalates.
-  bool recovery = true;
-  double symmetry_tol = 1e-10;  ///< relative J/K symmetry audit tolerance
-  double ortho_tol = 1e-8;      ///< eigenvector orthonormality tolerance
-  int divergence_window = 3;    ///< consecutive energy rises => divergence
-  double divergence_tol = 1e-7; ///< energy rises below this are ignored
-  int stagnation_window = 6;    ///< iterations without error progress
-  /// "No progress" means err_now > factor * err_(now - window).
-  double stagnation_factor = 0.9;
-  int max_retries_per_iteration = 3;  ///< hard-fault rebuild retries
-  double damping_factor = 0.3;        ///< rung-2 static density mixing
-  double level_shift = 0.25;          ///< rung-2 virtual level shift (Ha)
-  /// >0: run the liveness watchdog with this stall window (seconds).  A
-  /// parallel region with no worker heartbeat for the window records a
-  /// FaultKind::kWedged audit event and `robust.watchdog_stalls` metrics;
-  /// it never kills the run (that is the deadline's job).  0 disables.
-  double watchdog_seconds = 0.0;
-};
-
 /// Checkpoint/restart and wall-clock budget configuration.
 ///
 /// A checkpoint captures every loop-carried datum of the driver, so a
@@ -87,7 +43,6 @@ struct ScfOptions {
   XcFunctional xc{XcKind::kNone};       ///< kNone = Hartree-Fock
   FockOptions fock{};                   ///< Fock build batching
   GridSpec grid = GridSpec::coarse();   ///< XC quadrature quality
-  Diagonalizer diagonalizer = Diagonalizer::kDirect;
   /// Incremental Fock builds: after the first iteration, evaluate only the
   /// two-electron response of the density *change*.  The shrinking delta
   /// density makes the density-weighted Schwarz screen progressively more
@@ -98,7 +53,6 @@ struct ScfOptions {
   int max_iterations = 60;
   double energy_convergence = 1e-8;     ///< |dE| between iterations
   double diis_convergence = 1e-6;       ///< max |FDS - SDF|
-  bool use_diis = true;
   bool enable_quantization = false;     ///< QuantMako scheduling on/off
   /// Precision-governance configuration: mode, convergence-aware schedule
   /// thresholds, TF32 ladder, per-angular-momentum cap.  The run's
@@ -107,11 +61,12 @@ struct ScfOptions {
   /// >0: run exactly this many iterations with no convergence test
   /// (benchmark mode, matching the paper's fixed-iteration timing).
   int fixed_iterations = 0;
-  double lindep_threshold = 1e-8;
   double prune_threshold = 1e-11;       ///< Schwarz prune in pure-FP64 mode
-  std::size_t subspace_max_iter = 300;  ///< kSubspace iteration budget
-  double subspace_tol = 1e-11;          ///< kSubspace residual tolerance
-  ResilienceOptions robust{};           ///< sentinels + recovery ladder
+  /// >0: run the liveness watchdog with this stall window (seconds).  A
+  /// parallel region with no worker heartbeat for the window records a
+  /// FaultKind::kWedged audit event and `robust.watchdog_stalls` metrics;
+  /// it never kills the run (that is the deadline's job).  0 disables.
+  double watchdog_seconds = 0.0;
   DurabilityOptions durability{};       ///< checkpoints + wall-clock budget
 };
 
@@ -155,8 +110,8 @@ struct ScfResult {
   /// it with --telemetry and obs::telemetry_json() serializes it.
   std::vector<obs::IterationTelemetry> telemetry;
 
-  /// Overall health: ok unless the recovery ladder was exhausted (or
-  /// recovery is disabled) and the run aborted on an unrecoverable fault.
+  /// Overall health: ok unless the recovery ladder was exhausted and the run
+  /// aborted on an unrecoverable fault.
   Status status;
   /// Terminal health classification — the CLI exit-code contract
   /// (exit_code_for in robust/status.hpp).  kDeadlineExceeded / kCancelled
@@ -168,9 +123,8 @@ struct ScfResult {
   int resumed_from = 0;
   /// Every recovery-ladder rung taken, in order, with the triggering fault.
   std::vector<RecoveryEvent> recovery_log;
-  bool fp64_latched = false;           ///< rung 3 fired (quantization off)
-  bool diagonalizer_fallback = false;  ///< rung 4 fired (kDirect latched)
-  bool full_rebuild_latched = false;   ///< rung 5 fired (no incremental)
+  bool fp64_latched = false;          ///< rung 3 fired (quantization off)
+  bool full_rebuild_latched = false;  ///< rung 4 fired (no incremental)
 
   /// True if any recovery rung fired during the run.
   [[nodiscard]] bool recovered() const { return !recovery_log.empty(); }

@@ -167,7 +167,6 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
   s.ladder_rung = 3;
   s.damping = 1;
   s.fp64_latched = 1;
-  s.direct_diag = 0;
   s.full_rebuild = 1;
   s.cooldown_until = 21;
   s.governor_ladder_stage = 1;
@@ -209,7 +208,6 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(r.ladder_rung, s.ladder_rung);
   EXPECT_EQ(r.damping, s.damping);
   EXPECT_EQ(r.fp64_latched, s.fp64_latched);
-  EXPECT_EQ(r.direct_diag, s.direct_diag);
   EXPECT_EQ(r.full_rebuild, s.full_rebuild);
   EXPECT_EQ(r.cooldown_until, s.cooldown_until);
   EXPECT_EQ(r.governor_ladder_stage, s.governor_ladder_stage);
@@ -510,8 +508,8 @@ TEST_F(CheckpointTest, LoadSurvivesSeededMutations) {
 // Three seeded mutants load as well-shaped states holding overflow-scale
 // doubles (a density element near 1e100 or 1e85, a DIIS Fock element near
 // 6e269).  Iterating from them passes the J/K and energy sentinels, and the
-// direct diagonalizer then fails on the extrapolated Fock, also on the
-// rung-4 retry.  That must end the run as a hard fault, not a throw.
+// direct diagonalizer then fails on the extrapolated Fock.  That must end the
+// run as a hard fault, not a throw.
 TEST_F(CheckpointTest, OverflowScaleRestoreEndsInAFault) {
   const Molecule w = make_water();
   const BasisSet bs(w, "sto-3g");
@@ -597,6 +595,11 @@ INSTANTIATE_TEST_SUITE_P(
                 [](ScfState& s) { s.coefficients = filled(7, 8, 0.5); }},
         Forgery{"Coefficients4Columns",
                 [](ScfState& s) { s.coefficients = filled(7, 4, 0.5); }},
+        Forgery{"Coefficients6Columns",
+                [](ScfState& s) {
+                  s.coefficients = filled(7, 6, 0.5);
+                  s.orbital_energies = VectorD(6, -0.5);
+                }},
         Forgery{"ShortOrbitalEnergies",
                 [](ScfState& s) { s.orbital_energies.pop_back(); }},
         Forgery{"EmptyPreviousDensity",
@@ -626,6 +629,74 @@ TEST_F(CheckpointTest, UnforgedWaterStateRestores) {
   ScfOptions restore;
   restore.durability.restore_path = path;
   EXPECT_TRUE(run_scf(w, bs, restore).converged);
+}
+
+/// META keeps the byte of the retired diagonalizer-fallback latch.  It is
+/// written as 0, and a 1 there (a file saved at the old fallback rung) loads
+/// to the same state and resumes to the same energy, bit for bit.
+TEST_F(CheckpointTest, RetiredMetaLatchIsWrittenAsZeroAndIgnored) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "sto-3g");
+  const std::string path = track("latch-source");
+  const ScfState clean = water_state(w, bs, path);
+
+  CkptImage im = CkptImage::read(path);
+  const CkptImage::Section& meta = im.find("META");
+  // next_iteration (4 bytes), force_exact (1), converged (1), ladder_rung
+  // (4), damping (1), fp64_latched (1), then the retired latch.
+  const std::size_t at = meta.payload + 12;
+  ASSERT_EQ(im.bytes[at], '\0');
+  im.bytes[at] = 1;
+  im.restamp(meta);
+  const std::string forged = track("latch-forged");
+  im.write(forged);
+
+  ScfState set;
+  ASSERT_NO_THROW(set = load_checkpoint(forged));
+  EXPECT_EQ(set.next_iteration, clean.next_iteration);
+  EXPECT_EQ(set.ladder_rung, clean.ladder_rung);
+  EXPECT_EQ(set.damping, clean.damping);
+  EXPECT_EQ(set.fp64_latched, clean.fp64_latched);
+  EXPECT_EQ(set.full_rebuild, clean.full_rebuild);
+  EXPECT_EQ(set.cooldown_until, clean.cooldown_until);
+
+  ScfOptions from_clean;
+  from_clean.durability.restore_path = path;
+  ScfOptions from_forged;
+  from_forged.durability.restore_path = forged;
+  const ScfResult a = run_scf(w, bs, from_clean);
+  const ScfResult b = run_scf(w, bs, from_forged);
+  EXPECT_TRUE(b.converged);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(0, std::memcmp(&a.energy, &b.energy, sizeof a.energy));
+}
+
+/// A file saved while the ladder had five rungs may hold rung 5.  It resumes
+/// at the top rung (4, full rebuilds), whose latch it already carries, and
+/// the checkpoints it writes from then on hold rung 4.
+TEST_F(CheckpointTest, RestoreAboveTheTopRungResumesAtTheTop) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "sto-3g");
+  const double e_clean = run_scf(w, bs, {}).energy;
+  const std::string path = track("rung5-source");
+  ScfState old = water_state(w, bs, path);
+  old.ladder_rung = 5;
+  old.full_rebuild = true;
+  ASSERT_TRUE(save_checkpoint(path, old).is_ok());
+
+  const std::string out = track("rung5-resumed");
+  ScfOptions restore;
+  restore.durability.restore_path = path;
+  restore.durability.checkpoint_path = out;
+  ScfResult r;
+  ASSERT_NO_THROW(r = run_scf(w, bs, restore));
+  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(r.full_rebuild_latched);
+  EXPECT_NEAR(r.energy, e_clean, 1e-8);
+
+  const ScfState last = load_checkpoint(out);
+  EXPECT_EQ(last.ladder_rung, 4);
+  EXPECT_TRUE(last.full_rebuild);
 }
 
 // --- SCF driver integration ----------------------------------------------
@@ -820,7 +891,7 @@ TEST_F(CheckpointTest, ScfRejectsCheckpointUnderDifferentGrid) {
 /// resume must reproduce the uninterrupted trajectory — energies, errors,
 /// every later escalation and the whole recovery log — bit for bit.
 /// `saved` receives the checkpoint the resume started from.
-void resume_mid_recovery_ladder(const std::string& ck, int fires, int window,
+void resume_mid_recovery_ladder(const std::string& ck, int fires,
                                 int after_damping, int* stop, ScfResult* full,
                                 ScfState* saved) {
   const Molecule w = make_water();
@@ -835,7 +906,6 @@ void resume_mid_recovery_ladder(const std::string& ck, int fires, int window,
   };
   ScfOptions base;
   base.max_iterations = 100;
-  base.robust.stagnation_window = window;
 
   arm();
   *full = run_scf(w, bs, base);
@@ -891,7 +961,6 @@ void resume_mid_recovery_ladder(const std::string& ck, int fires, int window,
     EXPECT_EQ(resumed.recovery_log[i].detail, want.detail);
   }
   EXPECT_EQ(resumed.fp64_latched, full->fp64_latched);
-  EXPECT_EQ(resumed.diagonalizer_fallback, full->diagonalizer_fallback);
   EXPECT_EQ(resumed.full_rebuild_latched, full->full_rebuild_latched);
 }
 
@@ -906,16 +975,17 @@ TEST_F(CheckpointTest, ResumeIsBitIdenticalMidRecoveryLadder) {
 
   // Interrupted mid energy-rise streak and mid cooldown: the next
   // divergence verdict counts rises from both sides of the interruption.
-  resume_mid_recovery_ladder(ck, 12, 6, 3, &stop, &full, &saved);
+  resume_mid_recovery_ladder(ck, 12, 3, &stop, &full, &saved);
   if (HasFatalFailure()) return;
   EXPECT_GT(saved.rise_streak, 0) << "interruption no longer mid-streak";
   EXPECT_GT(saved.cooldown_until, stop)
       << "interruption no longer mid-cooldown";
 
-  // A short stagnation window: the first error-history verdict after the
-  // interruption compares against errors recorded before it.
-  const int window = 3;
-  resume_mid_recovery_ladder(ck, 10, window, 1, &stop, &full, &saved);
+  // Interrupted within one stagnation window (6 iterations) of an
+  // error-history escalation: that verdict compares against errors recorded
+  // before the interruption.
+  const int window = 6;
+  resume_mid_recovery_ladder(ck, 15, 1, &stop, &full, &saved);
   if (HasFatalFailure()) return;
   EXPECT_TRUE(std::any_of(
       full.recovery_log.begin(), full.recovery_log.end(),
@@ -984,10 +1054,10 @@ TEST_F(CheckpointTest, ScfRejectsCheckpointOfDifferentProblem) {
   }
 
   // Different trajectory-shaping option on the same molecule: also refused.
-  ScfOptions nodiis;
-  nodiis.use_diis = false;
-  nodiis.durability.restore_path = ck;
-  EXPECT_THROW((void)run_scf(w, bs, nodiis), InputError);
+  ScfOptions incremental;
+  incremental.incremental_fock = true;
+  incremental.durability.restore_path = ck;
+  EXPECT_THROW((void)run_scf(w, bs, incremental), InputError);
 }
 
 TEST_F(CheckpointTest, ScfRejectsCorruptedCheckpoint) {

@@ -77,18 +77,6 @@ TEST(EighTest, ThrowsOnNonSquare) {
   EXPECT_THROW(eigh(MatrixD(2, 3)), std::invalid_argument);
 }
 
-TEST(SubspaceTest, MatchesDirectLowEigenpairs) {
-  Rng rng(17);
-  const std::size_t n = 30;
-  const MatrixD a = random_symmetric(n, rng);
-  const EigenResult full = eigh(a);
-  const EigenResult sub = eigh_subspace(a, 4, 400, 1e-12);
-  ASSERT_EQ(sub.eigenvalues.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(sub.eigenvalues[i], full.eigenvalues[i], 1e-6) << i;
-  }
-}
-
 TEST(InverseSqrtTest, SquaresToInverse) {
   Rng rng(23);
   const std::size_t n = 12;

@@ -45,13 +45,25 @@ TEST(StatusTest, FaultBitsAreDistinct) {
                  FaultKind::kEigenDisorder, FaultKind::kOrthonormalityLoss,
                  FaultKind::kDomainError, FaultKind::kDivergence,
                  FaultKind::kOscillation, FaultKind::kStagnation,
-                 FaultKind::kSubspaceStall, FaultKind::kCommCorruption,
+                 FaultKind::kCommCorruption,
                  FaultKind::kIncrementalDrift, FaultKind::kInvalidInput}) {
     const std::uint32_t bit = fault_bit(k);
     EXPECT_NE(bit, 0u);
     EXPECT_EQ(seen & bit, 0u) << "bit collision for " << to_string(k);
     seen |= bit;
   }
+}
+
+// Fault and recovery values are mask bit positions and are stored in
+// checkpointed recovery logs, so retiring an enumerator must not shift them.
+TEST(StatusTest, EnumeratorValuesAreStable) {
+  EXPECT_EQ(static_cast<std::uint32_t>(FaultKind::kStagnation), 8u);
+  EXPECT_EQ(static_cast<std::uint32_t>(FaultKind::kCommCorruption), 10u);
+  EXPECT_EQ(static_cast<std::uint32_t>(FaultKind::kCheckpointError), 18u);
+  EXPECT_EQ(static_cast<std::uint32_t>(RecoveryAction::kPrecisionEscalation),
+            3u);
+  EXPECT_EQ(static_cast<std::uint32_t>(RecoveryAction::kFockRebuild), 5u);
+  EXPECT_EQ(static_cast<std::uint32_t>(RecoveryAction::kAbort), 7u);
 }
 
 TEST(StatusTest, ToStringCoversEverything) {

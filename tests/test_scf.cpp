@@ -177,23 +177,6 @@ TEST(ScfTest, ChargedClosedShellWorks) {
   EXPECT_LT(r.energy, -7.0);  // Li+ RHF/STO-3G ~ -7.1 Eh
 }
 
-TEST(ScfTest, DiisAcceleratesConvergence) {
-  const Molecule w = make_water();
-  const BasisSet bs(w, "6-31g");
-  ScfOptions with;
-  ScfOptions without;
-  without.use_diis = false;
-  without.max_iterations = 200;
-  without.diis_convergence = 1e30;  // rely on energy criterion only
-  const ScfResult r1 = run_scf(w, bs, with);
-  const ScfResult r2 = run_scf(w, bs, without);
-  EXPECT_TRUE(r1.converged);
-  EXPECT_LE(r1.iterations, r2.iterations);
-  if (r2.converged) {
-    EXPECT_NEAR(r1.energy, r2.energy, 1e-5);
-  }
-}
-
 // --- Thread-count invariance ------------------------------------------------
 
 /// The determinism contract of the pool: the Fock partition and every

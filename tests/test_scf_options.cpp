@@ -1,5 +1,5 @@
-// Tests for the extended SCF driver options: incremental Fock builds, the
-// TF32 precision ladder and the subspace diagonalizer.
+// Tests for the extended SCF driver options: incremental Fock builds and the
+// TF32 precision ladder.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -78,33 +78,6 @@ TEST(PrecisionLadderTest, ScfWithLadderConverges) {
   const ScfResult r = run_scf(w, bs, opt);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.energy, -74.96293, 1e-3);
-}
-
-TEST(SubspaceDiagonalizerTest, MatchesDirectEnergy) {
-  const Molecule w = make_water();
-  const BasisSet bs(w, "sto-3g");
-  ScfOptions direct;
-  ScfOptions subspace;
-  subspace.diagonalizer = Diagonalizer::kSubspace;
-  const ScfResult rd = run_scf(w, bs, direct);
-  const ScfResult rs = run_scf(w, bs, subspace);
-  EXPECT_TRUE(rs.converged);
-  EXPECT_NEAR(rd.energy, rs.energy, 1e-6);
-}
-
-TEST(SubspaceDiagonalizerTest, OccupiedSpectrumAgrees) {
-  const Molecule h2 = [] {
-    Molecule m;
-    m.add_atom(1, 0, 0, 0);
-    m.add_atom(1, 0, 0, 1.4);
-    return m;
-  }();
-  const BasisSet bs(h2, "6-31g");
-  ScfOptions subspace;
-  subspace.diagonalizer = Diagonalizer::kSubspace;
-  const ScfResult rs = run_scf(h2, bs, subspace);
-  const ScfResult rd = run_scf(h2, bs, {});
-  EXPECT_NEAR(rs.orbital_energies[0], rd.orbital_energies[0], 1e-6);
 }
 
 }  // namespace
