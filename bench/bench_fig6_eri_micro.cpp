@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "compilermako/registry.hpp"
-#include "integrals/eri_reference.hpp"
+#include "eri_reference.hpp"
 #include "kernelmako/batched_eri.hpp"
 #include "util/timer.hpp"
 

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "basis/basis_set.hpp"
-#include "chem/dataset.hpp"
+#include "dataset.hpp"
 #include "scf/scf.hpp"
 
 namespace {

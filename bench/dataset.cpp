@@ -1,4 +1,4 @@
-#include "chem/dataset.hpp"
+#include "dataset.hpp"
 
 #include <cmath>
 

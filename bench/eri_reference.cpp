@@ -1,4 +1,4 @@
-#include "integrals/eri_reference.hpp"
+#include "eri_reference.hpp"
 
 #include <cmath>
 #include <stdexcept>

@@ -14,7 +14,7 @@
 #include <memory>
 
 #include "basis/basis_set.hpp"
-#include "integrals/eri_reference.hpp"
+#include "eri_reference.hpp"
 #include "linalg/matrix.hpp"
 #include "precision/plan.hpp"
 #include "scf/fock_plan.hpp"

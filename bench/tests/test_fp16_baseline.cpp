@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "compilermako/registry.hpp"
+#include "eri_reference.hpp"
 #include "fp16_baseline.hpp"
-#include "integrals/eri_reference.hpp"
 
 namespace mako {
 namespace {

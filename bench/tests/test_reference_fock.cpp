@@ -10,7 +10,7 @@
 
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
-#include "integrals/eri_reference.hpp"
+#include "eri_reference.hpp"
 #include "integrals/one_electron.hpp"
 #include "reference_fock.hpp"
 #include "scf/fock.hpp"

@@ -9,9 +9,9 @@
 
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
-#include "integrals/eri_reference.hpp"
-#include "integrals/schwarz.hpp"
+#include "kernelmako/eri_class.hpp"
 #include "parallel/simcomm.hpp"
+#include "scf/fock.hpp"
 
 int main() {
   using namespace mako;
@@ -23,8 +23,10 @@ int main() {
               mol.size(), basis.num_shells(), basis.nbf());
 
   // Task costs: one task per bra shell pair; cost = sum over ket pairs of
-  // the per-quartet FLOP estimate, zeroing Schwarz-negligible ket pairs.
-  const MatrixD q = schwarz_bounds(basis);
+  // KernelMako's static per-class GEMM FLOPs, zeroing Schwarz-negligible
+  // ket pairs.  The bounds are the Fock plan's.
+  const FockBuilder builder(basis);
+  const MatrixD& q = builder.schwarz();
   const auto& shells = basis.shells();
   std::vector<double> pair_cost;
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
@@ -39,10 +41,10 @@ int main() {
     double cost = 0.0;
     for (const auto& [k, l] : pairs) {
       if (q(i, j) * q(k, l) < 1e-10) continue;
-      cost += ReferenceEriEngine::quartet_flop_estimate(
-          shells[i].l, shells[j].l, shells[k].l, shells[l].l,
-          shells[i].nprim() * shells[j].nprim(),
-          shells[k].nprim() * shells[l].nprim());
+      const EriClassKey key{shells[i].l, shells[j].l, shells[k].l,
+                            shells[l].l, shells[i].nprim() * shells[j].nprim(),
+                            shells[k].nprim() * shells[l].nprim()};
+      cost += key.gemm_flops_per_quartet();
     }
     pair_cost.push_back(cost * 1e-12);  // FLOPs -> seconds at ~1 TFLOP/s
   }

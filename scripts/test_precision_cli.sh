@@ -16,6 +16,9 @@
 #   6. there is one GEMM path: --backend is an unknown option (exit 2), and
 #      MAKO_BACKEND=reference in the environment changes nothing — the
 #      "Total Energy:" line is section 1's, digit for digit.
+#   7. a linearly dependent basis (two He atoms 1e-5 Å apart: fewer
+#      orthonormal functions than occupied orbitals) is a typed input error
+#      (exit 1) naming the linear dependence, not an abort.
 #
 # Usage: test_precision_cli.sh <path-to-mako-binary> <sample-dir>
 set -u
@@ -107,5 +110,15 @@ e_be="$(energy_line "$WORK/backend_env.log")"
 [ "$e_be" = "$ref_energy" ] ||
   fail "MAKO_BACKEND=reference changed the energy: '$e_be' vs '$ref_energy'"
 pass "--backend is a usage error and MAKO_BACKEND changes nothing"
+
+# ---- 7. a near-singular basis fails typed ----------------------------------
+printf '2\nHe2 1e-5 A apart\nHe 0.0 0.0 0.0\nHe 0.0 0.0 0.00001\n' \
+  >"$WORK/he2.xyz"
+env -u MAKO_PRECISION "$MAKO" --mol "$WORK/he2.xyz" >"$WORK/he2.log" 2>&1
+code=$?
+[ "$code" -eq 1 ] || fail "near-singular He2 exited $code (want 1)"
+grep -q 'linearly dependent' "$WORK/he2.log" ||
+  fail "near-singular He2 error does not name the linear dependence"
+pass "a linearly dependent basis is a typed input error"
 
 echo "PASS: all precision CLI checks"

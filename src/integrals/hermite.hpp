@@ -1,8 +1,9 @@
 // McMurchie-Davidson machinery: Hermite Gaussian expansion coefficients (E)
 // and Hermite Coulomb integrals (the r-integrals of Eq. 4-5 in the paper).
 //
-// Everything downstream — one-electron integrals, the reference ERI engine,
-// and KernelMako's matrix-aligned pipeline — is built from these two pieces.
+// Everything downstream — one-electron integrals, KernelMako's matrix-aligned
+// pipeline, and the bench-side reference ERI engine — is built from these two
+// pieces.
 #pragma once
 
 #include <array>

@@ -41,10 +41,7 @@ MatrixD build_one_electron(const BasisSet& basis, const BlockFn& block_fn) {
   return out;
 }
 
-}  // namespace
-
-namespace detail {
-
+/// cart(ia, ib) += <a_ia | b_ib>.
 void overlap_cart_block(const Shell& a, const Shell& b, MatrixD& cart) {
   for (int ip = 0; ip < a.nprim(); ++ip) {
     for (int jp = 0; jp < b.nprim(); ++jp) {
@@ -78,6 +75,7 @@ void overlap_cart_block(const Shell& a, const Shell& b, MatrixD& cart) {
   }
 }
 
+/// cart(ia, ib) += <a_ia | -1/2 nabla^2 | b_ib>.
 void kinetic_cart_block(const Shell& a, const Shell& b, MatrixD& cart) {
   for (int ip = 0; ip < a.nprim(); ++ip) {
     for (int jp = 0; jp < b.nprim(); ++jp) {
@@ -128,71 +126,14 @@ void kinetic_cart_block(const Shell& a, const Shell& b, MatrixD& cart) {
   }
 }
 
-void nuclear_point_cart_block(const Shell& a, const Shell& b, double z,
-                              const Vec3& c, int deriv_axis, MatrixD& cart) {
-  const int lab = a.l + b.l;
-  const int l_eval = (deriv_axis >= 0) ? lab + 1 : lab;
-  const HermiteBasis& hb_ab = HermiteBasis::get(lab);
-  const HermiteBasis& hb_eval = HermiteBasis::get(l_eval);
-  std::vector<double> r(hb_eval.size());
-  MatrixD e_mat;
-
-  for (int ip = 0; ip < a.nprim(); ++ip) {
-    for (int jp = 0; jp < b.nprim(); ++jp) {
-      const double alpha = a.exponents[ip];
-      const double beta = b.exponents[jp];
-      const double p = alpha + beta;
-      const double coef = a.coefficients[ip] * b.coefficients[jp];
-      Vec3 pc;
-      for (int ax = 0; ax < 3; ++ax) {
-        pc[ax] = (alpha * a.center[ax] + beta * b.center[ax]) / p;
-      }
-      build_e_matrix(a.l, b.l, a.center, b.center, alpha, beta, coef, e_mat);
-
-      const Vec3 pq{pc[0] - c[0], pc[1] - c[1], pc[2] - c[2]};
-      compute_r_integrals(l_eval, p, pq, -z * 2.0 * kPi / p, r.data());
-
-      for (int ia = 0; ia < a.num_cart(); ++ia) {
-        for (int ib = 0; ib < b.num_cart(); ++ib) {
-          const int col = ia * b.num_cart() + ib;
-          double acc = 0.0;
-          for (int h = 0; h < hb_ab.size(); ++h) {
-            const auto& tuv = hb_ab.component(h);
-            int idx = h;
-            double sign = 1.0;
-            if (deriv_axis >= 0) {
-              // d/dC R_tuv(P - C) = -R_{tuv + 1_axis}; the leading minus
-              // makes the accumulated quantity dV/dC directly.
-              std::array<int, 3> up = tuv;
-              ++up[deriv_axis];
-              idx = hb_eval.index(up[0], up[1], up[2]);
-              sign = -1.0;
-            }
-            acc += sign * e_mat(h, col) * r[idx];
-          }
-          cart(ia, ib) += acc;
-        }
-      }
-    }
-  }
-}
-
-}  // namespace detail
-
-namespace {
-
-MatrixD overlap_matrix_impl(const BasisSet& basis) {
-  return build_one_electron(basis, detail::overlap_cart_block);
-}
-
 }  // namespace
 
 MatrixD overlap_matrix(const BasisSet& basis) {
-  return overlap_matrix_impl(basis);
+  return build_one_electron(basis, overlap_cart_block);
 }
 
 MatrixD kinetic_matrix(const BasisSet& basis) {
-  return build_one_electron(basis, detail::kinetic_cart_block);
+  return build_one_electron(basis, kinetic_cart_block);
 }
 
 MatrixD nuclear_attraction_matrix(const BasisSet& basis, const Molecule& mol) {

@@ -20,19 +20,4 @@ MatrixD nuclear_attraction_matrix(const BasisSet& basis, const Molecule& mol);
 /// Core Hamiltonian H = T + V.
 MatrixD core_hamiltonian(const BasisSet& basis, const Molecule& mol);
 
-// Cartesian shell-pair primitives shared with the derivative-integral module
-// (raw blocks, no spherical transform, using the shells' stored coefficients
-// verbatim).
-namespace detail {
-/// cart(ia, ib) += <a_ia | b_ib>.
-void overlap_cart_block(const Shell& a, const Shell& b, MatrixD& cart);
-/// cart(ia, ib) += <a_ia | -1/2 nabla^2 | b_ib>.
-void kinetic_cart_block(const Shell& a, const Shell& b, MatrixD& cart);
-/// cart(ia, ib) += <a_ia | -z / |r - c| | b_ib>; with deriv_axis in {0,1,2}
-/// the derivative with respect to c along that axis is accumulated instead
-/// (the Hellmann-Feynman operator term).
-void nuclear_point_cart_block(const Shell& a, const Shell& b, double z,
-                              const Vec3& c, int deriv_axis, MatrixD& cart);
-}  // namespace detail
-
 }  // namespace mako

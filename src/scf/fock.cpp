@@ -46,6 +46,13 @@ static_assert(FockPlan::kOwnerSlices ==
 
 }  // namespace
 
+IntegralClass classify_integral(double weighted_bound, double fp64_threshold,
+                                double prune_threshold) {
+  if (weighted_bound >= fp64_threshold) return IntegralClass::kFull;
+  if (weighted_bound >= prune_threshold) return IntegralClass::kQuantized;
+  return IntegralClass::kPruned;
+}
+
 void digest_quartet(const MatrixD& d, MatrixD& j, MatrixD& k, const Shell& sa,
                     const Shell& sb, const Shell& sc, const Shell& sd,
                     double weight, const std::vector<double>& v) {

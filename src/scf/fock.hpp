@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "basis/basis_set.hpp"
-#include "integrals/schwarz.hpp"
 #include "kernelmako/batched_eri.hpp"
 #include "linalg/matrix.hpp"
 #include "precision/plan.hpp"
@@ -40,6 +39,18 @@ class ExecutionContext;
 struct FockOptions {
   std::size_t batch_size = 32;  ///< quartets per Mako batch
 };
+
+/// Precision route of a quartet under the paper's integral-level scheduling.
+enum class IntegralClass {
+  kFull,       ///< critical: evaluate at FP64
+  kQuantized,  ///< moderate: evaluate with the quantized kernel
+  kPruned,     ///< negligible: skip entirely
+};
+
+/// Classifies a quartet from its density-weighted Schwarz estimate
+/// `q_ab * q_cd * d_max` against the two thresholds.
+IntegralClass classify_integral(double weighted_bound, double fp64_threshold,
+                                double prune_threshold);
 
 /// Digests one spherical quartet tensor `v` (row-major [na][nb][nc][nd])
 /// into J and K with the canonical 8-fold permutation weights, scaled by

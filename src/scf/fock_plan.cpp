@@ -1,13 +1,14 @@
 #include "scf/fock_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <numeric>
+#include <span>
 #include <tuple>
 
-#include <cmath>
-
 #include "basis/spherical.hpp"
-#include "integrals/schwarz.hpp"
+#include "kernelmako/batched_eri.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -17,6 +18,9 @@
 
 namespace mako {
 namespace {
+
+/// Diagonal quartets per KernelMako batch of the Schwarz-bound pass.
+constexpr std::size_t kBoundBatch = 32;
 
 inline void fnv1a(std::uint64_t& h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -44,7 +48,93 @@ FockPlan::FockPlan(const BasisSet& basis, ThreadPool& pool) {
   obs::TraceSpan span(obs::TraceCat::kFock, "fock.plan_build");
   Timer timer;
 
-  schwarz_ = schwarz_bounds(basis, &pool);
+  const auto& shells = basis.shells();
+  const std::size_t ns = shells.size();
+
+  // Pair table: every symmetry-unique pair with its class id, in canonical
+  // (i1, i2 <= i1) order until the bounds are known.
+  std::map<std::tuple<int, int, int>, std::uint32_t> pair_class_ids;
+  std::vector<FockShellPair> pairs;
+  pairs.reserve(ns * (ns + 1) / 2);
+  for (std::size_t i1 = 0; i1 < ns; ++i1) {
+    for (std::size_t i2 = 0; i2 <= i1; ++i2) {
+      const Shell& s1 = shells[i1];
+      const Shell& s2 = shells[i2];
+      const std::tuple<int, int, int> pc{s1.l, s2.l,
+                                         s1.nprim() * s2.nprim()};
+      const std::uint32_t id =
+          pair_class_ids
+              .try_emplace(pc,
+                           static_cast<std::uint32_t>(pair_class_ids.size()))
+              .first->second;
+      FockShellPair pair;
+      pair.s1 = &s1;
+      pair.s2 = &s2;
+      pair.i1 = static_cast<std::uint32_t>(i1);
+      pair.i2 = static_cast<std::uint32_t>(i2);
+      pair.klass = id;
+      pair.self_weight = (i1 == i2) ? 0.5f : 1.0f;
+      pairs.push_back(pair);
+    }
+  }
+  const std::size_t np = pairs.size();
+
+  // Stacked ERI operands, one per pair; each has a unique writer, so the
+  // parallel build is deterministic.
+  std::vector<PairOperand> operands(np);
+  pool.parallel_for(np, [&](std::size_t i) {
+    const FockShellPair& pr = pairs[i];
+    build_pair_operand(*pr.s1, *pr.s2, cart_to_sph_pair(pr.s1->l, pr.s2->l),
+                       operands[i]);
+  });
+
+  // Schwarz bounds Q_ab = sqrt(max |(ab|ab)|) over the spherical block, from
+  // KernelMako at FP64 on the operands just built.  The diagonal quartets
+  // are batched by pair class in fixed chunks — independent of the pool
+  // width, so the bounds are too — and each chunk writes only its own
+  // pairs' bounds.  Shards stride over the chunks, each with a scratch
+  // arena that dies with the pass, so the plan leaves no per-thread buffers
+  // behind.
+  std::vector<std::vector<std::uint32_t>> by_class(pair_class_ids.size());
+  for (std::size_t i = 0; i < np; ++i) {
+    by_class[pairs[i].klass].push_back(static_cast<std::uint32_t>(i));
+  }
+  std::vector<std::span<const std::uint32_t>> chunks;
+  for (const auto& members : by_class) {
+    for (std::size_t b = 0; b < members.size(); b += kBoundBatch) {
+      chunks.emplace_back(members.data() + b,
+                          std::min(kBoundBatch, members.size() - b));
+    }
+  }
+  const BatchedEriEngine engine;
+  const std::size_t nshards =
+      std::min(chunks.size(), std::max<std::size_t>(pool.size(), 1));
+  pool.parallel_for(nshards, [&](std::size_t s) {
+    EriScratch scratch;
+    std::vector<QuartetRef> batch;
+    std::vector<std::vector<double>> out;
+    for (std::size_t c = s; c < chunks.size(); c += nshards) {
+      batch.clear();
+      for (const std::uint32_t i : chunks[c]) {
+        const FockShellPair& pr = pairs[i];
+        batch.push_back(
+            {pr.s1, pr.s2, pr.s1, pr.s2, &operands[i], &operands[i]});
+      }
+      engine.compute_batch(
+          EriClassPlan::get(BatchedEriEngine::classify(batch.front())), batch,
+          out, scratch);
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        double mx = 0.0;
+        for (const double v : out[k]) mx = std::max(mx, std::fabs(v));
+        pairs[chunks[c][k]].q = std::sqrt(mx);
+      }
+    }
+  });
+  schwarz_ = MatrixD(ns, ns, 0.0);
+  for (const FockShellPair& pr : pairs) {
+    schwarz_(pr.i1, pr.i2) = pr.q;
+    schwarz_(pr.i2, pr.i1) = pr.q;
+  }
 
   // Injection site: corrupt the Schwarz table at plan-build time.  This is
   // the nastiest screening fault — the plan is cached for the whole run, so
@@ -86,51 +176,25 @@ FockPlan::FockPlan(const BasisSet& basis, ThreadPool& pool) {
     }
   }
 
-  const auto& shells = basis.shells();
-  const std::size_t ns = shells.size();
-
-  // Pair table: every symmetry-unique pair with its class id and Schwarz
-  // bound, then sorted descending by bound so the routing scan can exit
-  // early.  Ties break on shell indices to keep the order deterministic.
-  std::map<std::tuple<int, int, int>, std::uint32_t> pair_class_ids;
-  pairs_.reserve(ns * (ns + 1) / 2);
-  for (std::size_t i1 = 0; i1 < ns; ++i1) {
-    for (std::size_t i2 = 0; i2 <= i1; ++i2) {
-      const Shell& s1 = shells[i1];
-      const Shell& s2 = shells[i2];
-      const std::tuple<int, int, int> pc{s1.l, s2.l,
-                                         s1.nprim() * s2.nprim()};
-      const std::uint32_t id =
-          pair_class_ids
-              .try_emplace(pc,
-                           static_cast<std::uint32_t>(pair_class_ids.size()))
-              .first->second;
-      FockShellPair pair;
-      pair.s1 = &s1;
-      pair.s2 = &s2;
-      pair.i1 = static_cast<std::uint32_t>(i1);
-      pair.i2 = static_cast<std::uint32_t>(i2);
-      pair.klass = id;
-      pair.self_weight = (i1 == i2) ? 0.5f : 1.0f;
-      pair.q = schwarz_(i1, i2);
-      pairs_.push_back(pair);
-    }
-  }
-  std::sort(pairs_.begin(), pairs_.end(),
-            [](const FockShellPair& a, const FockShellPair& b) {
-              if (a.q != b.q) return a.q > b.q;
-              if (a.i1 != b.i1) return a.i1 < b.i1;
-              return a.i2 < b.i2;
-            });
-
-  // Stacked ERI operands, one per pair, built like the Schwarz bounds: each
-  // has a unique writer, so the parallel build is deterministic.
-  operands_.resize(pairs_.size());
-  pool.parallel_for(pairs_.size(), [&](std::size_t i) {
-    const FockShellPair& pr = pairs_[i];
-    build_pair_operand(*pr.s1, *pr.s2, cart_to_sph_pair(pr.s1->l, pr.s2->l),
-                       operands_[i]);
+  // Sort the pairs descending by bound so the routing scan can exit early;
+  // ties break on shell indices to keep the order deterministic.  Operands
+  // move along with their pairs.
+  for (FockShellPair& pr : pairs) pr.q = schwarz_(pr.i1, pr.i2);
+  std::vector<std::uint32_t> order(np);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
+    const FockShellPair& a = pairs[x];
+    const FockShellPair& b = pairs[y];
+    if (a.q != b.q) return a.q > b.q;
+    if (a.i1 != b.i1) return a.i1 < b.i1;
+    return a.i2 < b.i2;
   });
+  pairs_.reserve(np);
+  operands_.reserve(np);
+  for (const std::uint32_t i : order) {
+    pairs_.push_back(pairs[i]);
+    operands_.push_back(std::move(operands[i]));
+  }
 
   // Owner-computes partition: kOwnerSlices fixed row slices of the sorted
   // triangle, monotone and area-balanced.  These boundaries are part of the
@@ -139,7 +203,7 @@ FockPlan::FockPlan(const BasisSet& basis, ThreadPool& pool) {
   slice_rows_.resize(kOwnerSlices + 1);
   for (std::size_t s = 0; s <= kOwnerSlices; ++s) {
     slice_rows_[s] =
-        std::max(slice_boundary(pairs_.size(), s, kOwnerSlices),
+        std::max(slice_boundary(np, s, kOwnerSlices),
                  s > 0 ? slice_rows_[s - 1] : std::size_t{0});
   }
 
@@ -231,8 +295,8 @@ std::shared_ptr<const FockPlan> FockPlanCache::get(const BasisSet& basis,
       return plan;
     }
   }
-  // Build outside the lock: plan construction runs a parallel Schwarz pass
-  // and must not serialize unrelated lookups behind it.  A concurrent build
+  // Build outside the lock: plan construction runs parallel operand and
+  // Schwarz passes and must not serialize unrelated lookups behind it.  A concurrent build
   // of the same basis is benign — the first inserted plan wins.
   auto plan = std::make_shared<const FockPlan>(basis, pool);
   std::lock_guard<std::mutex> lock(mutex_);

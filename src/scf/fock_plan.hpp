@@ -22,7 +22,11 @@
 //     E'_AB with the spherical transform folded in), which routed quartets
 //     point at, so KernelMako never rebuilds E per quartet or iteration.
 //     Quantized copies are built once per precision on first use
-//     (prepare_quantized).
+//     (prepare_quantized);
+//   * the Schwarz bounds themselves: Q_ab = sqrt(max |(ab|ab)|) over the
+//     spherical block, from one FP64 KernelMako pass over the diagonal
+//     quartets (ab|ab) on those same operands, batched by pair class in
+//     fixed chunks so the bounds do not depend on the pool width.
 //
 // Only the density-dependent work — per-shell-pair density maxima and the
 // FP64/quantized/pruned route of each surviving quartet — remains in the
@@ -32,8 +36,8 @@
 // Plans are cached on the ExecutionContext (FockPlanCache via
 // ExecutionContext::components()), keyed by the basis' lifetime anchor, so
 // every FockBuilder over the same basis — including the incremental-Fock
-// rebuilds and gradient Fock builds of one run — shares one plan, and the
-// plan is freed with its basis.
+// rebuilds of one run — shares one plan, and the plan is freed with its
+// basis.
 #pragma once
 
 #include <array>
@@ -79,10 +83,11 @@ class FockPlan {
   /// equal kMaxCommRanks, static_asserted in fock.cpp).
   static constexpr std::size_t kOwnerSlices = 16;
 
-  /// Builds the plan; the Schwarz-bound pass runs on `pool`.
+  /// Builds the plan; the operand and Schwarz-bound passes run on `pool`.
   FockPlan(const BasisSet& basis, ThreadPool& pool);
 
-  /// Shell-pair Schwarz bound matrix (num_shells x num_shells, symmetric).
+  /// Shell-pair Schwarz bound matrix (num_shells x num_shells, symmetric),
+  /// computed by KernelMako at FP64 and sanitized (no non-finite entries).
   [[nodiscard]] const MatrixD& schwarz() const noexcept { return schwarz_; }
 
   /// Shell pairs sorted descending by Schwarz bound (ties broken by index

@@ -270,6 +270,16 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
   // One-electron pieces and the orthogonalizer.
   const MatrixD s = overlap_matrix(basis);
   const MatrixD x = inverse_sqrt(s, kLindepThreshold);
+  if (nocc > x.cols()) {
+    char msg[256];
+    std::snprintf(msg, sizeof msg,
+                  "run_scf: the basis is linearly dependent — %zu of %zu "
+                  "functions survive the overlap threshold %.0e, fewer than "
+                  "the %zu doubly-occupied orbitals; check for overlapping "
+                  "atoms",
+                  x.cols(), basis.nbf(), kLindepThreshold, nocc);
+    throw InputError(FaultKind::kInvalidInput, msg);
+  }
   const MatrixD hcore = core_hamiltonian(basis, mol);
 
   // XC machinery.

@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "compilermako/registry.hpp"
-#include "integrals/eri_reference.hpp"
+#include "eri_reference.hpp"
 #include "kernelmako/batched_eri.hpp"
 
 namespace mako {

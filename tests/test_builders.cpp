@@ -1,11 +1,9 @@
-// Geometry builder and dataset generator tests.
+// Geometry builder tests.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 
 #include "chem/builders.hpp"
-#include "chem/dataset.hpp"
 #include "chem/elements.hpp"
 
 namespace mako {
@@ -115,31 +113,6 @@ TEST(BuildersTest, MetalComplexStructure) {
   const Molecule c = make_metal_complex(26, 6);  // Fe(H2O)6
   EXPECT_EQ(c.size(), 1u + 6u * 3u);
   EXPECT_EQ(c.atoms()[0].z, 26);
-}
-
-TEST(DatasetTest, AtLeast200Entries) {
-  const auto ds = build_accuracy_dataset();
-  EXPECT_GE(ds.size(), 200u);
-}
-
-TEST(DatasetTest, AllEntriesClosedShell) {
-  for (const auto& entry : build_accuracy_dataset()) {
-    EXPECT_EQ(entry.molecule.num_electrons() % 2, 0) << entry.name;
-    EXPECT_GT(entry.molecule.size(), 0u) << entry.name;
-  }
-}
-
-TEST(DatasetTest, NamesUnique) {
-  const auto ds = build_accuracy_dataset();
-  std::set<std::string> names;
-  for (const auto& e : ds) names.insert(e.name);
-  EXPECT_EQ(names.size(), ds.size());
-}
-
-TEST(DatasetTest, SmallSubsetSamplesFull) {
-  const auto small = build_accuracy_dataset_small(20);
-  EXPECT_LE(small.size(), 20u);
-  EXPECT_GE(small.size(), 10u);
 }
 
 }  // namespace

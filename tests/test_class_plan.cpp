@@ -14,7 +14,7 @@
 
 #include "chem/builders.hpp"
 #include "compilermako/registry.hpp"
-#include "integrals/eri_reference.hpp"
+#include "eri_reference.hpp"
 #include "kernelmako/batched_eri.hpp"
 #include "kernelmako/class_plan.hpp"
 

@@ -7,7 +7,7 @@
 
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
-#include "integrals/eri_reference.hpp"
+#include "eri_reference.hpp"
 #include "scf/fock.hpp"
 #include "util/rng.hpp"
 

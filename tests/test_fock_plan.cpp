@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <string>
@@ -19,7 +20,6 @@
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
 #include "core/execution_context.hpp"
-#include "integrals/schwarz.hpp"
 #include "parallel/thread_pool.hpp"
 #include "scf/fock.hpp"
 #include "scf/fock_plan.hpp"
@@ -173,13 +173,25 @@ TEST(FockPlanTest, PairsSortedDescendingAndComplete) {
   }
 }
 
-TEST(FockPlanTest, ParallelSchwarzMatchesSerial) {
+TEST(FockPlanTest, BoundsAndPairOrderIndependentOfPoolWidth) {
   const Molecule cluster = make_water_cluster(2, 5);
   const BasisSet bs(cluster, "6-31g");
-  const MatrixD serial = schwarz_bounds(bs);
-  const MatrixD parallel = schwarz_bounds(bs, &ThreadPool::global());
-  ASSERT_EQ(serial.rows(), parallel.rows());
-  EXPECT_EQ(max_abs_diff(serial, parallel), 0.0);
+  ThreadPool one(1);
+  const FockPlan want(bs, one);
+  for (std::size_t width : {2u, 4u}) {
+    ThreadPool pool(width);
+    const FockPlan got(bs, pool);
+    ASSERT_EQ(got.schwarz().rows(), want.schwarz().rows());
+    EXPECT_EQ(std::memcmp(got.schwarz().data(), want.schwarz().data(),
+                          want.schwarz().size() * sizeof(double)),
+              0)
+        << width << " threads";
+    ASSERT_EQ(got.pairs().size(), want.pairs().size());
+    for (std::size_t i = 0; i < want.pairs().size(); ++i) {
+      EXPECT_EQ(got.pairs()[i].i1, want.pairs()[i].i1) << i;
+      EXPECT_EQ(got.pairs()[i].i2, want.pairs()[i].i2) << i;
+    }
+  }
 }
 
 // --- Plan reuse: bit-identical iterations ------------------------------------
@@ -246,10 +258,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FockPlanTest, EarlyExitNeverDropsAKeptQuartet) {
   const Molecule cluster = make_water_cluster(2, 5);
   const BasisSet bs(cluster, "sto-3g");
-  const MatrixD q = schwarz_bounds(bs);
   const MatrixD d = random_symmetric_density(bs.nbf(), 17);
 
   FockBuilder builder(bs, {});
+  const MatrixD& q = builder.schwarz();
   const std::int64_t total = builder.plan().num_unique_quartets();
 
   // Collect every bound once so thresholds can be placed adversarially:

@@ -268,8 +268,12 @@ TEST(ObsIntegrationTest, ScfCountersMatchKnownCallCounts) {
   }
   EXPECT_EQ(reg.find_counter("fock.quartets_fp64")->value(), fp64);
   EXPECT_EQ(reg.find_counter("fock.quartets_pruned")->value(), pruned);
-  // Every non-pruned quartet went through a KernelMako batch.
-  EXPECT_EQ(reg.find_counter("kernel.quartets")->value(), fp64);
+  // Every non-pruned quartet went through a KernelMako batch, and so did
+  // the plan's Schwarz pass: one diagonal quartet (ab|ab) per unique shell
+  // pair.
+  const auto ns = static_cast<std::int64_t>(bs.num_shells());
+  EXPECT_EQ(reg.find_counter("kernel.quartets")->value(),
+            fp64 + ns * (ns + 1) / 2);
 
   // Per-stage histograms observed one sample per Fock build / iteration.
   EXPECT_EQ(reg.find_histogram("fock.eri_s")->count(), r.iterations);

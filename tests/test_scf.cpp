@@ -11,6 +11,7 @@
 #include "core/mako.hpp"
 #include "integrals/one_electron.hpp"
 #include "parallel/thread_pool.hpp"
+#include "robust/status.hpp"
 #include "scf/scf.hpp"
 
 namespace mako {
@@ -31,6 +32,29 @@ TEST(ScfTest, H2Sto3gMatchesLiterature) {
   // Szabo-Ostlund: E(RHF/STO-3G, R=1.4) = -1.1167 Eh.
   EXPECT_NEAR(r.energy, -1.1167, 2e-4);
   EXPECT_NEAR(r.e_nuclear, 1.0 / 1.4, 1e-12);
+}
+
+TEST(ScfTest, H2Sto3gEquilibriumBondLength) {
+  // RHF/STO-3G places the H2 minimum at R = 1.346 bohr (Szabo-Ostlund,
+  // Table 3.11).  A parabola through three bond lengths brackets it.
+  const auto energy_at = [](double r) {
+    Molecule h2;
+    h2.add_atom(1, 0, 0, 0);
+    h2.add_atom(1, 0, 0, r);
+    const BasisSet bs(h2, "sto-3g");
+    const ScfResult res = run_scf(h2, bs, {});
+    EXPECT_TRUE(res.converged) << r;
+    return res.energy;
+  };
+  const double h = 0.05;
+  const double r0 = 1.35;
+  const double em = energy_at(r0 - h);
+  const double e0 = energy_at(r0);
+  const double ep = energy_at(r0 + h);
+  EXPECT_LT(e0, em);
+  EXPECT_LT(e0, ep);
+  const double r_min = r0 - h * (ep - em) / (2.0 * (ep - 2.0 * e0 + em));
+  EXPECT_NEAR(r_min, 1.346, 5e-3);
 }
 
 TEST(ScfTest, WaterSto3gMatchesLiterature) {
@@ -165,6 +189,23 @@ TEST(ScfTest, OpenShellRejected) {
   li.add_atom(3, 0, 0, 0);  // 3 electrons
   const BasisSet bs(li, "sto-3g");
   EXPECT_THROW(run_scf(li, bs, {}), std::invalid_argument);
+}
+
+TEST(ScfTest, LinearlyDependentBasisRejected) {
+  // Two He atoms 1e-5 bohr apart: the two 1s functions collapse onto one
+  // orthonormal function, too few for the two occupied orbitals.
+  Molecule he2;
+  he2.add_atom(2, 0, 0, 0);
+  he2.add_atom(2, 0, 0, 1e-5);
+  const BasisSet bs(he2, "sto-3g");
+  try {
+    run_scf(he2, bs, {});
+    FAIL() << "a linearly dependent basis must be refused";
+  } catch (const InputError& e) {
+    EXPECT_EQ(e.kind(), FaultKind::kInvalidInput);
+    EXPECT_NE(std::strstr(e.what(), "linearly dependent"), nullptr)
+        << e.what();
+  }
 }
 
 TEST(ScfTest, ChargedClosedShellWorks) {
