@@ -19,8 +19,6 @@
 //   --ranks <n>           modeled rank count for rank-sharded SCF; power of
 //                         two in [1, 16] (default: $MAKO_RANKS, else 1).
 //                         Energies are bit-identical for every rank count.
-//   --cluster <name>      comm cost-model topology: default | single-node |
-//                         ethernet                          [default]
 //   --quantize            enable QuantMako scheduling
 //   --precision <name>    precision-governance mode: adaptive | fp64 | fp32 |
 //                         tf32 | fp16 (default: $MAKO_PRECISION, else
@@ -48,7 +46,9 @@
 //   --help                this text
 //
 // Output mirrors the artifact: total wall-clock time, average SCF iteration
-// time excluding the first, and the energy decomposition.
+// time excluding the first, and the energy decomposition.  The run computes
+// on as many threads as the CPU affinity mask allows (`taskset -c 0` runs
+// one), and the report's `threads:` line says how many.
 //
 // Exit codes (scriptable; a scheduler must distinguish "resume me" from
 // "give up" without parsing logs):
@@ -89,7 +89,7 @@ void print_usage() {
       "            [--quantize]\n"
       "            [--precision adaptive|fp64|fp32|tf32|fp16]\n"
       "            [--precision-ladder]\n"
-      "            [--ranks N] [--cluster NAME]\n"
+      "            [--ranks N]\n"
       "            [--iterations N] [--max-iterations N] [--convergence EPS]\n"
       "            [--grid coarse|standard|fine] [--charge Q] [--verbose]\n"
       "            [--trace-out PATH] [--trace-all] [--metrics-json PATH]\n"
@@ -153,8 +153,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "mako: --ranks must be >= 1\n");
         return 2;
       }
-    } else if (arg == "--cluster") {
-      options.cluster = next("--cluster");
     } else if (arg == "--quantize") {
       options.quantization = true;
     } else if (arg == "--precision") {
@@ -236,7 +234,6 @@ int main(int argc, char** argv) {
       mako::BatchOptions batch_options;
       batch_options.concurrency = batch_jobs;
       batch_options.ranks = options.ranks;
-      batch_options.cluster = options.cluster;
       std::printf("Mako — batch mode: %zu jobs from %s, %d in flight\n",
                   jobs.size(), batch_path.c_str(), batch_jobs);
       mako::BatchScheduler scheduler(batch_options);

@@ -11,7 +11,7 @@
 #include "accel/tile_buffer.hpp"
 #include "compilermako/registry.hpp"
 #include "kernelmako/batched_eri.hpp"
-#include "parallel/simcomm.hpp"
+#include "parallel/cluster_model.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 

@@ -34,7 +34,7 @@
 #include "chem/builders.hpp"
 #include "core/execution_context.hpp"
 #include "parallel/communicator.hpp"
-#include "parallel/simcomm.hpp"
+#include "parallel/cluster_model.hpp"
 #include "scf/fock.hpp"
 #include "scf/scf.hpp"
 

@@ -43,7 +43,7 @@ double time_config(const EriClassKey& key, const CalibrationBatch& batch,
 /// through global memory.
 KernelWork batch_work(const EriClassKey& key, std::size_t nq, Precision p,
                       bool fused) {
-  const EriClassPlan& plan = EriClassPlan::get(key);
+  const EriClassPlan plan(key);
   const double n = static_cast<double>(nq);
   const double kk = static_cast<double>(key.kab) * key.kcd;
   const double nitem = n * kk;

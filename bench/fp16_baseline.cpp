@@ -29,7 +29,7 @@ void gemm_fp16_naive(const double* a, const double* b, double* c,
 void baseline_fp16_batch(const EriClassKey& key,
                          std::span<const QuartetRef> batch,
                          std::vector<std::vector<double>>& out) {
-  const EriClassPlan& plan = EriClassPlan::get(key);
+  const EriClassPlan plan(key);
   const std::size_t nhb = static_cast<std::size_t>(plan.nhb);
   const std::size_t nhk = static_cast<std::size_t>(plan.nhk);
   const std::size_t nht = static_cast<std::size_t>(plan.nht);

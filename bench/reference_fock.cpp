@@ -23,8 +23,8 @@ ReferenceFockBuilder::ReferenceFockBuilder(const BasisSet& basis, int max_l)
                             " shells, above this role's cap of l = " +
                             std::to_string(max_l));
   }
-  const ExecutionContext& exec = ExecutionContext::process();
-  plan_ = exec.components().get<FockPlanCache>().get(basis, exec.pool());
+  ThreadPool pool(default_pool_workers());
+  plan_ = std::make_shared<const FockPlan>(basis, pool);
 }
 
 ReferenceFockStats ReferenceFockBuilder::build_jk(const MatrixD& density,

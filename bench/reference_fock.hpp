@@ -36,9 +36,8 @@ struct ReferenceFockStats {
 class ReferenceFockBuilder {
  public:
   /// Throws std::domain_error when `basis` holds a shell above `max_l`
-  /// (the QUICK role passes kQuickMaxL).  The FockPlan comes from the
-  /// process context's plan cache, so a FockBuilder over the same basis on
-  /// that context shares it.
+  /// (the QUICK role passes kQuickMaxL).  The builder builds its own
+  /// FockPlan, the same plan a FockBuilder over `basis` builds.
   explicit ReferenceFockBuilder(const BasisSet& basis,
                                 int max_l = ReferenceEriEngine::kMaxL);
 

@@ -10,7 +10,7 @@
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
 #include "kernelmako/eri_class.hpp"
-#include "parallel/simcomm.hpp"
+#include "parallel/cluster_model.hpp"
 #include "scf/fock.hpp"
 
 int main() {

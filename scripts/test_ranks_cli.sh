@@ -7,9 +7,13 @@
 #   2. invalid rank counts: --ranks 3 is a typed input error (exit 1, message
 #      names the power-of-two constraint); --ranks 0 and non-numeric values
 #      are usage errors (exit 2) — the exit-code contract is unchanged.
-#   3. unknown --cluster names are typed input errors listing the valid ones.
+#   3. --cluster is gone: it exits 2 as an unknown option, like --engine.
 #   4. MAKO_RANKS resolves when --ranks is absent (the CI multi-rank leg
 #      drives the whole suite this way), and garbage in it fails loudly.
+#   5. the run follows its CPU affinity mask: under `taskset -c 0` it prints
+#      `threads: 1`, on the full mask the thread count the pool rule gives
+#      (k - 1 workers plus the caller on k > 2 CPUs), and both runs print
+#      the same energy.  Skipped when taskset is not installed.
 #
 # Usage: test_ranks_cli.sh <path-to-mako-binary> <sample-dir>
 set -u
@@ -64,22 +68,12 @@ code=$?
 [ "$code" -eq 2 ] || fail "--ranks many exited $code (want 2: usage error)"
 pass "invalid rank counts keep the exit-code contract (1 typed, 2 usage)"
 
-# ---- 3. unknown cluster names ----------------------------------------------
-env -u MAKO_RANKS "$MAKO" --mol "$MOL" --ranks 2 --cluster token-ring \
+# ---- 3. --cluster is an unknown option -----------------------------------
+env -u MAKO_RANKS "$MAKO" --mol "$MOL" --cluster single-node \
   >"$WORK/cl.log" 2>&1
 code=$?
-[ "$code" -eq 1 ] || fail "unknown --cluster exited $code (want 1)"
-grep -q 'single-node' "$WORK/cl.log" ||
-  fail "unknown --cluster error does not list the valid names"
-
-env -u MAKO_RANKS "$MAKO" --mol "$MOL" --ranks 2 --cluster single-node \
-  >"$WORK/cl_ok.log" 2>&1
-code=$?
-[ "$code" -eq 0 ] || fail "--cluster single-node exited $code (want 0)"
-e_sn="$(energy_line "$WORK/cl_ok.log")"
-[ "$e1" = "$e_sn" ] ||
-  fail "--cluster single-node changed the energy: '$e_sn' vs '$e1'"
-pass "unknown clusters fail loudly; known ones never touch the numbers"
+[ "$code" -eq 2 ] || fail "--cluster single-node exited $code (want 2)"
+pass "--cluster is an unknown option (exit 2)"
 
 # ---- 4. MAKO_RANKS environment resolution ----------------------------------
 MAKO_RANKS=4 "$MAKO" --mol "$MOL" >"$WORK/env4.log" 2>&1
@@ -94,5 +88,25 @@ MAKO_RANKS=garbage "$MAKO" --mol "$MOL" >"$WORK/envbad.log" 2>&1
 code=$?
 [ "$code" -eq 1 ] || fail "MAKO_RANKS=garbage exited $code (want 1)"
 pass "MAKO_RANKS resolves when --ranks is absent and rejects garbage"
+
+# ---- 5. the thread count follows the affinity mask -------------------------
+threads_line() { grep '^threads:' "$1" | tr -s ' ' || true; }
+if command -v taskset >/dev/null 2>&1; then
+  env -u MAKO_RANKS taskset -c 0 "$MAKO" --mol "$MOL" >"$WORK/t1.log" 2>&1
+  code=$?
+  [ "$code" -eq 0 ] || fail "taskset -c 0 run exited $code (want 0)"
+  [ "$(threads_line "$WORK/t1.log")" = "threads: 1" ] ||
+    fail "taskset -c 0 run reports '$(threads_line "$WORK/t1.log")'"
+  cpus="$(nproc)"
+  want=1
+  [ "$cpus" -gt 2 ] && want="$cpus"
+  [ "$(threads_line "$WORK/r1.log")" = "threads: $want" ] ||
+    fail "full-mask run reports '$(threads_line "$WORK/r1.log")' on $cpus CPUs (want $want)"
+  [ "$(energy_line "$WORK/t1.log")" = "$e1" ] ||
+    fail "taskset -c 0 energy differs: '$(energy_line "$WORK/t1.log")' vs '$e1'"
+  pass "threads follow the affinity mask (1 under taskset -c 0, $want on $cpus CPUs); same energy"
+else
+  echo "  skipped: taskset not installed; affinity step not run"
+fi
 
 echo "ranks_cli: all legs passed"

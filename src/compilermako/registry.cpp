@@ -70,10 +70,6 @@ std::size_t prewarm_class_plans(const BasisSet& basis, EriPlanCache& cache) {
   return classes.size();
 }
 
-std::size_t prewarm_class_plans(const BasisSet& basis) {
-  return prewarm_class_plans(basis, EriPlanCache::process());
-}
-
 CalibrationBatch make_calibration_batch(const EriClassKey& key,
                                         std::size_t num_quartets,
                                         unsigned seed) {

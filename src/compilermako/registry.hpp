@@ -23,9 +23,6 @@ class EriPlanCache;
 /// builds class tables.  Returns the number of classes planned.
 std::size_t prewarm_class_plans(const BasisSet& basis, EriPlanCache& cache);
 
-/// Convenience overload that warms the process-wide EriPlanCache.
-std::size_t prewarm_class_plans(const BasisSet& basis);
-
 /// Distinct bra/ket shell-pair classes (l1, l2, K) — the building blocks.
 struct PairClass {
   int l1 = 0, l2 = 0, k = 1;

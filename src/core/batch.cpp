@@ -221,8 +221,7 @@ std::vector<BatchJobSpec> BatchScheduler::load_manifest(
 
 BatchScheduler::BatchScheduler(BatchOptions options)
     : options_(std::move(options)),
-      context_(ExecutionContextOptions{.ranks = options_.ranks,
-                                       .cluster = options_.cluster}) {}
+      context_(ExecutionContextOptions{.ranks = options_.ranks}) {}
 
 std::shared_ptr<const BasisSet> BatchScheduler::pooled_basis(
     const Molecule& mol, const std::string& basis_name) {

@@ -23,9 +23,11 @@
 //     never observe it.
 //
 // Concurrency model: K driver threads (BatchOptions::concurrency) drain an
-// atomic job queue.  Heavy compute still lands on the shared ThreadPool —
-// parallel_for is cooperative (the driver thread drains chunks itself), so
-// K jobs interleave at chunk granularity without oversubscribing the host.
+// atomic job queue.  Heavy compute lands on the batch context's one
+// ThreadPool, sized by the affinity mask; parallel_for is cooperative (the
+// driver thread drains chunks itself), so K jobs interleave at chunk
+// granularity.  With K > 1 the process can run the pool's workers plus K
+// drivers at once, more threads than the mask has CPUs.
 #pragma once
 
 #include <cstddef>
@@ -88,11 +90,9 @@ struct BatchOptions {
   /// Driver threads = jobs in flight at once (clamped to [1, jobs.size()]).
   int concurrency = 2;
   /// Rank count for the batch's shared Communicator (0 resolves $MAKO_RANKS,
-  /// then 1) and the named cluster topology for its cost model.  Every job
-  /// view shares the one communicator, so a batch reduces over a single
-  /// consistent rank topology.
+  /// then 1).  Every job view shares the one communicator, so a batch
+  /// reduces over a single consistent rank topology.
   int ranks = 0;
-  std::string cluster;
   /// Parent cancel token; nullptr links under CancelToken::process() so the
   /// CLI signal handlers keep cancelling the whole batch.
   CancelToken* cancel = nullptr;

@@ -3,32 +3,24 @@
 namespace mako {
 
 ExecutionContext::ExecutionContext(ExecutionContextOptions options)
-    : pool_(options.pool != nullptr ? options.pool : &ThreadPool::global()),
-      plans_(options.plans != nullptr ? options.plans
-                                      : &EriPlanCache::process()),
+    : own_pool_(options.pool != nullptr
+                    ? nullptr
+                    : std::make_unique<ThreadPool>(default_pool_workers())),
+      own_plans_(options.plans != nullptr ? nullptr
+                                          : std::make_unique<EriPlanCache>()),
+      pool_(options.pool != nullptr ? options.pool : own_pool_.get()),
+      plans_(options.plans != nullptr ? options.plans : own_plans_.get()),
       cancel_(options.cancel != nullptr ? options.cancel
                                         : &CancelToken::process()),
-      faults_(&FaultInjector::instance()),
-      metrics_(&obs::MetricsRegistry::global()),
-      tracer_(&obs::Tracer::instance()),
       components_(std::make_shared<ComponentCache>()),
-      comm_(make_communicator(
-          CommSpec{options.ranks, std::move(options.cluster), {}})) {}
+      comm_(std::make_shared<Communicator>(options.ranks)) {}
 
 ExecutionContext::ExecutionContext(const ExecutionContext& parent,
                                    CancelToken& cancel)
     : pool_(parent.pool_),
       plans_(parent.plans_),
       cancel_(&cancel),
-      faults_(parent.faults_),
-      metrics_(parent.metrics_),
-      tracer_(parent.tracer_),
       components_(parent.components_),
       comm_(parent.comm_) {}
-
-const ExecutionContext& ExecutionContext::process() {
-  static ExecutionContext* ctx = new ExecutionContext();  // leaky singleton
-  return *ctx;
-}
 
 }  // namespace mako

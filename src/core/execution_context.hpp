@@ -15,51 +15,49 @@
 //   MakoEngine ──owns──> ExecutionContext
 //                          ├─ backend   -> GemmBackend        (the one
 //                          │                instance)
-//                          ├─ pool      -> ThreadPool         (borrowed;
-//                          │                global by default)
-//                          ├─ plans     -> EriPlanCache       (borrowed;
-//                          │                process-wide by default)
-//                          ├─ faults    -> FaultInjector      (process-wide)
-//                          ├─ metrics   -> obs::MetricsRegistry (process-wide)
-//                          ├─ tracer    -> obs::Tracer        (process-wide)
-//                          ├─ comm      -> Communicator       (owned; "local"
-//                          │                or "simcomm" per options.ranks)
-//                          └─ components-> ComponentCache     (by value; lazy
+//                          ├─ pool      -> ThreadPool         (owned, sized
+//                          │                by the affinity mask, unless the
+//                          │                caller passes one)
+//                          ├─ plans     -> EriPlanCache       (owned, unless
+//                          │                the caller passes one)
+//                          ├─ cancel    -> CancelToken        (borrowed;
+//                          │                process token by default)
+//                          ├─ comm      -> Communicator       (owned;
+//                          │                options.ranks in-process ranks)
+//                          └─ components-> ComponentCache     (owned; lazy
 //                                           anchor for higher-layer caches)
 //
-// The context is immutable after construction and cheap to pass by const
-// reference; all referenced subsystems are individually thread-safe, so a
-// single context may be shared by every worker of a run.
+// A job view shares every one of these with its parent except the cancel
+// token.  The context is immutable after construction and cheap to pass by
+// const reference; all referenced subsystems are individually thread-safe,
+// so a single context may be shared by every worker of a run.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <typeindex>
 
 #include "kernelmako/class_plan.hpp"
 #include "linalg/backend.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "parallel/communicator.hpp"
 #include "parallel/thread_pool.hpp"
 #include "precision/governor.hpp"
 #include "robust/cancel.hpp"
-#include "robust/fault_injector.hpp"
 
 namespace mako {
 
-/// Everything configurable about an ExecutionContext.  Defaults reproduce
-/// the pre-context behavior: process-wide pool/plan-cache.
+/// Everything configurable about an ExecutionContext.  By default the
+/// context builds its own pool and plan cache, so no two runs share them.
 struct ExecutionContextOptions {
   /// Ignored: run_scf takes the quantization switch from
   /// ScfOptions::enable_quantization.  Kept only because the benchmark
   /// program writes it; it goes when the benchmark stops doing so.
   bool enable_quantization = false;
-  /// Worker pool; nullptr borrows ThreadPool::global().
+  /// Worker pool to borrow; nullptr builds an owned
+  /// ThreadPool(default_pool_workers()), which fills the affinity mask.
   ThreadPool* pool = nullptr;
-  /// ERI plan cache; nullptr borrows the process-wide EriPlanCache.
+  /// ERI plan cache to borrow; nullptr builds an owned one.
   EriPlanCache* plans = nullptr;
   /// Cooperative-cancellation token polled at shard granularity throughout
   /// the compute path; nullptr borrows CancelToken::process() (which the CLI
@@ -70,9 +68,6 @@ struct ExecutionContextOptions {
   /// (MakoOptions::ranks / mako --ranks).  Must be a power of two in
   /// [1, kMaxCommRanks] after resolution; anything else throws InputError.
   int ranks = 0;
-  /// Named cluster topology for the comm cost model (mako --cluster); ""
-  /// means "default".  Unknown names throw InputError.
-  std::string cluster;
 };
 
 /// Type-keyed cache of lazily constructed per-context components.
@@ -108,19 +103,14 @@ class ExecutionContext {
   explicit ExecutionContext(ExecutionContextOptions options = {});
 
   /// Per-job view for batch execution: shares every subsystem and cache of
-  /// `parent` — backend, pool, ERI plan cache, ComponentCache (and
-  /// with it the FockPlanCache) — but polls its own CancelToken, so one
-  /// job's deadline or fault cancels only that job.  The parent (and the
-  /// token) must outlive the view.
+  /// `parent` — backend, pool, ERI plan cache, communicator, ComponentCache
+  /// (and with it the FockPlanCache) — but polls its own CancelToken, so
+  /// one job's deadline or fault cancels only that job.  The parent (and
+  /// the token) must outlive the view.
   ExecutionContext(const ExecutionContext& parent, CancelToken& cancel);
 
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
-
-  /// Default process-wide context for entry points not reached through a
-  /// MakoEngine (bare run_scf calls in tests, benches).  Built on first use
-  /// with default options.
-  static const ExecutionContext& process();
 
   /// The GEMM backend every matmul of this run dispatches through (the
   /// one GemmBackend::instance()).
@@ -142,14 +132,6 @@ class ExecutionContext {
                              fallback_prune_threshold);
   }
 
-  /// Fault-injection hooks (process-wide registry; sites fire only when a
-  /// test armed them and MAKO_FAULT_INJECTION is compiled in).
-  [[nodiscard]] FaultInjector& faults() const noexcept { return *faults_; }
-  [[nodiscard]] obs::MetricsRegistry& metrics() const noexcept {
-    return *metrics_;
-  }
-  [[nodiscard]] obs::Tracer& tracer() const noexcept { return *tracer_; }
-
   /// Cooperative-cancellation token of this run.  Compute loops poll
   /// `cancel().cancelled()` at shard/chunk granularity and bail early;
   /// the SCF driver turns the trip into a graceful stop (final checkpoint,
@@ -165,19 +147,19 @@ class ExecutionContext {
     return *components_;
   }
 
-  /// The rank communicator of this run, owned by the context: "local" for
-  /// one rank, "simcomm" for 2..kMaxCommRanks in-process ranks.  Job views
+  /// The rank communicator of this run, owned by the context.  Job views
   /// share their parent's communicator, so a batch's jobs reduce over one
   /// consistent rank topology.
   [[nodiscard]] Communicator& comm() const noexcept { return *comm_; }
 
  private:
-  ThreadPool* pool_;      ///< borrowed, never null
-  EriPlanCache* plans_;   ///< borrowed, never null
+  /// Set when the options passed no pool / plan cache; a job view leaves
+  /// them empty and borrows its parent's through pool_ / plans_.
+  std::unique_ptr<ThreadPool> own_pool_;
+  std::unique_ptr<EriPlanCache> own_plans_;
+  ThreadPool* pool_;      ///< never null
+  EriPlanCache* plans_;   ///< never null
   CancelToken* cancel_;   ///< borrowed, never null
-  FaultInjector* faults_;
-  obs::MetricsRegistry* metrics_;
-  obs::Tracer* tracer_;
   /// Shared with job views derived from this context; never null.
   std::shared_ptr<ComponentCache> components_;
   /// Shared with job views (one rank topology per batch); never null.

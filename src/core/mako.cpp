@@ -18,6 +18,7 @@ std::string MakoReport::summary() const {
   if (ranks > 1) {
     out << "ranks:                  " << ranks << " (simcomm)\n";
   }
+  out << "threads:                " << threads << "\n";
   out << "SCF iterations:         " << scf.iterations
       << (scf.converged ? " (converged)" : " (NOT converged)");
   if (scf.resumed_from > 0) {
@@ -46,8 +47,7 @@ std::string MakoReport::summary() const {
 
 MakoEngine::MakoEngine(MakoOptions options)
     : options_(std::move(options)),
-      context_(ExecutionContextOptions{.ranks = options_.ranks,
-                                       .cluster = options_.cluster}) {}
+      context_(ExecutionContextOptions{.ranks = options_.ranks}) {}
 
 ScfOptions scf_options_from(const MakoOptions& options) {
   ScfOptions scf;
@@ -74,6 +74,7 @@ MakoReport MakoEngine::compute_energy(const Molecule& mol) {
   Timer total;
   MakoReport report;
   report.ranks = context_.comm().size();
+  report.threads = context_.pool().size() + 1;
 
   const BasisSet basis(mol, options_.basis);
   report.nbf = basis.nbf();

@@ -29,9 +29,6 @@ struct MakoOptions {
   /// [1, kMaxCommRanks]; results are bit-identical for every supported rank
   /// count (see communicator.hpp).
   int ranks = 0;
-  /// Named cluster topology for the comm cost model (mako --cluster):
-  /// "default", "single-node", "ethernet"; "" means "default".
-  std::string cluster;
   bool quantization = false;       ///< QuantMako scheduling
   /// Precision-governance mode ("adaptive", "fp64", "fp32", "tf32", "fp16");
   /// "" resolves MAKO_PRECISION, then "adaptive".  "adaptive" follows the
@@ -71,6 +68,9 @@ struct MakoReport {
   std::size_t nbf = 0;
   std::size_t num_shells = 0;
   int ranks = 1;  ///< communicator size the run executed with
+  /// Threads the run computed on: the context pool's workers plus the
+  /// calling thread, which drains chunks too.
+  std::size_t threads = 1;
 
   /// Artifact-style text report (energies + the two timing metrics).
   [[nodiscard]] std::string summary() const;
@@ -88,7 +88,7 @@ class MakoEngine {
     return options_;
   }
   /// The execution environment every compute path of this engine runs in
-  /// (GEMM backend, thread pool, plan cache, fault hooks).
+  /// (GEMM backend, thread pool, plan cache, communicator).
   [[nodiscard]] const ExecutionContext& context() const noexcept {
     return context_;
   }

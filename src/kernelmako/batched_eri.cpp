@@ -35,9 +35,7 @@ BatchStats BatchedEriEngine::compute_batch(
     const EriClassKey& key, std::span<const QuartetRef> batch,
     std::vector<std::vector<double>>& out) const {
   static thread_local EriScratch scratch;
-  EriPlanCache& plans =
-      plans_ != nullptr ? *plans_ : EriPlanCache::process();
-  return compute_batch(plans.get(key), batch, out, scratch);
+  return compute_batch(plans_->get(key), batch, out, scratch);
 }
 
 BatchStats BatchedEriEngine::compute_batch(

@@ -29,6 +29,7 @@
 // quantization).
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -70,14 +71,18 @@ struct BatchStats {
 /// Batched matrix-aligned ERI engine.
 ///
 /// Every basis-transformation GEMM dispatches through the one GemmBackend;
-/// the ExecutionContext (via FockBuilder) injects the run's plan cache.  The
-/// `backend` argument is that same backend's handle and selects nothing.
+/// the ExecutionContext (via FockBuilder) injects the run's plan cache, and
+/// an engine given none keeps its own.  The `backend` argument is that same
+/// backend's handle and selects nothing.
 class BatchedEriEngine {
  public:
   explicit BatchedEriEngine(KernelConfig config = {},
                             const GemmBackend* /*backend*/ = nullptr,
                             EriPlanCache* plans = nullptr)
-      : config_(config), plans_(plans) {}
+      : config_(config),
+        own_plans_(plans != nullptr ? nullptr
+                                    : std::make_unique<EriPlanCache>()),
+        plans_(plans != nullptr ? plans : own_plans_.get()) {}
 
   [[nodiscard]] const KernelConfig& config() const noexcept { return config_; }
 
@@ -86,7 +91,7 @@ class BatchedEriEngine {
   /// [nsph(la)][nsph(lb)][nsph(lc)][nsph(ld)].
   /// Returns execution statistics.
   ///
-  /// Resolves the class plan from the process-wide cache and executes on a
+  /// Resolves the class plan from the engine's plan cache and executes on a
   /// thread-local scratch arena — steady-state calls are allocation-free.
   BatchStats compute_batch(const EriClassKey& key,
                            std::span<const QuartetRef> batch,
@@ -108,7 +113,8 @@ class BatchedEriEngine {
 
  private:
   KernelConfig config_;
-  EriPlanCache* plans_;  ///< null -> process-wide cache
+  std::unique_ptr<EriPlanCache> own_plans_;  ///< set when given no cache
+  EriPlanCache* plans_;                      ///< never null
 };
 
 }  // namespace mako

@@ -44,11 +44,6 @@ EriClassPlan::EriClassPlan(const EriClassKey& key) : key_(key) {
   sph_ket = &cart_to_sph_pair(key.lc, key.ld);
 }
 
-EriPlanCache& EriPlanCache::process() {
-  static EriPlanCache* cache = new EriPlanCache();  // leaky: plans outlive all
-  return *cache;
-}
-
 const EriClassPlan& EriPlanCache::get(const EriClassKey& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = plans_.find(key);
@@ -122,14 +117,6 @@ void build_pair_operand(const Shell& a, const Shell& b, const MatrixD& sph,
 
 void quantize_pair_operand(const PairOperand& op, Precision p, float* dst) {
   quantize_to_float(op.e.data(), dst, op.e.size(), p, op.scale);
-}
-
-const EriClassPlan& EriClassPlan::get(const EriClassKey& key) {
-  return EriPlanCache::process().get(key);
-}
-
-std::size_t EriClassPlan::cache_size() {
-  return EriPlanCache::process().size();
 }
 
 }  // namespace mako

@@ -5,8 +5,9 @@
 // identical intermediate shapes, identical Hermite index algebra, identical
 // spherical transforms.  An EriClassPlan bakes all of that class-static state
 // once — the (-1)^{|q~|} sign table, the combined Hermite index table of
-// Eq. 6, the cart->sph pair transforms — and is cached process-wide, so
-// BatchedEriEngine::compute_batch does no per-batch table rebuilding.
+// Eq. 6, the cart->sph pair transforms — and is cached in the run's
+// EriPlanCache, so BatchedEriEngine::compute_batch does no per-batch table
+// rebuilding.
 //
 // PairOperand is the per-shell-pair counterpart: the stacked, spherical
 // E' operand every quartet of the pair multiplies by.  FockPlan owns one per
@@ -42,12 +43,6 @@ class EriClassPlan {
  public:
   explicit EriClassPlan(const EriClassKey& key);
 
-  /// Shorthand for EriPlanCache::process().get(key) — the process-wide cache.
-  static const EriClassPlan& get(const EriClassKey& key);
-
-  /// Number of distinct plans in the process-wide cache.
-  static std::size_t cache_size();
-
   [[nodiscard]] const EriClassKey& key() const noexcept { return key_; }
 
   // Cached dimensions (all derivable from the key; cached to keep the hot
@@ -81,17 +76,13 @@ class EriClassPlan {
 /// out by stable reference.  Thread-safe; lookups after first construction
 /// are allocation-free.
 ///
-/// ExecutionContext owns the cache used by a run (normally the process-wide
-/// instance so plans are shared across engines); isolated instances
-/// exist for tests that need cache-size determinism.
+/// Each ExecutionContext owns the cache of its run (job views share their
+/// parent's); an engine built without one keeps its own.
 class EriPlanCache {
  public:
   EriPlanCache() = default;
   EriPlanCache(const EriPlanCache&) = delete;
   EriPlanCache& operator=(const EriPlanCache&) = delete;
-
-  /// The process-wide cache (leaky singleton).
-  static EriPlanCache& process();
 
   const EriClassPlan& get(const EriClassKey& key);
   [[nodiscard]] std::size_t size() const;

@@ -3,8 +3,8 @@
 // The paper's claims are measured claims — per-stage ERI/Fock breakdowns,
 // precision-policy trajectories, comm scaling — so the hot path carries RAII
 // trace scopes: KernelMako class batches, GEMM calls, quantize passes, Fock
-// digestion shards, DIIS/diagonalization, SimComm collectives.  The emitted
-// file loads directly in chrome://tracing or https://ui.perfetto.dev.
+// digestion shards, DIIS/diagonalization, Communicator collectives.  The
+// emitted file loads directly in chrome://tracing or https://ui.perfetto.dev.
 //
 // Cost model (mirrors MAKO_FAULT_POINT):
 //   * MAKO_OBSERVABILITY=OFF — `obs::compiled_in()` is constexpr false, every
@@ -46,7 +46,7 @@ enum class TraceCat : std::uint32_t {
   kFock = 1u << 1,    ///< Fock build: screening, digestion shards, reduce
   kKernel = 1u << 2,  ///< KernelMako class batches
   kLinalg = 1u << 3,  ///< eigensolvers and other dense-linalg entry points
-  kComm = 1u << 4,    ///< SimComm collectives (incl. modeled retry time)
+  kComm = 1u << 4,    ///< comm collectives (incl. modeled retry time)
   kApp = 1u << 5,     ///< application-level scopes (CLI, engine, benches)
   kGemm = 1u << 6,    ///< every GEMM micro-kernel call (hot; off by default)
   kQuant = 1u << 7,   ///< every quantize/dequantize pass (hot; off by default)

@@ -1,14 +1,23 @@
 #include "parallel/communicator.hpp"
 
+#include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "robust/fault_injector.hpp"
 #include "util/log.hpp"
 
 namespace mako {
 namespace {
+
+/// Verified-delivery retry policy: one try plus up to three resends, with
+/// exponential backoff from 5 us folded into the modeled time.
+constexpr int kMaxAttempts = 4;
+constexpr double kBackoffBaseSeconds = 5e-6;
+constexpr double kBackoffMultiplier = 2.0;
 
 bool is_pow2(int n) { return n > 0 && (n & (n - 1)) == 0; }
 
@@ -22,86 +31,20 @@ bool is_pow2(int n) { return n > 0 && (n & (n - 1)) == 0; }
   throw InputError(FaultKind::kInvalidInput, msg);
 }
 
-/// Rank 0 of 1: every collective is the identity and costs nothing.  This is
-/// the default every pre-existing single-rank path resolves to.
-class LocalComm final : public Communicator {
- public:
-  LocalComm() : Communicator("local", 1) {}
-
- protected:
-  double do_allreduce(std::vector<MatrixD>& rank_partials, Status& status,
-                      CommStats& delta) override {
-    (void)rank_partials;
-    (void)delta;
-    status = Status::ok();
-    return 0.0;
+/// Trace arguments and metrics of one finished collective.
+void record_collective(obs::TraceSpan& span, double seconds,
+                       std::size_t bytes, std::uint64_t retries) {
+  if (span.active()) {
+    char args[96];
+    std::snprintf(args, sizeof args,
+                  "\"modeled_s\":%.3e,\"bytes\":%zu,\"retries\":%llu",
+                  seconds, bytes, static_cast<unsigned long long>(retries));
+    span.set_args(args);
   }
-  double do_broadcast(MatrixD& payload, int root, Status& status,
-                      CommStats& delta) override {
-    (void)payload;
-    (void)root;
-    (void)delta;
-    status = Status::ok();
-    return 0.0;
-  }
-  double do_barrier(Status& status, CommStats& delta) override {
-    (void)delta;
-    status = Status::ok();
-    return 0.0;
-  }
-};
-
-/// SimComm-backed ranks: in-process buffers, checksum-verified delivery with
-/// retry/backoff, and the calibrated cluster cost model.
-class SimCommBackend final : public Communicator {
- public:
-  SimCommBackend(int size, ClusterModel cluster, CommRetryPolicy retry)
-      : Communicator("simcomm", size), sim_(size, cluster, retry) {}
-
- protected:
-  double do_allreduce(std::vector<MatrixD>& rank_partials, Status& status,
-                      CommStats& delta) override {
-    const std::uint64_t r0 = sim_.retries(), d0 = sim_.dropped();
-    const double t = sim_.allreduce_sum(rank_partials);
-    status = sim_.last_status();
-    delta.retries = sim_.retries() - r0;
-    delta.dropped = sim_.dropped() - d0;
-    delta.bytes =
-        rank_partials.empty()
-            ? 0
-            : static_cast<std::uint64_t>(rank_partials[0].size()) *
-                  sizeof(double);
-    return t;
-  }
-
-  double do_broadcast(MatrixD& payload, int root, Status& status,
-                      CommStats& delta) override {
-    // Materialize the per-rank buffer view SimComm expects.  On success all
-    // buffers equal the root payload, so the canonical buffer is unchanged;
-    // on an exhausted retry budget SimComm leaves non-root buffers untouched
-    // and the status carries kCommCorruption.
-    buffers_.resize(static_cast<std::size_t>(size()));
-    buffers_[static_cast<std::size_t>(root)] = payload;
-    const std::uint64_t r0 = sim_.retries(), d0 = sim_.dropped();
-    const double t = sim_.broadcast(buffers_, root);
-    status = sim_.last_status();
-    delta.retries = sim_.retries() - r0;
-    delta.dropped = sim_.dropped() - d0;
-    delta.bytes = static_cast<std::uint64_t>(payload.size()) * sizeof(double);
-    return t;
-  }
-
-  double do_barrier(Status& status, CommStats& delta) override {
-    (void)delta;
-    status = Status::ok();
-    // An empty allreduce: two tree sweeps of latency-only hops.
-    return sim_.cluster().allreduce_seconds(size(), sizeof(double));
-  }
-
- private:
-  SimComm sim_;
-  std::vector<MatrixD> buffers_;  ///< broadcast staging, reused across calls
-};
+  MAKO_METRIC_COUNT("comm.retries", static_cast<std::int64_t>(retries));
+  MAKO_METRIC_COUNT("comm.bytes", static_cast<std::int64_t>(bytes));
+  MAKO_METRIC_OBSERVE("comm.modeled_s", seconds);
+}
 
 }  // namespace
 
@@ -130,58 +73,148 @@ int resolve_ranks(int requested) {
   return ranks;
 }
 
-ClusterModel cluster_model_from_name(const std::string& name) {
-  if (name.empty() || name == "default") return ClusterModel{};
-  if (name == "single-node") {
-    ClusterModel cluster;
-    cluster.devices_per_node = kMaxCommRanks;  // every rank stays on NVLink
-    return cluster;
+std::uint64_t payload_checksum(const MatrixD& m) noexcept {
+  // FNV-1a over the raw bytes: deterministic and sensitive to every bit
+  // pattern, including NaN payloads that compare unequal to themselves.
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+  const std::size_t n = m.size() * sizeof(double);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
   }
-  if (name == "ethernet") {
-    ClusterModel cluster;
-    cluster.internode = LinkModel{50e-6, 1.25e9};  // 10 GbE
-    return cluster;
-  }
-  char msg[192];
-  std::snprintf(msg, sizeof msg,
-                "Communicator: unknown cluster '%s'; valid names: default, "
-                "single-node, ethernet",
-                name.c_str());
-  throw InputError(FaultKind::kInvalidInput, msg);
+  return h;
 }
 
-Communicator::Communicator(std::string name, int size)
-    : name_(std::move(name)), size_(size) {}
+void pinned_tree_sum(MatrixD* const* parts, std::size_t n) {
+  // Pairwise level-by-level fold; an odd trailing element carries upward
+  // unchanged.  parts[i] += parts[i + stride] keeps the lower-index subtree
+  // as the left operand at every level, which is the association every
+  // caller (rank-local slice folds, the cross-rank allreduce) must share.
+  for (std::size_t stride = 1; stride < n; stride *= 2) {
+    for (std::size_t i = 0; i + stride < n; i += 2 * stride) {
+      *parts[i] += *parts[i + stride];
+    }
+  }
+}
+
+Communicator::Communicator(int ranks) : size_(resolve_ranks(ranks)) {
+  if (size_ > 1) {
+    log_info("Communicator: %d in-process ranks", size_);
+  }
+}
+
+bool Communicator::deliver_verified(const char* site, MatrixD& payload,
+                                    int attempt, double& time_s) {
+  const std::uint64_t expect = payload_checksum(payload);
+  bool dropped = false;
+  if (MAKO_FAULT_POINT(site)) {
+    const FaultSpec spec = FaultInjector::instance().armed_spec(site);
+    if (spec.mode == FaultMode::kDrop) {
+      dropped = true;  // message lost in flight; payload bytes never arrive
+      ++stats_.dropped;
+      MAKO_METRIC_COUNT("comm.dropped", 1);
+    } else {
+      FaultInjector::instance().corrupt(site, payload.data(), payload.size());
+    }
+  }
+  if (!dropped && payload_checksum(payload) == expect) return true;
+  // Failed delivery: charge exponential backoff before the resend.
+  time_s += kBackoffBaseSeconds *
+            std::pow(kBackoffMultiplier, static_cast<double>(attempt));
+  return false;
+}
 
 double Communicator::allreduce_sum(std::vector<MatrixD>& rank_partials) {
+  assert(static_cast<int>(rank_partials.size()) == size_);
   std::lock_guard<std::mutex> lock(mutex_);
-  CommStats delta;
-  const double t = do_allreduce(rank_partials, last_status_, delta);
   ++stats_.allreduce_calls;
-  stats_.bytes += delta.bytes;
-  stats_.retries += delta.retries;
-  stats_.dropped += delta.dropped;
+  last_status_ = Status::ok();
+  if (size_ == 1) return 0.0;  // the sum of one part is itself
+
+  obs::TraceSpan span(obs::TraceCat::kComm, "simcomm.allreduce");
+  MAKO_METRIC_COUNT("comm.allreduce_calls", 1);
+  const std::size_t n = static_cast<std::size_t>(size_);
+  const std::size_t bytes = rank_partials[0].size() * sizeof(double);
+  const std::uint64_t retries_before = stats_.retries;
+  double t = 0.0;
+  for (int attempt = 0;; ++attempt) {
+    // Re-reduce from the pristine per-rank inputs each attempt; the result
+    // is the in-flight payload that delivery may corrupt or drop.  The fold
+    // uses the pinned pairwise tree so the cross-rank association composes
+    // with each rank's local fold into one fixed reduction tree.
+    tree_.resize(n);
+    MatrixD* parts[kMaxCommRanks];
+    for (std::size_t r = 0; r < n; ++r) {
+      tree_[r] = rank_partials[r];
+      parts[r] = &tree_[r];
+    }
+    pinned_tree_sum(parts, n);
+    MatrixD& sum = tree_[0];
+    t += cluster_.allreduce_seconds(size_, bytes);
+    if (deliver_verified("simcomm.allreduce", sum, attempt, t)) {
+      for (MatrixD& p : rank_partials) p = sum;
+      break;
+    }
+    if (attempt + 1 >= kMaxAttempts) {
+      last_status_ = Status::fault(
+          FaultKind::kCommCorruption,
+          "simcomm: allreduce failed checksum verification after retry "
+          "budget exhausted; input buffers left untouched");
+      log_error("simcomm: allreduce gave up after %d attempts", attempt + 1);
+      break;
+    }
+    ++stats_.retries;
+    log_warn("simcomm: allreduce checksum/delivery failure on attempt %d; "
+             "resending with backoff",
+             attempt + 1);
+  }
+  stats_.bytes += bytes;
   stats_.modeled_seconds += t;
+  record_collective(span, t, bytes, stats_.retries - retries_before);
   return t;
 }
 
-double Communicator::broadcast(MatrixD& payload, int root) {
+double Communicator::broadcast(MatrixD& payload) {
   std::lock_guard<std::mutex> lock(mutex_);
-  CommStats delta;
-  const double t = do_broadcast(payload, root, last_status_, delta);
   ++stats_.broadcast_calls;
-  stats_.bytes += delta.bytes;
-  stats_.retries += delta.retries;
-  stats_.dropped += delta.dropped;
+  last_status_ = Status::ok();
+  if (size_ == 1) return 0.0;
+
+  obs::TraceSpan span(obs::TraceCat::kComm, "simcomm.broadcast");
+  MAKO_METRIC_COUNT("comm.broadcast_calls", 1);
+  const std::size_t bytes = payload.size() * sizeof(double);
+  const std::uint64_t retries_before = stats_.retries;
+  double t = 0.0;
+  for (int attempt = 0;; ++attempt) {
+    in_flight_ = payload;
+    t += cluster_.broadcast_seconds(size_, bytes);
+    if (deliver_verified("simcomm.broadcast", in_flight_, attempt, t)) break;
+    if (attempt + 1 >= kMaxAttempts) {
+      last_status_ = Status::fault(
+          FaultKind::kCommCorruption,
+          "simcomm: broadcast failed checksum verification after retry "
+          "budget exhausted; non-root ranks did not receive the payload");
+      log_error("simcomm: broadcast gave up after %d attempts", attempt + 1);
+      break;
+    }
+    ++stats_.retries;
+    log_warn("simcomm: broadcast checksum/delivery failure on attempt %d; "
+             "resending with backoff",
+             attempt + 1);
+  }
+  stats_.bytes += bytes;
   stats_.modeled_seconds += t;
+  record_collective(span, t, bytes, stats_.retries - retries_before);
   return t;
 }
 
 double Communicator::barrier() {
   std::lock_guard<std::mutex> lock(mutex_);
-  CommStats delta;
-  const double t = do_barrier(last_status_, delta);
   ++stats_.barrier_calls;
+  last_status_ = Status::ok();
+  // An empty allreduce: two tree sweeps of latency-only hops (0 on 1 rank).
+  const double t = cluster_.allreduce_seconds(size_, sizeof(double));
   stats_.modeled_seconds += t;
   return t;
 }
@@ -194,17 +227,6 @@ CommStats Communicator::stats() const {
 Status Communicator::last_status() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return last_status_;
-}
-
-std::unique_ptr<Communicator> make_communicator(const CommSpec& spec) {
-  const int ranks = resolve_ranks(spec.ranks);
-  // Unknown cluster names fail even for 1 rank: a typo'd --cluster must not
-  // silently run single-rank-local.
-  const ClusterModel cluster = cluster_model_from_name(spec.cluster);
-  if (ranks == 1) return std::make_unique<LocalComm>();
-  log_info("Communicator: simcomm over %d in-process ranks (cluster '%s')",
-           ranks, spec.cluster.empty() ? "default" : spec.cluster.c_str());
-  return std::make_unique<SimCommBackend>(ranks, cluster, spec.retry);
 }
 
 }  // namespace mako

@@ -1,15 +1,15 @@
-// Pluggable rank communicator — the execution layer's collective seam.
+// Rank communicator — the execution layer's collective seam.
 //
 // The paper's headline scaling run places one MPI rank per A100 across a
-// 64-GPU cluster; this environment has no cluster, so per the substitution
-// rules the production code path is rank-sharded against an *interface*
-// whose two backends are (1) a zero-cost single-rank no-op and (2) the
-// in-process SimComm ranks with the calibrated NVLink/HDR-IB cost model and
-// checksum-verified delivery.  Everything above this header — FockBuilder's
-// owner-computes partition, the SCF driver's guess broadcast and Fock
-// allreduce, checkpointing's rank topology fingerprint — talks to
-// `Communicator`, never to SimComm directly, exactly as it talks to
-// `GemmBackend` rather than a concrete kernel.
+// 64-GPU cluster; this environment has no cluster, so the production code
+// path is rank-sharded over in-process ranks.  One Communicator class does
+// the collectives: they run with real semantics, checksum-verify every
+// in-flight payload (retrying with backoff), and return the time the
+// calibrated NVLink/HDR-IB cost model (ClusterModel) charges them.  On one
+// rank every collective is the identity and costs nothing.  Everything
+// above this header — FockBuilder's owner-computes partition, the SCF
+// driver's guess broadcast and Fock allreduce, checkpointing's rank
+// topology fingerprint — talks to `Communicator`.
 //
 // Determinism contract (the reason `mako --ranks N` is bit-identical to
 // `--ranks 1` for every supported N):
@@ -20,21 +20,20 @@
 //     complete subtree of the pinned 16-leaf reduction tree.
 //   * Every reduction — each rank's local fold of its own slices AND the
 //     cross-rank allreduce — uses the same pairwise level-by-level
-//     association (`pinned_tree_sum` in simcomm.hpp), so the composed sum is
-//     the identical 16-leaf tree no matter where the communication boundary
-//     sits.  FP addition is non-associative; pinning the association is what
-//     makes the rank count (and the pool size) drop out of the bits.
+//     association (`pinned_tree_sum`), so the composed sum is the identical
+//     16-leaf tree no matter where the communication boundary sits.  FP
+//     addition is non-associative; pinning the association is what makes
+//     the rank count (and the pool size) drop out of the bits.
 // Consequently `ranks` must be a power of two in [1, kMaxCommRanks].
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "parallel/simcomm.hpp"
+#include "parallel/cluster_model.hpp"
 #include "robust/status.hpp"
 
 namespace mako {
@@ -44,27 +43,23 @@ namespace mako {
 /// static_asserts they agree).
 inline constexpr int kMaxCommRanks = 16;
 
-/// How a communicator is requested: rank count (0 = resolve the MAKO_RANKS
-/// environment variable, then 1) plus a named cluster topology for the cost
-/// model.  Mirrors how GemmBackend resolves MakoOptions::backend.
-struct CommSpec {
-  int ranks = 0;        ///< 0 => $MAKO_RANKS, then 1
-  std::string cluster;  ///< "" => "default"; see cluster_model_from_name
-  CommRetryPolicy retry{};
-};
-
 /// Validates and resolves a requested rank count: 0 consults MAKO_RANKS and
 /// defaults to 1.  Throws InputError (kInvalidInput) unless the result is a
 /// power of two in [1, kMaxCommRanks].
 [[nodiscard]] int resolve_ranks(int requested);
 
-/// Named cluster topologies for the analytic cost model.  Known names:
-///   "default"      8 devices/node, NVLink intranode, HDR-IB internode
-///   "single-node"  every rank on one NVLink node (no internode hops)
-///   "ethernet"     commodity 10 GbE between nodes
-/// Throws InputError (kInvalidInput) for unknown names, listing the valid
-/// ones.
-[[nodiscard]] ClusterModel cluster_model_from_name(const std::string& name);
+/// FNV-1a checksum over the raw bytes of a matrix payload (deterministic;
+/// any bit flip — including a NaN overwrite — changes it).
+[[nodiscard]] std::uint64_t payload_checksum(const MatrixD& m) noexcept;
+
+/// THE canonical reduction order of every multi-buffer sum in the codebase:
+/// folds parts[0..n) pairwise, level by level (s0+s1, s2+s3, ... then
+/// (s0+s1)+(s2+s3), ...), leaving the total in *parts[0].  An odd trailing
+/// element is carried to the next level unchanged.  FP addition is
+/// non-associative, so rank-count-invariant results require every reduction
+/// — a rank's local fold of its owner slices and the cross-rank allreduce —
+/// to compose into this one fixed tree.
+void pinned_tree_sum(MatrixD* const* parts, std::size_t n);
 
 /// Aggregate collective statistics of one communicator (monotonic).
 struct CommStats {
@@ -77,36 +72,37 @@ struct CommStats {
   double modeled_seconds = 0.0;
 };
 
-/// Rank communicator over MatrixD payloads (NVI).  All ranks of a
-/// communicator live in this process; rank() is the canonical rank whose
-/// buffers the driver consumes.  Collectives return the modeled wall time
-/// the operation would take on the cluster and carry verified-delivery
-/// semantics: last_status() is kCommCorruption when a payload could not be
-/// delivered within the retry budget (the caller must treat the operation's
-/// outputs as unusable).  Thread-safe: one communicator is shared by every
-/// job view of a batch.
+/// Communicator over `size()` in-process ranks exchanging MatrixD payloads.
+/// Every rank's buffers live in this process; the driver consumes rank 0's.
+/// Collectives return the modeled wall time the operation would take on
+/// the default ClusterModel and carry verified-delivery semantics: a
+/// payload whose checksum fails (fault-injection sites "simcomm.allreduce"
+/// and "simcomm.broadcast" corrupt or drop it) is resent after exponential
+/// backoff, up to 4 attempts; last_status() is kCommCorruption when every
+/// attempt failed, and the caller must treat the operation's outputs as
+/// unusable.  Thread-safe: one communicator is shared by every job view of
+/// a batch.
 class Communicator {
  public:
-  virtual ~Communicator() = default;
+  /// `ranks` as resolve_ranks takes it: 0 resolves $MAKO_RANKS, then 1;
+  /// anything but a power of two in [1, kMaxCommRanks] throws InputError.
+  explicit Communicator(int ranks = 0);
   Communicator(const Communicator&) = delete;
   Communicator& operator=(const Communicator&) = delete;
 
-  /// Canonical in-process rank (always 0: every simulated rank's buffers are
-  /// materialized here, and the driver consumes rank 0's).
-  [[nodiscard]] int rank() const noexcept { return 0; }
   [[nodiscard]] int size() const noexcept { return size_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Element-wise sum of per-rank partials in the pinned pairwise tree
   /// order; every entry holds the reduced result afterwards (MPI_Allreduce
-  /// semantics).  `rank_partials.size()` must equal size().  Returns the
+  /// semantics).  `rank_partials.size()` must equal size().  On an
+  /// exhausted retry budget the partials are left untouched.  Returns the
   /// modeled collective seconds.
   double allreduce_sum(std::vector<MatrixD>& rank_partials);
 
-  /// Delivers rank `root`'s payload to every rank.  With in-process ranks
-  /// the canonical buffer IS the payload, so on success it is unchanged;
-  /// the call exercises verified delivery and charges the modeled time.
-  double broadcast(MatrixD& payload, int root = 0);
+  /// Delivers rank 0's `payload` to every rank.  In-process ranks share the
+  /// canonical buffer, so `payload` is unchanged; the call verifies one
+  /// delivered copy per attempt and charges the modeled time.
+  double broadcast(MatrixD& payload);
 
   /// Synchronization point; charges the modeled latency of an empty
   /// collective.
@@ -117,28 +113,23 @@ class Communicator {
   /// exhausted retry budget).
   [[nodiscard]] Status last_status() const;
 
- protected:
-  Communicator(std::string name, int size);
-
-  virtual double do_allreduce(std::vector<MatrixD>& rank_partials,
-                              Status& status, CommStats& delta) = 0;
-  virtual double do_broadcast(MatrixD& payload, int root, Status& status,
-                              CommStats& delta) = 0;
-  virtual double do_barrier(Status& status, CommStats& delta) = 0;
-
  private:
-  std::string name_;
+  /// One delivery attempt of `payload` at `site`: applies an injected
+  /// corruption or drop, verifies the checksum and, on failure, charges the
+  /// backoff before the resend to `time_s`.  Requires mutex_.
+  bool deliver_verified(const char* site, MatrixD& payload, int attempt,
+                        double& time_s);
+
   int size_;
+  ClusterModel cluster_;
   mutable std::mutex mutex_;
   CommStats stats_;
   Status last_status_;
+  /// Per-attempt staging reused across calls: the allreduce's reduction
+  /// tree and the broadcast's in-flight copy, so inputs stay untouched when
+  /// delivery fails.
+  std::vector<MatrixD> tree_;
+  MatrixD in_flight_;
 };
-
-/// Builds the communicator a spec describes: "local" (rank 0 of 1, zero-cost
-/// no-op collectives) for ranks == 1, "simcomm" (SimComm in-process ranks +
-/// ClusterModel timing) otherwise.  Throws InputError for invalid rank
-/// counts or unknown cluster names.
-[[nodiscard]] std::unique_ptr<Communicator> make_communicator(
-    const CommSpec& spec = {});
 
 }  // namespace mako

@@ -1,5 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 
 #include "obs/metrics.hpp"
@@ -15,11 +17,7 @@ thread_local ThreadPool* tl_worker_pool = nullptr;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
-  // A pool of one hardware thread gains nothing from a worker; run inline.
+  // A lone worker gains nothing over the caller; run inline.
   if (num_threads <= 1) return;
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
@@ -140,14 +138,12 @@ void ThreadPool::parallel_for(std::size_t count,
   });
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& fn) {
-  ThreadPool::global().parallel_for(count, fn);
+std::size_t default_pool_workers() noexcept {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return 1;
+  const int k = CPU_COUNT(&set);
+  return k > 1 ? static_cast<std::size_t>(k - 1) : 1;
 }
 
 }  // namespace mako

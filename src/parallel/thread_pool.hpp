@@ -1,7 +1,8 @@
 // Node-level task parallelism.  The paper assigns one MPI rank per GPU; on
 // the host we use a thread pool for intra-rank parallel loops (Fock digestion,
-// grid evaluation).  The pool degrades gracefully to serial execution on a
-// single hardware thread.
+// Fock-plan build).  Each ExecutionContext owns its pool, sized from the
+// process's CPU affinity mask (default_pool_workers); a pool of zero or one
+// worker runs every loop inline on the caller.
 //
 // parallel_for is cooperative: the calling thread drains chunks alongside the
 // workers instead of blocking on a condition variable while work is pending.
@@ -27,8 +28,9 @@ namespace mako {
 /// Fixed-size worker pool with a blocking `parallel_for` API.
 class ThreadPool {
  public:
-  /// `num_threads == 0` selects std::thread::hardware_concurrency().
-  explicit ThreadPool(std::size_t num_threads = 0);
+  /// Starts `num_threads` workers; 0 or 1 starts none and every loop runs
+  /// inline on the caller.
+  explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -49,9 +51,6 @@ class ThreadPool {
   /// The pool whose worker thread is executing the caller, or nullptr when
   /// called from a non-worker thread (e.g. main).
   [[nodiscard]] static ThreadPool* current() noexcept;
-
-  /// Process-wide default pool (sized to the hardware).
-  static ThreadPool& global();
 
  private:
   /// Shared state of one parallel_for call.  Owned by shared_ptr so queued
@@ -77,7 +76,9 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Convenience free function over the global pool.
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
+/// Worker count of a pool that fills the calling thread's CPU affinity mask
+/// (what `nproc` prints, so it honours taskset): k - 1 for k > 1 CPUs,
+/// because the caller drains chunks too, else 1, which runs inline.
+[[nodiscard]] std::size_t default_pool_workers() noexcept;
 
 }  // namespace mako

@@ -3,7 +3,7 @@
 // Every recovery rung of the SCF resilience ladder is exercised by tests
 // rather than hoped-for: named injection sites in the hot paths (kernelmako's
 // quantized E-operand cache, the Fock plan and J digestion, the SCF density,
-// SimComm collectives) corrupt data on demand, reproducibly.
+// Communicator collectives) corrupt data on demand, reproducibly.
 //
 // Site naming convention: "<subsystem>.<what>", e.g.
 //   kernelmako.quant_e_tile   corrupt the quantized bra E-operand cache

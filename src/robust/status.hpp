@@ -51,17 +51,17 @@ enum class FaultKind : std::uint32_t {
 
 /// The staged recovery ladder, in escalation order.  Rungs are applied
 /// lowest-first; rungs kPrecisionEscalation and above latch for the rest of
-/// the run.  kCommRetry is SimComm's local rung (checksum-verify + retry with
-/// backoff) and does not participate in the SCF ladder ordering.  Values are
-/// stable (recovery-mask bits, checkpointed recovery logs); 4 belonged to the
-/// retired diagonalizer fallback and stays unused.
+/// the run.  kCommRetry is the Communicator's local rung (checksum-verify +
+/// retry with backoff) and does not participate in the SCF ladder ordering.
+/// Values are stable (recovery-mask bits, checkpointed recovery logs); 4
+/// belonged to the retired diagonalizer fallback and stays unused.
 enum class RecoveryAction : std::uint32_t {
   kNone = 0,
   kDiisReset = 1,            ///< rung 1: drop the DIIS history
   kDamping = 2,              ///< rung 2: static density damping + level shift
   kPrecisionEscalation = 3,  ///< rung 3: force FP64, latch quantization off
   kFockRebuild = 5,          ///< rung 4: full (non-incremental) Fock rebuilds
-  kCommRetry = 6,            ///< SimComm: resend after checksum mismatch/drop
+  kCommRetry = 6,            ///< comm: resend after checksum mismatch/drop
   kAbort = 7,                ///< ladder exhausted; run stopped with a fault
 };
 

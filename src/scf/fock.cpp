@@ -9,6 +9,7 @@
 #include "core/execution_context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "robust/fault_injector.hpp"
 #include "util/timer.hpp"
 
 namespace mako {
@@ -148,7 +149,9 @@ FockBuilder::FockBuilder(const BasisSet& basis, FockOptions options,
                          const ExecutionContext* ctx)
     : basis_(basis),
       options_(options),
-      ctx_(ctx != nullptr ? ctx : &ExecutionContext::process()),
+      own_ctx_(ctx != nullptr ? nullptr
+                              : std::make_unique<ExecutionContext>()),
+      ctx_(ctx != nullptr ? ctx : own_ctx_.get()),
       plan_(ctx_->components().get<FockPlanCache>().get(basis, ctx_->pool())),
       scratch_(std::make_unique<Scratch>()) {
   // CompilerMako static planning: warm the context's plan cache up front so
@@ -212,7 +215,7 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
   // quantized) for THIS build only — the recovery ladder's full-rebuild rung
   // must produce a clean build because the table is recomputed per call.
   if (MAKO_FAULT_POINT("fock.route")) {
-    ctx_->faults().corrupt("fock.route", scratch.dmax.data(),
+    FaultInjector::instance().corrupt("fock.route", scratch.dmax.data(),
                            scratch.dmax.size());
     for (std::size_t s = 0; s < ns * ns; ++s) {
       dmax_global = std::max(dmax_global, scratch.dmax.data()[s]);
@@ -521,7 +524,7 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
   // the precision-escalation rung exists for.  Escalating to FP64 makes the
   // site inert, so a recovered run converges to the FP64-exact result.
   if (stats.quartets_quantized > 0 && MAKO_FAULT_POINT("fock.j_poison")) {
-    ctx_->faults().corrupt("fock.j_poison", j.data(), j.size());
+    FaultInjector::instance().corrupt("fock.j_poison", j.data(), j.size());
   }
 
   stats.cancelled = cancel.cancelled();

@@ -115,8 +115,9 @@ struct FockStats {
 /// (build_jk reuses per-builder scratch buffers across calls).
 class FockBuilder {
  public:
-  /// `ctx` supplies the GEMM backend, plan cache, thread pool, and fault
-  /// hooks of the run; null borrows ExecutionContext::process().  The
+  /// `ctx` supplies the GEMM backend, plan cache, thread pool and
+  /// communicator of the run; null builds a default context of the
+  /// builder's own.  The
   /// FockPlan is resolved from the context's FockPlanCache, so repeated
   /// builders over one live basis share one plan.
   FockBuilder(const BasisSet& basis, FockOptions options = {},
@@ -142,6 +143,7 @@ class FockBuilder {
 
   const BasisSet& basis_;
   FockOptions options_;
+  std::unique_ptr<ExecutionContext> own_ctx_;  ///< set when given no context
   const ExecutionContext* ctx_;  ///< never null after construction
   std::shared_ptr<const FockPlan> plan_;  ///< cache-shared, never null
   /// One Mako engine per (class, precision), created on first use and

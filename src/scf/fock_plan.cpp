@@ -93,7 +93,8 @@ FockPlan::FockPlan(const BasisSet& basis, ThreadPool& pool) {
   // are batched by pair class in fixed chunks — independent of the pool
   // width, so the bounds are too — and each chunk writes only its own
   // pairs' bounds.  Shards stride over the chunks, each with a scratch
-  // arena that dies with the pass, so the plan leaves no per-thread buffers
+  // arena that dies with the pass, and class plans come from a cache local
+  // to the pass, so the plan leaves no per-thread buffers or class plans
   // behind.
   std::vector<std::vector<std::uint32_t>> by_class(pair_class_ids.size());
   for (std::size_t i = 0; i < np; ++i) {
@@ -106,7 +107,8 @@ FockPlan::FockPlan(const BasisSet& basis, ThreadPool& pool) {
                           std::min(kBoundBatch, members.size() - b));
     }
   }
-  const BatchedEriEngine engine;
+  EriPlanCache class_plans;
+  const BatchedEriEngine engine({}, nullptr, &class_plans);
   const std::size_t nshards =
       std::min(chunks.size(), std::max<std::size_t>(pool.size(), 1));
   pool.parallel_for(nshards, [&](std::size_t s) {
@@ -121,7 +123,7 @@ FockPlan::FockPlan(const BasisSet& basis, ThreadPool& pool) {
             {pr.s1, pr.s2, pr.s1, pr.s2, &operands[i], &operands[i]});
       }
       engine.compute_batch(
-          EriClassPlan::get(BatchedEriEngine::classify(batch.front())), batch,
+          class_plans.get(BatchedEriEngine::classify(batch.front())), batch,
           out, scratch);
       for (std::size_t k = 0; k < batch.size(); ++k) {
         double mx = 0.0;

@@ -257,12 +257,15 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
   MAKO_TRACE_SCOPE(obs::TraceCat::kScf, "scf.run");
   MAKO_METRIC_COUNT("scf.runs", 1);
 
-  // Execution environment: the engine-owned context, or the process default.
-  const ExecutionContext& exec = ctx ? *ctx : ExecutionContext::process();
-  // Rank communicator of the run ("local" on one rank).  The driver itself
-  // stays replicated — DIIS, diagonalization, and the convergence test run
-  // identically on every rank — while the Fock build is owner-computes with
-  // allreduced partials (fock.cpp) and the initial guess is broadcast below.
+  // Execution environment: the caller's context, or one of this call's own.
+  std::unique_ptr<ExecutionContext> own_ctx;
+  if (ctx == nullptr) own_ctx = std::make_unique<ExecutionContext>();
+  const ExecutionContext& exec = ctx != nullptr ? *ctx : *own_ctx;
+  // Rank communicator of the run (the identity on one rank).  The driver
+  // itself stays replicated — DIIS, diagonalization, and the convergence
+  // test run identically on every rank — while the Fock build is
+  // owner-computes with allreduced partials (fock.cpp) and the initial guess
+  // is broadcast below.
   Communicator& comm = exec.comm();
 
   ScfResult result;
@@ -356,7 +359,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
       // unchanged while exercising verified delivery and charging the
       // modeled time; an exhausted retry budget means the ranks never agreed
       // on a starting density, which is unrecoverable for this run.
-      result.comm_seconds += comm.broadcast(st.density, 0);
+      result.comm_seconds += comm.broadcast(st.density);
       const Status bst = comm.last_status();
       if (!bst.is_ok()) {
         result.status = bst;
@@ -526,7 +529,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
           // Symmetric bias on the delta contribution: models accumulated
           // incremental error that only full rebuilds (rung 4) clear.
           const FaultSpec spec =
-              exec.faults().armed_spec("scf.incremental_drift");
+              FaultInjector::instance().armed_spec("scf.incremental_drift");
           dj(0, 0) += spec.magnitude;
         }
         j = st.j_prev;
@@ -703,7 +706,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
       // Symmetric, finite perturbation of the next-iteration density: the
       // soft sentinels (oscillation/stagnation) must catch this — no hard
       // audit will.
-      const FaultSpec spec = exec.faults().armed_spec("scf.density_perturb");
+      const FaultSpec spec = FaultInjector::instance().armed_spec("scf.density_perturb");
       st.density(0, 0) *= (1.0 + spec.magnitude);
     }
     st.fock = std::move(fock);

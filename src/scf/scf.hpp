@@ -99,8 +99,8 @@ struct ScfResult {
   std::vector<ScfIterationRecord> iteration_log;
   /// Modeled collective seconds, logical payload bytes, and verified-
   /// delivery resends accumulated over the run's Fock allreduces, the
-  /// initial-guess broadcast, and iteration barriers.  All zero on one rank
-  /// ("local" communicator).
+  /// initial-guess broadcast, and iteration barriers.  All zero on one
+  /// rank.
   double comm_seconds = 0.0;
   std::uint64_t comm_bytes = 0;
   std::int64_t comm_retries = 0;
@@ -139,9 +139,9 @@ struct ScfResult {
 /// represented as a closed-shell RHF/RKS problem: non-positive or odd
 /// electron counts, or a basis with fewer orbitals than occupied pairs.
 ///
-/// `ctx` supplies the GEMM backend, thread pool, plan cache, and fault hooks
-/// of the run (normally the MakoEngine-owned context); null borrows
-/// ExecutionContext::process().
+/// `ctx` supplies the GEMM backend, thread pool, plan cache and communicator
+/// of the run (normally the MakoEngine-owned context); null runs on a
+/// default context of the call's own.
 ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
                   const ScfOptions& options = {},
                   const ExecutionContext* ctx = nullptr);

@@ -244,18 +244,16 @@ TEST(WatchdogTest, HealthyPoolTrafficDoesNotTrip) {
   {
     ScopedWatchdog guard(30.0);  // generous window
     EXPECT_TRUE(wd.running());
+    ThreadPool pool(2);
     std::atomic<std::uint64_t> sum{0};
-    parallel_for(512, [&sum](std::size_t i) {
+    pool.parallel_for(512, [&sum](std::size_t i) {
       sum.fetch_add(i, std::memory_order_relaxed);
     });
   }
   EXPECT_FALSE(wd.running());
   EXPECT_EQ(wd.stalls_detected(), stalls_before);
-  // parallel_for chunks stamp heartbeats (the global pool may legitimately
-  // run everything inline on a 1-core machine, so only check when pooled).
-  if (ThreadPool::global().size() > 1) {
-    EXPECT_GT(wd.beats(), beats_before);
-  }
+  // parallel_for chunks stamp heartbeats.
+  EXPECT_GT(wd.beats(), beats_before);
 }
 
 // The case the watchdog exists for: a chunk wedged on a latch it never
@@ -358,15 +356,16 @@ TEST(WatchdogTest, InlineSingleElementLoopStampsHeartbeat) {
   // of tiny loops looked wedged to the watchdog.
   Watchdog& wd = Watchdog::instance();
   const std::uint64_t beats_before = wd.beats();
-  parallel_for(1, [](std::size_t) {});
+  ThreadPool pool(2);
+  pool.parallel_for(1, [](std::size_t) {});
   EXPECT_GE(wd.beats(), beats_before + 1);
 }
 
 TEST(WatchdogTest, NestedInlineLoopStampsHeartbeat) {
   // Same blind spot, second path: a parallel_for issued from inside a worker
   // of the same pool runs inline (the re-queue deadlock fix) and must still
-  // stamp beats.  Only meaningful when the loop actually lands on workers.
-  if (ThreadPool::global().size() < 2) GTEST_SKIP() << "no pooled workers";
+  // stamp beats.
+  ThreadPool pool(2);
   Watchdog& wd = Watchdog::instance();
   const std::uint64_t beats_before = wd.beats();
   std::atomic<std::uint64_t> nested_on_worker{0};
@@ -375,10 +374,10 @@ TEST(WatchdogTest, NestedInlineLoopStampsHeartbeat) {
   // which leaves the remaining chunks to the workers; retry regardless.
   for (int attempt = 0; attempt < 5 && nested_on_worker.load() == 0;
        ++attempt) {
-    parallel_for(256, [&nested_on_worker](std::size_t) {
-      if (ThreadPool::current() != nullptr) {
+    pool.parallel_for(256, [&pool, &nested_on_worker](std::size_t) {
+      if (ThreadPool::current() == &pool) {
         nested_on_worker.fetch_add(1, std::memory_order_relaxed);
-        parallel_for(4, [](std::size_t) {});  // nested: runs inline
+        pool.parallel_for(4, [](std::size_t) {});  // nested: runs inline
         return;
       }
       for (int waited_ms = 0; waited_ms < 200 && nested_on_worker.load() == 0;

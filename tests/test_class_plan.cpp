@@ -61,15 +61,16 @@ std::vector<std::vector<double>> run_batch(const EriClassKey& key,
 
 TEST(ClassPlanTest, CacheReturnsStableReference) {
   const EriClassKey key{2, 1, 1, 0, 3, 2};
-  const EriClassPlan& p1 = EriClassPlan::get(key);
-  const EriClassPlan& p2 = EriClassPlan::get(key);
+  EriPlanCache cache;
+  const EriClassPlan& p1 = cache.get(key);
+  const EriClassPlan& p2 = cache.get(key);
   EXPECT_EQ(&p1, &p2);
   EXPECT_EQ(p1.key(), key);
 }
 
 TEST(ClassPlanTest, DimensionsMatchClassAlgebra) {
   const EriClassKey key{2, 1, 1, 1, 1, 1};
-  const EriClassPlan& plan = EriClassPlan::get(key);
+  const EriClassPlan plan(key);
   EXPECT_EQ(plan.ncb, 6 * 3);  // cart(d) x cart(p)
   EXPECT_EQ(plan.nck, 3 * 3);
   EXPECT_EQ(plan.nsb, 5 * 3);  // sph(d) x sph(p)
@@ -88,7 +89,7 @@ TEST(ClassPlanTest, DimensionsMatchClassAlgebra) {
 
 TEST(ClassPlanTest, SignTableAlternatesWithHermiteOrder) {
   // (-1)^{|q~|}: the |q~| = 0 component is +1 and every entry is +/-1.
-  const EriClassPlan& plan = EriClassPlan::get(EriClassKey{1, 1, 1, 1, 1, 1});
+  const EriClassPlan plan(EriClassKey{1, 1, 1, 1, 1, 1});
   ASSERT_FALSE(plan.sign_cd.empty());
   EXPECT_DOUBLE_EQ(plan.sign_cd[0], 1.0);
   for (double s : plan.sign_cd) EXPECT_DOUBLE_EQ(std::fabs(s), 1.0);
@@ -97,13 +98,15 @@ TEST(ClassPlanTest, SignTableAlternatesWithHermiteOrder) {
 TEST(ClassPlanTest, PrewarmCoversBasisClasses) {
   const Molecule water = make_water();
   const BasisSet basis(water, "def2-tzvp");
-  const std::size_t planned = prewarm_class_plans(basis);
+  EriPlanCache cache;
+  const std::size_t planned = prewarm_class_plans(basis, cache);
   EXPECT_GT(planned, 0u);
-  EXPECT_GE(EriClassPlan::cache_size(), planned);
+  EXPECT_EQ(cache.size(), planned);
   // Every enumerated class must now hit the cache (same reference back).
   for (const EriClassKey& key : enumerate_eri_classes(basis)) {
-    EXPECT_EQ(&EriClassPlan::get(key), &EriClassPlan::get(key));
+    EXPECT_EQ(&cache.get(key), &cache.get(key));
   }
+  EXPECT_EQ(cache.size(), planned);
 }
 
 // --- Equivalence: planned/packed engine vs reference -------------------------
@@ -189,7 +192,8 @@ TEST(ClassPlanTest, PlanExplicitOverloadMatchesImplicit) {
   // as the key-based one — results must be bit-identical.
   const EriClassKey key{2, 1, 2, 1, 2, 2};
   const CalibrationBatch batch = make_calibration_batch(key, 4, 23);
-  BatchedEriEngine engine;
+  EriPlanCache plans;
+  BatchedEriEngine engine({}, nullptr, &plans);
 
   std::vector<std::vector<double>> out_implicit;
   engine.compute_batch(key, std::span<const QuartetRef>(batch.quartets),
@@ -197,7 +201,7 @@ TEST(ClassPlanTest, PlanExplicitOverloadMatchesImplicit) {
 
   EriScratch scratch;
   std::vector<std::vector<double>> out_explicit;
-  engine.compute_batch(EriClassPlan::get(key),
+  engine.compute_batch(plans.get(key),
                        std::span<const QuartetRef>(batch.quartets),
                        out_explicit, scratch);
 
@@ -243,10 +247,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AllocationTest, PlanLookupIsAllocationFreeAfterFirstUse) {
   const EriClassKey key{3, 2, 1, 0, 1, 2};
-  (void)EriClassPlan::get(key);  // construct + cache
+  EriPlanCache cache;
+  (void)cache.get(key);  // construct + cache
   g_alloc_count.store(0);
   g_counting.store(true);
-  const EriClassPlan& plan = EriClassPlan::get(key);
+  const EriClassPlan& plan = cache.get(key);
   g_counting.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0);
   EXPECT_EQ(plan.key(), key);

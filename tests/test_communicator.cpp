@@ -1,9 +1,9 @@
-// Communicator layer tests: backend selection and typed input validation,
-// zero-cost local collectives, pinned-tree allreduce semantics through the
-// NVI seam, verified delivery under fault injection, the rank-invariance
-// contract (`--ranks N` SCF is bit-identical to `--ranks 1` on every
-// supported rank count), comm failures hard-faulting the
-// SCF, and checkpoint topology guarding.
+// Communicator tests: typed rank-count validation, the free single-rank
+// identity, pinned-tree allreduce and broadcast semantics over in-process
+// ranks, verified delivery under fault injection (retry, drop and
+// exhausted-budget accounting), the rank-invariance contract (`--ranks N`
+// SCF is bit-identical to `--ranks 1` on every supported rank count), comm
+// failures hard-faulting the SCF, and checkpoint topology guarding.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -91,48 +91,106 @@ TEST_F(CommunicatorTest, UnknownClusterNameRaisesTypedError) {
     // Actionable: the message lists the valid names.
     EXPECT_NE(std::string(e.what()).find("single-node"), std::string::npos);
   }
-  // The cluster name is validated even for a single-rank run, so a typo
-  // fails loudly instead of surfacing only when --ranks is raised later.
-  CommSpec spec;
-  spec.ranks = 1;
-  spec.cluster = "token-ring";
-  EXPECT_THROW((void)make_communicator(spec), InputError);
   EXPECT_NO_THROW((void)cluster_model_from_name("default"));
   EXPECT_NO_THROW((void)cluster_model_from_name("single-node"));
   EXPECT_NO_THROW((void)cluster_model_from_name("ethernet"));
 }
 
-TEST_F(CommunicatorTest, LocalBackendIsZeroCostRankZeroOfOne) {
-  CommSpec spec;
-  spec.ranks = 1;
-  auto comm = make_communicator(spec);
-  EXPECT_EQ(comm->name(), "local");
-  EXPECT_EQ(comm->rank(), 0);
-  EXPECT_EQ(comm->size(), 1);
+TEST_F(CommunicatorTest, RejectsUnsupportedSizes) {
+  EXPECT_THROW(Communicator(-1), InputError);
+  EXPECT_THROW(Communicator(3), InputError);
+  EXPECT_THROW(Communicator(2 * kMaxCommRanks), InputError);
+  EXPECT_EQ(Communicator(kMaxCommRanks).size(), kMaxCommRanks);
+}
+
+TEST_F(CommunicatorTest, SingleRankIsZeroCostIdentity) {
+  Communicator comm(1);
+  EXPECT_EQ(comm.size(), 1);
+  // A single rank never delivers anything, so an armed delivery fault has
+  // nothing to fire on.
+  FaultSpec fault;
+  fault.mode = FaultMode::kNaN;
+  fault.max_fires = -1;
+  FaultInjector::instance().arm("simcomm.allreduce", fault);
+  FaultInjector::instance().arm("simcomm.broadcast", fault);
 
   std::vector<MatrixD> partials(1, MatrixD(4, 4, 2.5));
-  EXPECT_DOUBLE_EQ(comm->allreduce_sum(partials), 0.0);
+  EXPECT_DOUBLE_EQ(comm.allreduce_sum(partials), 0.0);
   EXPECT_DOUBLE_EQ(partials[0](0, 0), 2.5);  // sum of one part is itself
   MatrixD payload(4, 4, 1.0);
-  EXPECT_DOUBLE_EQ(comm->broadcast(payload), 0.0);
-  EXPECT_DOUBLE_EQ(comm->barrier(), 0.0);
-  EXPECT_TRUE(comm->last_status().is_ok());
-  const CommStats s = comm->stats();
+  EXPECT_DOUBLE_EQ(comm.broadcast(payload), 0.0);
+  EXPECT_DOUBLE_EQ(payload(3, 3), 1.0);
+  EXPECT_DOUBLE_EQ(comm.barrier(), 0.0);
+  EXPECT_TRUE(comm.last_status().is_ok());
+  EXPECT_EQ(FaultInjector::instance().fires("simcomm.allreduce"), 0u);
+  EXPECT_EQ(FaultInjector::instance().fires("simcomm.broadcast"), 0u);
+  const CommStats s = comm.stats();
   EXPECT_EQ(s.allreduce_calls, 1u);
   EXPECT_EQ(s.broadcast_calls, 1u);
   EXPECT_EQ(s.barrier_calls, 1u);
+  EXPECT_EQ(s.bytes, 0u);
   EXPECT_DOUBLE_EQ(s.modeled_seconds, 0.0);
 }
 
+TEST_F(CommunicatorTest, AllreduceSemantics) {
+  Communicator comm(4);
+  std::vector<MatrixD> bufs(4, MatrixD(2, 2, 0.0));
+  for (int r = 0; r < 4; ++r) bufs[r](0, 0) = r + 1.0;
+  comm.allreduce_sum(bufs);
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_DOUBLE_EQ(bufs[r](0, 0), 10.0);
+    EXPECT_DOUBLE_EQ(bufs[r](1, 1), 0.0);
+  }
+}
+
+TEST_F(CommunicatorTest, BroadcastDeliversRootPayloadUnchanged) {
+  // In-process ranks share the canonical buffer: after a verified broadcast
+  // every rank holds rank 0's payload bit for bit, at the modeled cost.
+  Communicator comm(4);
+  MatrixD payload(3, 3, 0.0);
+  payload(1, 2) = 42.0;
+  const MatrixD sent = payload;
+  const double t = comm.broadcast(payload);
+  EXPECT_TRUE(comm.last_status().is_ok());
+  EXPECT_EQ(0, std::memcmp(payload.data(), sent.data(),
+                           sent.size() * sizeof(double)));
+  EXPECT_DOUBLE_EQ(t, ClusterModel{}.broadcast_seconds(
+                          4, sent.size() * sizeof(double)));
+  EXPECT_EQ(comm.stats().bytes, sent.size() * sizeof(double));
+}
+
+TEST_F(CommunicatorTest, AccumulatesModeledTime) {
+  Communicator comm(8);
+  std::vector<MatrixD> bufs(8, MatrixD(64, 64, 1.0));
+  EXPECT_DOUBLE_EQ(comm.stats().modeled_seconds, 0.0);
+  const double t1 = comm.allreduce_sum(bufs);
+  EXPECT_GT(t1, 0.0);
+  EXPECT_DOUBLE_EQ(comm.stats().modeled_seconds, t1);
+  const double t2 = comm.barrier();
+  EXPECT_GT(t2, 0.0);
+  EXPECT_DOUBLE_EQ(comm.stats().modeled_seconds, t1 + t2);
+}
+
+TEST_F(CommunicatorTest, PinnedTreeSumFoldsPairwise) {
+  // The canonical order is ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) — verify
+  // against an explicitly associated sum with values chosen so a left fold
+  // rounds differently.
+  std::vector<MatrixD> parts;
+  const double vals[8] = {1e16, 1.0, -1e16, 1.0, 3.0, 1e-8, 2.0, -1e-8};
+  for (double v : vals) parts.emplace_back(1, 1, v);
+  std::vector<MatrixD*> ptrs;
+  for (auto& m : parts) ptrs.push_back(&m);
+  pinned_tree_sum(ptrs.data(), ptrs.size());
+  const double expect = (((1e16 + 1.0) + (-1e16 + 1.0)) +
+                         ((3.0 + 1e-8) + (2.0 + -1e-8)));
+  EXPECT_EQ(parts[0](0, 0), expect);
+}
+
 TEST_F(CommunicatorTest, SimcommAllreduceMatchesPinnedTreeBitForBit) {
-  CommSpec spec;
-  spec.ranks = 4;
-  auto comm = make_communicator(spec);
-  EXPECT_EQ(comm->name(), "simcomm");
-  EXPECT_EQ(comm->size(), 4);
+  Communicator comm(4);
 
   // Values whose sum rounds differently under a different association, so
-  // this would catch a backend that falls back to a naive left fold.
+  // this would catch a naive left fold.
   std::vector<MatrixD> partials;
   const double vals[4] = {1e16, 1.0, -1e16, 1.0};
   for (double v : vals) partials.emplace_back(2, 2, v);
@@ -141,13 +199,13 @@ TEST_F(CommunicatorTest, SimcommAllreduceMatchesPinnedTreeBitForBit) {
   for (auto& m : expect_parts) ptrs.push_back(&m);
   pinned_tree_sum(ptrs.data(), ptrs.size());
 
-  const double t = comm->allreduce_sum(partials);
+  const double t = comm.allreduce_sum(partials);
   EXPECT_GT(t, 0.0);  // four ranks move real modeled bytes
   for (const MatrixD& p : partials) {
     EXPECT_EQ(0, std::memcmp(p.data(), expect_parts[0].data(),
                              p.size() * sizeof(double)));
   }
-  const CommStats s = comm->stats();
+  const CommStats s = comm.stats();
   EXPECT_EQ(s.bytes, partials[0].size() * sizeof(double));
 }
 
@@ -155,25 +213,62 @@ TEST_F(CommunicatorTest, FaultInjectedAllreduceRedeliversVerified) {
   if (!FaultInjector::compiled_in()) {
     GTEST_SKIP() << "built with MAKO_FAULT_INJECTION=OFF";
   }
-  CommSpec spec;
-  spec.ranks = 2;
-  auto comm = make_communicator(spec);
+  Communicator comm(2);
 
   FaultSpec fault;
   fault.mode = FaultMode::kNaN;
   FaultInjector::instance().arm("simcomm.allreduce", fault);
   std::vector<MatrixD> partials(2, MatrixD(3, 3, 1.5));
-  comm->allreduce_sum(partials);
+  comm.allreduce_sum(partials);
 
   // One corrupted delivery, one resend, correct verified result.
-  EXPECT_TRUE(comm->last_status().is_ok());
-  const CommStats s = comm->stats();
+  EXPECT_TRUE(comm.last_status().is_ok());
+  const CommStats s = comm.stats();
   EXPECT_EQ(s.retries, 1u);
   for (const MatrixD& p : partials) {
     for (std::size_t i = 0; i < p.size(); ++i) {
       EXPECT_DOUBLE_EQ(p.data()[i], 3.0);
     }
   }
+}
+
+TEST_F(CommunicatorTest, DroppedCounterTracksInFlightLosses) {
+  if (!FaultInjector::compiled_in()) {
+    GTEST_SKIP() << "built with MAKO_FAULT_INJECTION=OFF";
+  }
+  Communicator comm(2);
+  std::vector<MatrixD> bufs(2, MatrixD(3, 3, 1.0));
+  EXPECT_EQ(comm.stats().dropped, 0u);
+
+  FaultSpec spec;
+  spec.mode = FaultMode::kDrop;
+  FaultInjector::instance().arm("simcomm.allreduce", spec);
+  comm.allreduce_sum(bufs);
+
+  EXPECT_EQ(comm.stats().dropped, 1u);
+  EXPECT_EQ(comm.stats().retries, 1u);
+  EXPECT_TRUE(comm.last_status().is_ok());
+  for (const auto& b : bufs) EXPECT_DOUBLE_EQ(b(0, 0), 2.0);
+}
+
+TEST_F(CommunicatorTest, ExhaustedBroadcastRetryBudgetSurfacesFault) {
+  if (!FaultInjector::compiled_in()) {
+    GTEST_SKIP() << "built with MAKO_FAULT_INJECTION=OFF";
+  }
+  Communicator comm(2);
+  MatrixD payload(4, 4, 3.0);
+
+  FaultSpec spec;
+  spec.mode = FaultMode::kNaN;
+  spec.max_fires = -1;  // corrupt every attempt
+  FaultInjector::instance().arm("simcomm.broadcast", spec);
+  comm.broadcast(payload);
+
+  EXPECT_EQ(comm.last_status().kind(), FaultKind::kCommCorruption);
+  EXPECT_EQ(comm.stats().retries, 3u);  // 4 attempts, 3 resends
+  // The root payload is never touched; only in-flight copies corrupt.
+  EXPECT_DOUBLE_EQ(payload(0, 0), 3.0);
+  EXPECT_DOUBLE_EQ(payload(3, 3), 3.0);
 }
 
 // --- The tentpole acceptance: rank-count invariance --------------------------

@@ -150,7 +150,8 @@ IterationPolicy exact_policy() {
 TEST(FockPlanTest, PairsSortedDescendingAndComplete) {
   const Molecule w = make_water();
   const BasisSet bs(w, "6-31g");
-  const FockPlan plan(bs, ThreadPool::global());
+  ThreadPool pool(2);
+  const FockPlan plan(bs, pool);
 
   const std::size_t ns = bs.num_shells();
   ASSERT_EQ(plan.pairs().size(), ns * (ns + 1) / 2);

@@ -350,7 +350,7 @@ TEST(QuantStagingTest, QuantizedGemmMaxSkipsNan) {
 /// GEMM, then T scaled by 1 / max|T| and rounded per element.
 std::vector<std::vector<double>> scalar_quantized_batch(
     const EriClassKey& key, std::span<const QuartetRef> batch, Precision p) {
-  const EriClassPlan& plan = EriClassPlan::get(key);
+  const EriClassPlan plan(key);
   const std::size_t nhb = plan.nhb, nhk = plan.nhk, nht = plan.nht;
   const std::size_t nsb = plan.nsb, nsk = plan.nsk;
   const std::size_t kab = key.kab, kcd = key.kcd;

@@ -221,8 +221,8 @@ TEST(ScfTest, ChargedClosedShellWorks) {
 // --- Thread-count invariance ------------------------------------------------
 
 /// The determinism contract of the pool: the Fock partition and every
-/// reduction order are fixed independently of the thread count, so a run on
-/// one thread and a run on four give the same bits.  Param: adaptive FP16
+/// reduction order are fixed independently of the thread count, so runs on
+/// pools of 1, 2, 3 and 4 workers give the same bits.  Param: adaptive FP16
 /// (true) or FP64 (false).
 class ThreadCountInvarianceTest : public ::testing::TestWithParam<bool> {};
 
@@ -231,7 +231,7 @@ bool same_bits(const MatrixD& a, const MatrixD& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-TEST_P(ThreadCountInvarianceTest, OneThreadAndFourThreadPoolsAgreeBitForBit) {
+TEST_P(ThreadCountInvarianceTest, PoolsOfOneToFourWorkersAgreeBitForBit) {
   const bool quantized = GetParam();
   const Molecule w = make_water_cluster(2);
   MakoOptions mo;
@@ -244,8 +244,8 @@ TEST_P(ThreadCountInvarianceTest, OneThreadAndFourThreadPoolsAgreeBitForBit) {
   if (quantized) opts.precision.start_fp64_threshold = 1e2;  // quantize early
   const BasisSet bs(w, mo.basis);
 
-  const auto run = [&](std::size_t threads) {
-    ThreadPool pool(threads);
+  const auto run = [&](std::size_t workers) {
+    ThreadPool pool(workers);
     ExecutionContextOptions o;
     o.pool = &pool;
     o.ranks = 1;
@@ -253,22 +253,25 @@ TEST_P(ThreadCountInvarianceTest, OneThreadAndFourThreadPoolsAgreeBitForBit) {
     return run_scf(w, bs, opts, &ctx);
   };
   const ScfResult one = run(1);
-  const ScfResult four = run(4);
-
   ASSERT_TRUE(one.converged);
   if (quantized) {
     EXPECT_GT(one.iteration_log.front().quartets_quantized, 0);
   }
-  ASSERT_EQ(one.iteration_log.size(), four.iteration_log.size());
-  for (std::size_t i = 0; i < one.iteration_log.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&one.iteration_log[i].energy,
-                          &four.iteration_log[i].energy, sizeof(double)),
-              0)
-        << "iteration " << i;
+  for (const std::size_t workers : {2, 3, 4}) {
+    const ScfResult other = run(workers);
+    ASSERT_EQ(one.iteration_log.size(), other.iteration_log.size())
+        << workers << " workers";
+    for (std::size_t i = 0; i < one.iteration_log.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&one.iteration_log[i].energy,
+                            &other.iteration_log[i].energy, sizeof(double)),
+                0)
+          << workers << " workers, iteration " << i;
+    }
+    EXPECT_EQ(std::memcmp(&one.energy, &other.energy, sizeof(double)), 0)
+        << workers << " workers: " << one.energy << " vs " << other.energy;
+    EXPECT_TRUE(same_bits(one.density, other.density)) << workers
+                                                        << " workers";
   }
-  EXPECT_EQ(std::memcmp(&one.energy, &four.energy, sizeof(double)), 0)
-      << one.energy << " vs " << four.energy;
-  EXPECT_TRUE(same_bits(one.density, four.density));
 }
 
 INSTANTIATE_TEST_SUITE_P(Precisions, ThreadCountInvarianceTest,

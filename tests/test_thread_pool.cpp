@@ -63,10 +63,15 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
   }
 }
 
-TEST(ThreadPoolTest, GlobalPoolWorks) {
-  std::atomic<int> count{0};
-  parallel_for(64, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 64);
+TEST(ThreadPoolTest, ZeroWorkersRunInline) {
+  ThreadPool pool(0);  // like ThreadPool(1): no workers, the caller runs all
+  EXPECT_EQ(pool.size(), 0u);
+  std::vector<int> order;
+  pool.parallel_for(4, [&](std::size_t i) {
+    EXPECT_EQ(ThreadPool::current(), nullptr);
+    order.push_back(static_cast<int>(i));
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 // Regression: a parallel_for issued from inside a worker of the same pool
@@ -86,12 +91,13 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-// Three levels deep, through the global free-function form as well.
+// Three levels deep.
 TEST(ThreadPoolTest, DeeplyNestedParallelForTerminates) {
+  ThreadPool pool(3);
   std::atomic<int> count{0};
-  parallel_for(4, [&](std::size_t) {
-    parallel_for(4, [&](std::size_t) {
-      parallel_for(4, [&](std::size_t) { count.fetch_add(1); });
+  pool.parallel_for(4, [&](std::size_t) {
+    pool.parallel_for(4, [&](std::size_t) {
+      pool.parallel_for(4, [&](std::size_t) { count.fetch_add(1); });
     });
   });
   EXPECT_EQ(count.load(), 4 * 4 * 4);
