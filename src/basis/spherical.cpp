@@ -3,7 +3,8 @@
 #include <array>
 #include <cmath>
 #include <map>
-#include <mutex>
+#include <stdexcept>
+#include <string>
 
 namespace mako {
 namespace {
@@ -127,6 +128,52 @@ MatrixD build_cart_to_sph(int l) {
   return c;
 }
 
+// kron(C_a, C_b): the pair transform of a bra or ket index pair.
+MatrixD kron(const MatrixD& ca, const MatrixD& cb) {
+  MatrixD k(ca.rows() * cb.rows(), ca.cols() * cb.cols(), 0.0);
+  for (std::size_t ia = 0; ia < ca.rows(); ++ia) {
+    for (std::size_t ja = 0; ja < ca.cols(); ++ja) {
+      if (ca(ia, ja) == 0.0) continue;
+      for (std::size_t ib = 0; ib < cb.rows(); ++ib) {
+        for (std::size_t jb = 0; jb < cb.cols(); ++jb) {
+          k(ia * cb.rows() + ib, ja * cb.cols() + jb) =
+              ca(ia, ja) * cb(ib, jb);
+        }
+      }
+    }
+  }
+  return k;
+}
+
+/// Every transform, built once on first use and immutable afterwards, so
+/// lookups from pool threads take no lock (the function-local static's guard
+/// is the only synchronization).
+struct SphTables {
+  std::array<MatrixD, kMaxSphL + 1> single;
+  std::array<MatrixD, (kMaxBasisL + 1) * (kMaxBasisL + 1)> pair;
+
+  SphTables() {
+    for (int l = 0; l <= kMaxSphL; ++l) single[l] = build_cart_to_sph(l);
+    for (int la = 0; la <= kMaxBasisL; ++la) {
+      for (int lb = 0; lb <= kMaxBasisL; ++lb) {
+        pair[la * (kMaxBasisL + 1) + lb] = kron(single[la], single[lb]);
+      }
+    }
+  }
+};
+
+const SphTables& tables() {
+  static const SphTables t;
+  return t;
+}
+
+void check_l(int l, int lmax, const char* fn) {
+  if (l < 0 || l > lmax) {
+    throw std::out_of_range(std::string(fn) + ": l = " + std::to_string(l) +
+                            " outside [0, " + std::to_string(lmax) + "]");
+  }
+}
+
 }  // namespace
 
 double double_factorial(int n) noexcept {
@@ -158,40 +205,14 @@ void cart_components(int l, int index, int& lx, int& ly, int& lz) noexcept {
 }
 
 const MatrixD& cart_to_sph_pair(int la, int lb) {
-  static std::mutex mutex;
-  static std::map<std::pair<int, int>, MatrixD> cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto key = std::make_pair(la, lb);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    const MatrixD& ca = cart_to_sph(la);
-    const MatrixD& cb = cart_to_sph(lb);
-    MatrixD k(ca.rows() * cb.rows(), ca.cols() * cb.cols(), 0.0);
-    for (std::size_t ia = 0; ia < ca.rows(); ++ia) {
-      for (std::size_t ja = 0; ja < ca.cols(); ++ja) {
-        if (ca(ia, ja) == 0.0) continue;
-        for (std::size_t ib = 0; ib < cb.rows(); ++ib) {
-          for (std::size_t jb = 0; jb < cb.cols(); ++jb) {
-            k(ia * cb.rows() + ib, ja * cb.cols() + jb) =
-                ca(ia, ja) * cb(ib, jb);
-          }
-        }
-      }
-    }
-    it = cache.emplace(key, std::move(k)).first;
-  }
-  return it->second;
+  check_l(la, kMaxBasisL, "cart_to_sph_pair");
+  check_l(lb, kMaxBasisL, "cart_to_sph_pair");
+  return tables().pair[la * (kMaxBasisL + 1) + lb];
 }
 
 const MatrixD& cart_to_sph(int l) {
-  static std::mutex mutex;
-  static std::map<int, MatrixD> cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto it = cache.find(l);
-  if (it == cache.end()) {
-    it = cache.emplace(l, build_cart_to_sph(l)).first;
-  }
-  return it->second;
+  check_l(l, kMaxSphL, "cart_to_sph");
+  return tables().single[l];
 }
 
 }  // namespace mako

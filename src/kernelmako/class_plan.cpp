@@ -5,13 +5,68 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "basis/spherical.hpp"
 #include "linalg/backend.hpp"
 
 namespace mako {
 
-EriClassPlan::EriClassPlan(const EriClassKey& key) : key_(key) {
+namespace {
+
+/// The Eq. 6 tables of one (bra order, ket order) pair.
+struct HermitePairTables {
+  std::vector<double> sign_cd;
+  std::vector<int> combined;
+
+  HermitePairTables(int lab, int lcd) {
+    const HermiteBasis& hb_ab = HermiteBasis::get(lab);
+    const HermiteBasis& hb_cd = HermiteBasis::get(lcd);
+    const HermiteBasis& hb_tot = HermiteBasis::get(lab + lcd);
+    const int nhb = hb_ab.size();
+    const int nhk = hb_cd.size();
+    sign_cd.resize(nhk);
+    for (int h = 0; h < nhk; ++h) {
+      const auto& q = hb_cd.component(h);
+      sign_cd[h] = ((q[0] + q[1] + q[2]) % 2 == 0) ? 1.0 : -1.0;
+    }
+    combined.resize(static_cast<std::size_t>(nhb) * nhk);
+    for (int hp = 0; hp < nhb; ++hp) {
+      const auto& p = hb_ab.component(hp);
+      for (int hq = 0; hq < nhk; ++hq) {
+        const auto& q = hb_cd.component(hq);
+        combined[static_cast<std::size_t>(hp) * nhk + hq] =
+            hb_tot.index(p[0] + q[0], p[1] + q[1], p[2] + q[2]);
+      }
+    }
+  }
+};
+
+/// One immutable copy per order pair for the whole process, built on first
+/// use (lookups after that take no lock), like HermiteBasis::get.
+const HermitePairTables& hermite_pair_tables(int lab, int lcd) {
+  constexpr int kN = HermiteBasis::kMaxOrder + 1;
+  static std::array<std::once_flag, kN * kN> once;
+  static std::array<std::optional<HermitePairTables>, kN * kN> table;
+  if (lab < 0 || lcd < 0 || lab + lcd > HermiteBasis::kMaxOrder) {
+    throw std::out_of_range("hermite_pair_tables: orders " +
+                            std::to_string(lab) + " + " + std::to_string(lcd) +
+                            " outside [0, " +
+                            std::to_string(HermiteBasis::kMaxOrder) + "]");
+  }
+  const int i = lab * kN + lcd;
+  std::call_once(once[i], [&] { table[i].emplace(lab, lcd); });
+  return *table[i];
+}
+
+}  // namespace
+
+EriClassPlan::EriClassPlan(const EriClassKey& key)
+    : sign_cd(hermite_pair_tables(key.lab(), key.lcd()).sign_cd),
+      combined(hermite_pair_tables(key.lab(), key.lcd()).combined),
+      key_(key) {
   nhb = key.nherm_bra();
   nhk = key.nherm_ket();
   nht = nherm(key.ltot());
@@ -20,26 +75,6 @@ EriClassPlan::EriClassPlan(const EriClassKey& key) : key_(key) {
   nsb = key.nsph_bra();
   nsk = key.nsph_ket();
   ltot = key.ltot();
-
-  const HermiteBasis& hb_ab = HermiteBasis::get(key.lab());
-  const HermiteBasis& hb_cd = HermiteBasis::get(key.lcd());
-  const HermiteBasis& hb_tot = HermiteBasis::get(key.ltot());
-
-  sign_cd.resize(nhk);
-  for (int h = 0; h < nhk; ++h) {
-    const auto& q = hb_cd.component(h);
-    sign_cd[h] = ((q[0] + q[1] + q[2]) % 2 == 0) ? 1.0 : -1.0;
-  }
-  combined.resize(static_cast<std::size_t>(nhb) * nhk);
-  for (int hp = 0; hp < nhb; ++hp) {
-    const auto& p = hb_ab.component(hp);
-    for (int hq = 0; hq < nhk; ++hq) {
-      const auto& q = hb_cd.component(hq);
-      combined[static_cast<std::size_t>(hp) * nhk + hq] =
-          hb_tot.index(p[0] + q[0], p[1] + q[1], p[2] + q[2]);
-    }
-  }
-
   sph_bra = &cart_to_sph_pair(key.la, key.lb);
   sph_ket = &cart_to_sph_pair(key.lc, key.ld);
 }

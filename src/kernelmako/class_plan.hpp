@@ -57,9 +57,12 @@ class EriClassPlan {
   int ltot = 0;  ///< total angular momentum
 
   /// (-1)^{|q~|} per ket Hermite component (Eq. 6).
-  std::vector<double> sign_cd;
+  const std::vector<double>& sign_cd;
   /// combined[hp * nhk + hq] = total-order Hermite index of p~+q~.
-  std::vector<int> combined;
+  /// Both tables depend on the bra and ket Hermite orders alone, so they
+  /// are borrowed from one process-wide immutable copy per order pair,
+  /// built on first use: a run's plan cache holds no table of its own.
+  const std::vector<int>& combined;
 
   /// Cart->sph pair transform of the bra, [nsb x ncb] (borrowed from the
   /// process-wide spherical cache; stable for the program lifetime).

@@ -41,10 +41,13 @@ struct IterationTelemetry {
   std::int64_t quartets_fp64_high_l = 0;
 
   // Per-stage split of the Fock build: eri/digest are summed per-shard CPU
-  // seconds; route is the wall-clock of the dmax + routing pass.
+  // seconds (they can exceed the iteration's wall time on a pool); route is
+  // the wall-clock of the dmax + routing pass.
   double eri_seconds = 0.0;
   double digest_seconds = 0.0;
   double route_seconds = 0.0;
+  /// Wall time of the XC quadrature (0 for Hartree-Fock).
+  double xc_seconds = 0.0;
 
   // Resilience state after the iteration.
   int ladder_rung = 0;  ///< highest recovery rung reached so far

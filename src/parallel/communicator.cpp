@@ -46,6 +46,20 @@ void record_collective(obs::TraceSpan& span, double seconds,
   MAKO_METRIC_OBSERVE("comm.modeled_s", seconds);
 }
 
+// Pairwise level-by-level fold; an odd trailing element carries upward
+// unchanged.  add(i, i + stride) keeps the lower-index subtree as the left
+// operand at every level, which is the association every caller
+// (rank-local slice folds, the cross-rank allreduce, the XC slices) must
+// share.
+template <typename Add>
+void pinned_tree_fold(std::size_t n, const Add& add) {
+  for (std::size_t stride = 1; stride < n; stride *= 2) {
+    for (std::size_t i = 0; i + stride < n; i += 2 * stride) {
+      add(i, i + stride);
+    }
+  }
+}
+
 }  // namespace
 
 int resolve_ranks(int requested) {
@@ -87,15 +101,14 @@ std::uint64_t payload_checksum(const MatrixD& m) noexcept {
 }
 
 void pinned_tree_sum(MatrixD* const* parts, std::size_t n) {
-  // Pairwise level-by-level fold; an odd trailing element carries upward
-  // unchanged.  parts[i] += parts[i + stride] keeps the lower-index subtree
-  // as the left operand at every level, which is the association every
-  // caller (rank-local slice folds, the cross-rank allreduce) must share.
-  for (std::size_t stride = 1; stride < n; stride *= 2) {
-    for (std::size_t i = 0; i + stride < n; i += 2 * stride) {
-      *parts[i] += *parts[i + stride];
-    }
-  }
+  pinned_tree_fold(n, [&](std::size_t i, std::size_t j) {
+    *parts[i] += *parts[j];
+  });
+}
+
+void pinned_tree_sum(double* parts, std::size_t n) {
+  pinned_tree_fold(n,
+                   [&](std::size_t i, std::size_t j) { parts[i] += parts[j]; });
 }
 
 Communicator::Communicator(int ranks) : size_(resolve_ranks(ranks)) {

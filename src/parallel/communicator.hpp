@@ -61,6 +61,9 @@ inline constexpr int kMaxCommRanks = 16;
 /// to compose into this one fixed tree.
 void pinned_tree_sum(MatrixD* const* parts, std::size_t n);
 
+/// The same fold over scalars, leaving the total in parts[0].
+void pinned_tree_sum(double* parts, std::size_t n);
+
 /// Aggregate collective statistics of one communicator (monotonic).
 struct CommStats {
   std::uint64_t allreduce_calls = 0;

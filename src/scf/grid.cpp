@@ -18,6 +18,35 @@ double becke_smooth(double mu, int k) {
   return mu;
 }
 
+/// Orders pts[lo, hi) so that every run of `block` points starting at lo
+/// is a compact box: the range splits along its bounding box's longest axis
+/// at a multiple of `block` near the middle, and each side recurses.
+void order_blocks(std::vector<GridPoint>& pts, std::size_t lo, std::size_t hi,
+                  std::size_t block) {
+  const std::size_t n = hi - lo;
+  if (n <= block) return;
+  Vec3 mn = pts[lo].position, mx = pts[lo].position;
+  for (std::size_t p = lo + 1; p < hi; ++p) {
+    for (int k = 0; k < 3; ++k) {
+      mn[k] = std::min(mn[k], pts[p].position[k]);
+      mx[k] = std::max(mx[k], pts[p].position[k]);
+    }
+  }
+  int axis = 0;
+  for (int k = 1; k < 3; ++k) {
+    if (mx[k] - mn[k] > mx[axis] - mn[axis]) axis = k;
+  }
+  const std::size_t mid = lo + (n + block - 1) / block / 2 * block;
+  std::nth_element(pts.begin() + static_cast<std::ptrdiff_t>(lo),
+                   pts.begin() + static_cast<std::ptrdiff_t>(mid),
+                   pts.begin() + static_cast<std::ptrdiff_t>(hi),
+                   [axis](const GridPoint& a, const GridPoint& b) {
+                     return a.position[axis] < b.position[axis];
+                   });
+  order_blocks(pts, lo, mid, block);
+  order_blocks(pts, mid, hi, block);
+}
+
 }  // namespace
 
 void gauss_legendre(int n, std::vector<double>& nodes,
@@ -115,6 +144,7 @@ MolecularGrid::MolecularGrid(const Molecule& mol, GridSpec spec) {
       }
     }
   }
+  order_blocks(points_, 0, points_.size(), kBlock);
 }
 
 }  // namespace mako

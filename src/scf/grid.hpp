@@ -30,6 +30,11 @@ struct GridSpec {
 /// Becke-partitioned molecular grid.
 class MolecularGrid {
  public:
+  /// Points come in blocks of kBlock: each run of kBlock consecutive
+  /// points (the last may be shorter) fills a compact box, so the XC
+  /// quadrature's per-block shell screening has something to drop.
+  static constexpr std::size_t kBlock = 128;
+
   MolecularGrid(const Molecule& mol, GridSpec spec = GridSpec::standard());
 
   [[nodiscard]] const std::vector<GridPoint>& points() const noexcept {

@@ -414,6 +414,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
     // the per-iteration telemetry record.
     IterationPolicy policy;
     FockStats fs;
+    double xc_seconds = 0.0;  // wall time of this iteration's XC quadrature
 
     // Appends the observability record mirroring `record`; called at every
     // iteration_log push site (normal and abort paths).
@@ -436,6 +437,7 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
       t.eri_seconds = fs.eri_seconds;
       t.digest_seconds = fs.digest_seconds;
       t.route_seconds = fs.route_seconds;
+      t.xc_seconds = xc_seconds;
       t.ladder_rung = st.ladder_rung;
       t.retries = record.retries;
       t.domain_faults = record.domain_faults;
@@ -593,9 +595,13 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
 
     XcResult xres;
     if (grid) {
-      MAKO_TRACE_SCOPE(obs::TraceCat::kScf, "scf.xc");
-      xres = integrate_xc(basis, *grid, xc, st.density, &exec.backend(),
-                          &cancel);
+      const Timer xc_timer;
+      {
+        MAKO_TRACE_SCOPE(obs::TraceCat::kScf, "scf.xc");
+        xres = integrate_xc(basis, *grid, xc, st.density, exec.pool(),
+                            &cancel);
+      }
+      xc_seconds = xc_timer.seconds();
       MAKO_METRIC_COUNT("scf.xc_builds", 1);
       if (xres.cancelled) {
         cancelled_stop = true;  // partial quadrature; discard the iteration

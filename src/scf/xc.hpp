@@ -3,10 +3,9 @@
 // gradient correlation, and the B3LYP hybrid combination the paper's
 // end-to-end evaluation uses.
 //
-// Energy densities are analytic; GGA potentials (v_rho, v_sigma) are
-// obtained by high-order central differences of the energy density, which is
-// exact to quadrature accuracy and verified by finite-difference property
-// tests.
+// Each energy density is written once over a forward-mode dual number, so
+// the potentials v_rho and v_sigma are its exact partial derivatives
+// (checked against central differences by the tests).
 #pragma once
 
 #include <string>
@@ -19,6 +18,7 @@ namespace mako {
 
 class CancelToken;
 class GemmBackend;
+class ThreadPool;
 
 /// Pointwise functional evaluation result (per unit volume).
 struct XcPoint {
@@ -67,17 +67,38 @@ struct XcResult {
   bool cancelled = false;
 };
 
+/// AO screening threshold of integrate_xc: a chunk leaves out a shell when
+/// neither its value nor any gradient component can reach this magnitude
+/// anywhere in the chunk's bounding box.
+inline constexpr double kXcAoCutoff = 1e-12;
+
+/// Distance from the center of `sh` beyond which its AOs and every
+/// component of their gradients stay below kXcAoCutoff.
+double xc_screening_radius(const Shell& sh);
+
 /// Numerically integrates the XC energy and potential matrix for density
 /// matrix `d` (closed-shell convention) on `grid`.  This is the
 /// triple-product-projection stage the paper notes is already MatMul-
-/// amenable: AO values on point blocks contract with D through GEMMs on the
-/// one GemmBackend (`backend` is its handle and selects nothing).
-/// `cancel` (optional) is polled once per point chunk; on a trip the
+/// amenable: per chunk (one MolecularGrid::kBlock block of points), AO
+/// values contract with D and the potential weights through two GEMMs.
+///
+/// Each chunk keeps only the shells whose value or gradient can exceed
+/// kXcAoCutoff somewhere in its bounding box, and its GEMMs run on those
+/// AOs alone.  The chunks map to 16 fixed owner slices run on `pool`;
+/// the slices fold in the pinned 16-leaf order (pinned_tree_sum), so Vxc,
+/// the energy and the density integral are bit-identical on pools of any
+/// size.  `cancel` (optional) is polled once per chunk; on a trip the
 /// quadrature stops early and the result is marked cancelled.
 XcResult integrate_xc(const BasisSet& basis, const MolecularGrid& grid,
                       const XcFunctional& xc, const MatrixD& d,
-                      const GemmBackend* backend = nullptr,
-                      const CancelToken* cancel = nullptr);
+                      ThreadPool& pool, const CancelToken* cancel = nullptr);
+
+/// The same quadrature on one thread; `backend` is not read.  It keeps the
+/// signature perfbench's XC probe compiles against, and goes once that
+/// probe passes a pool.
+XcResult integrate_xc(const BasisSet& basis, const MolecularGrid& grid,
+                      const XcFunctional& xc, const MatrixD& d,
+                      const GemmBackend* backend);
 
 /// Evaluates AO values (and optionally gradients) for a block of grid
 /// points: ao is [npts x nbf]; gradients likewise when non-null.

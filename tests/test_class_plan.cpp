@@ -95,6 +95,19 @@ TEST(ClassPlanTest, SignTableAlternatesWithHermiteOrder) {
   for (double s : plan.sign_cd) EXPECT_DOUBLE_EQ(std::fabs(s), 1.0);
 }
 
+TEST(ClassPlanTest, PlansOfOneOrderPairShareTheirHermiteTables) {
+  // sign_cd and combined depend on the bra and ket Hermite orders alone:
+  // plans of different classes with the same orders, in different caches,
+  // borrow the same tables, so a run's plan cache holds none of its own.
+  EriPlanCache first, second;
+  const EriClassPlan& a = first.get(EriClassKey{2, 1, 1, 1, 3, 2});
+  const EriClassPlan& b = second.get(EriClassKey{3, 0, 2, 0, 1, 1});
+  EXPECT_EQ(&a.combined, &b.combined);
+  EXPECT_EQ(&a.sign_cd, &b.sign_cd);
+  const EriClassPlan& c = second.get(EriClassKey{2, 1, 1, 0, 3, 2});
+  EXPECT_NE(&a.combined, &c.combined);  // ket order 1, not 2
+}
+
 TEST(ClassPlanTest, PrewarmCoversBasisClasses) {
   const Molecule water = make_water();
   const BasisSet basis(water, "def2-tzvp");

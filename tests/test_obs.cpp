@@ -328,14 +328,21 @@ TEST(TelemetryTest, TableAndJsonSerializeRecords) {
   records[1].energy = -1.1;
   records[1].precision = "fp16";
   records[1].quantized_allowed = true;
+  records[1].xc_seconds = 0.125;
   const std::string table = obs::telemetry_table(records);
   EXPECT_NE(table.find("iter"), std::string::npos);
   EXPECT_NE(table.find("fp16"), std::string::npos);
+  // The ERI column sums thread CPU seconds; XC is wall time.
+  EXPECT_NE(table.find("eri_cpu(s)"), std::string::npos);
+  EXPECT_NE(table.find("xc(s)"), std::string::npos);
+  EXPECT_NE(table.find("0.12500"), std::string::npos);
   const std::string json = obs::telemetry_json(records);
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.back(), ']');
   EXPECT_NE(json.find("\"quartets_fp64\": 10"), std::string::npos);
   EXPECT_NE(json.find("\"precision\": \"fp16\""), std::string::npos);
+  EXPECT_NE(json.find("\"xc_seconds\": 0.125000"), std::string::npos);
+  EXPECT_NE(json.find("\"eri_seconds\": "), std::string::npos);
   EXPECT_EQ(obs::telemetry_json({}), "[]");
 }
 

@@ -231,15 +231,12 @@ bool same_bits(const MatrixD& a, const MatrixD& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-TEST_P(ThreadCountInvarianceTest, PoolsOfOneToFourWorkersAgreeBitForBit) {
-  const bool quantized = GetParam();
+/// Runs `mo` on the water dimer on pools of 1, 2, 3 and 4 workers and
+/// expects every iteration energy, the final energy and the density to
+/// agree bit for bit.  `quantized` also starts quantizing early and checks
+/// that the first iteration did.
+void expect_pool_invariance(const MakoOptions& mo, bool quantized) {
   const Molecule w = make_water_cluster(2);
-  MakoOptions mo;
-  mo.basis = "def2-svp";
-  if (quantized) {
-    mo.quantization = true;
-    mo.precision = "adaptive";
-  }
   ScfOptions opts = scf_options_from(mo);
   if (quantized) opts.precision.start_fp64_threshold = 1e2;  // quantize early
   const BasisSet bs(w, mo.basis);
@@ -274,12 +271,32 @@ TEST_P(ThreadCountInvarianceTest, PoolsOfOneToFourWorkersAgreeBitForBit) {
   }
 }
 
+TEST_P(ThreadCountInvarianceTest, PoolsOfOneToFourWorkersAgreeBitForBit) {
+  const bool quantized = GetParam();
+  MakoOptions mo;
+  mo.basis = "def2-svp";
+  if (quantized) {
+    mo.quantization = true;
+    mo.precision = "adaptive";
+  }
+  expect_pool_invariance(mo, quantized);
+}
+
 INSTANTIATE_TEST_SUITE_P(Precisions, ThreadCountInvarianceTest,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? std::string("AdaptiveFp16")
                                              : std::string("Fp64");
                          });
+
+// The B3LYP leg: the XC quadrature's slices run on the pool too.
+TEST(DftThreadCountInvarianceTest, B3lypPoolsOfOneToFourWorkersAgreeBitForBit) {
+  MakoOptions mo;
+  mo.basis = "def2-svp";
+  mo.functional = "b3lyp";
+  mo.grid = GridSpec::coarse();
+  expect_pool_invariance(mo, false);
+}
 
 }  // namespace
 }  // namespace mako

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <vector>
 
 #include "basis/spherical.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace mako {
 namespace {
@@ -139,6 +143,52 @@ TEST(CartToSphPairTest, KroneckerStructure) {
   EXPECT_EQ(pair.rows(), c1.rows() * c2.rows());
   EXPECT_EQ(pair.cols(), c1.cols() * c2.cols());
   EXPECT_NEAR(pair(0 * 5 + 1, 1 * 6 + 2), c1(0, 1) * c2(1, 2), 1e-14);
+}
+
+TEST(CartToSphPairTest, OutOfRangeThrows) {
+  EXPECT_THROW((void)cart_to_sph(kMaxSphL + 1), std::out_of_range);
+  EXPECT_THROW((void)cart_to_sph(-1), std::out_of_range);
+  EXPECT_THROW((void)cart_to_sph_pair(0, kMaxBasisL + 1), std::out_of_range);
+}
+
+TEST(SphericalTest, ConcurrentLookupsShareOneTable) {
+  // Pool threads look every table up at once (under ctest, this process's
+  // first lookups); each must see the caller's matrix at the caller's
+  // address.
+  constexpr int kPairs = (kMaxBasisL + 1) * (kMaxBasisL + 1);
+  constexpr std::size_t kTasks = 64;
+  struct Seen {
+    std::vector<const MatrixD*> addr;
+    std::vector<std::vector<double>> values;
+  };
+  std::vector<Seen> seen(kTasks);
+  ThreadPool pool(4);
+  pool.parallel_for(kTasks, [&](std::size_t t) {
+    for (int i = 0; i <= kMaxSphL + kPairs; ++i) {
+      const MatrixD& m =
+          i <= kMaxSphL
+              ? cart_to_sph(i)
+              : cart_to_sph_pair((i - kMaxSphL - 1) / (kMaxBasisL + 1),
+                                 (i - kMaxSphL - 1) % (kMaxBasisL + 1));
+      seen[t].addr.push_back(&m);
+      seen[t].values.emplace_back(m.data(), m.data() + m.size());
+    }
+  });
+  for (int i = 0; i <= kMaxSphL + kPairs; ++i) {
+    const MatrixD& m =
+        i <= kMaxSphL
+            ? cart_to_sph(i)
+            : cart_to_sph_pair((i - kMaxSphL - 1) / (kMaxBasisL + 1),
+                               (i - kMaxSphL - 1) % (kMaxBasisL + 1));
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      EXPECT_EQ(seen[t].addr[i], &m) << "task " << t << " table " << i;
+      ASSERT_EQ(seen[t].values[i].size(), m.size());
+      EXPECT_EQ(std::memcmp(seen[t].values[i].data(), m.data(),
+                            m.size() * sizeof(double)),
+                0)
+          << "task " << t << " table " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -2,9 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <vector>
 
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
+#include "integrals/one_electron.hpp"
+#include "parallel/thread_pool.hpp"
+#include "robust/cancel.hpp"
 #include "scf/grid.hpp"
 #include "scf/xc.hpp"
 #include "util/rng.hpp"
@@ -13,6 +19,23 @@ namespace mako {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+
+/// D = 2 C C^T for `nocc` random orbitals: a positive semidefinite
+/// closed-shell density, so rho >= 0 at every point.
+MatrixD occupied_density(std::size_t nbf, std::size_t nocc) {
+  Rng rng(7);
+  MatrixD c(nbf, nocc);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    c.data()[i] = rng.uniform(-0.3, 0.3);
+  }
+  MatrixD d(nbf, nbf, 0.0);
+  for (std::size_t m = 0; m < nbf; ++m) {
+    for (std::size_t n = 0; n < nbf; ++n) {
+      for (std::size_t k = 0; k < nocc; ++k) d(m, n) += 2.0 * c(m, k) * c(n, k);
+    }
+  }
+  return d;
+}
 
 TEST(XcFunctionalTest, FromName) {
   EXPECT_EQ(XcFunctional::from_name("hf").kind(), XcKind::kNone);
@@ -52,26 +75,53 @@ TEST(XcFunctionalTest, SlaterExchangeAnalytic) {
 }
 
 TEST(XcFunctionalTest, PotentialIsDerivativeOfEnergy) {
-  // Finite-difference consistency of v_rho and v_sigma for every GGA kind.
+  // The analytic v_rho and v_sigma against central differences of the
+  // energy density (one-sided in sigma at sigma = 0).  The sweep covers
+  // sigma = 0, where B88's sqrt(sigma) has no derivative, and rho just above
+  // the 1e-12 cutoff.  Each bound adds the difference's own rounding noise,
+  // a few ulps of the energy density over the step.
+  std::vector<double> rhos = {1.01e-12, 1e-9, 1e-6};
+  std::vector<double> sigmas = {0.0, 1e-12, 1e-8};
   Rng rng(31);
+  for (int trial = 0; trial < 20; ++trial) {
+    rhos.push_back(rng.log_uniform(1e-3, 10.0));
+    sigmas.push_back(rng.log_uniform(1e-4, 10.0));
+  }
   for (XcKind kind : {XcKind::kLDA, XcKind::kBLYP, XcKind::kB3LYP}) {
     const XcFunctional xc(kind);
-    for (int trial = 0; trial < 20; ++trial) {
-      const double rho = rng.log_uniform(1e-3, 10.0);
-      const double sigma = rng.log_uniform(1e-4, 10.0);
-      const XcPoint p = xc.eval(rho, sigma);
-      const double h = 1e-5 * rho;
-      const double fp = xc.eval(rho + h, sigma).exc;
-      const double fm = xc.eval(rho - h, sigma).exc;
-      EXPECT_NEAR(p.vrho, (fp - fm) / (2 * h),
-                  1e-3 * std::max(1.0, std::fabs(p.vrho)))
-          << "kind=" << static_cast<int>(kind) << " rho=" << rho;
-      if (xc.needs_gradient()) {
-        const double hs = 1e-5 * sigma;
-        const double gp = xc.eval(rho, sigma + hs).exc;
-        const double gm = xc.eval(rho, sigma - hs).exc;
-        EXPECT_NEAR(p.vsigma, (gp - gm) / (2 * hs),
-                    1e-3 * std::max(1e-6, std::fabs(p.vsigma)));
+    for (const double rho : rhos) {
+      for (const double sigma : sigmas) {
+        const XcPoint p = xc.eval(rho, sigma);
+        char at[96];
+        std::snprintf(at, sizeof at, "kind=%d rho=%.3e sigma=%.3e",
+                      static_cast<int>(kind), rho, sigma);
+        ASSERT_TRUE(std::isfinite(p.exc) && std::isfinite(p.vrho) &&
+                    std::isfinite(p.vsigma))
+            << at;
+        const auto noise = [&](double h) {
+          return 1e-15 * std::fabs(p.exc) / h;
+        };
+        const double h = 1e-5 * rho;
+        const double fd_rho =
+            (xc.eval(rho + h, sigma).exc - xc.eval(rho - h, sigma).exc) /
+            (2 * h);
+        EXPECT_NEAR(p.vrho, fd_rho, 1e-6 * std::fabs(fd_rho) + noise(h)) << at;
+        if (!xc.needs_gradient()) {
+          EXPECT_EQ(p.vsigma, 0.0) << at;
+          continue;
+        }
+        // At sigma = 0 the step is 1e-5 of B88's sigma scale rho^{8/3}.
+        const double hs =
+            sigma > 0.0 ? 1e-5 * sigma : 1e-5 * std::pow(rho, 8.0 / 3.0);
+        const double fd_sigma =
+            sigma > 0.0
+                ? (xc.eval(rho, sigma + hs).exc - xc.eval(rho, sigma - hs).exc) /
+                      (2 * hs)
+                : (xc.eval(rho, hs).exc - p.exc) / hs;
+        EXPECT_NEAR(p.vsigma, fd_sigma,
+                    (sigma > 0.0 ? 1e-6 : 1e-4) * std::fabs(fd_sigma) +
+                        noise(hs))
+            << at;
       }
     }
   }
@@ -148,7 +198,8 @@ TEST(IntegrateXcTest, DensityIntegratesToElectronCount) {
   d(0, 0) = 1.0;
   d(1, 1) = 1.0;
   const MolecularGrid grid(h2, GridSpec::standard());
-  const XcResult res = integrate_xc(bs, grid, XcFunctional(XcKind::kLDA), d);
+  ThreadPool pool(1);
+  const XcResult res = integrate_xc(bs, grid, XcFunctional(XcKind::kLDA), d, pool);
   EXPECT_NEAR(res.n_electrons, 2.0, 2e-4);
   EXPECT_LT(res.energy, 0.0);
 }
@@ -159,7 +210,8 @@ TEST(IntegrateXcTest, VxcSymmetric) {
   MatrixD d(bs.nbf(), bs.nbf(), 0.0);
   for (std::size_t i = 0; i < bs.nbf(); ++i) d(i, i) = 1.0;
   const MolecularGrid grid(w, GridSpec::coarse());
-  const XcResult res = integrate_xc(bs, grid, XcFunctional(XcKind::kB3LYP), d);
+  ThreadPool pool(1);
+  const XcResult res = integrate_xc(bs, grid, XcFunctional(XcKind::kB3LYP), d, pool);
   EXPECT_LT(max_abs_diff(res.vxc, res.vxc.transposed()), 1e-12);
 }
 
@@ -168,9 +220,130 @@ TEST(IntegrateXcTest, HfOnlySkipsEverything) {
   const BasisSet bs(w, "sto-3g");
   MatrixD d(bs.nbf(), bs.nbf(), 1.0);
   const MolecularGrid grid(w, GridSpec::coarse());
-  const XcResult res = integrate_xc(bs, grid, XcFunctional(XcKind::kNone), d);
+  ThreadPool pool(1);
+  const XcResult res = integrate_xc(bs, grid, XcFunctional(XcKind::kNone), d, pool);
   EXPECT_DOUBLE_EQ(res.energy, 0.0);
   EXPECT_DOUBLE_EQ(frobenius_norm(res.vxc), 0.0);
+}
+
+TEST(IntegrateXcTest, PoolSizesAgreeBitForBit) {
+  const Molecule w2 = make_water_cluster(2);
+  const BasisSet bs(w2, "def2-svp");
+  const MolecularGrid grid(w2, GridSpec::coarse());
+  const MatrixD d = occupied_density(bs.nbf(), 10);
+  const XcFunctional xc(XcKind::kB3LYP);
+
+  ThreadPool serial(1);
+  const XcResult one = integrate_xc(bs, grid, xc, d, serial);
+  // The density integrates to tr(D S) up to the coarse grid's error.
+  const double trace = trace_product(d, overlap_matrix(bs));
+  EXPECT_NEAR(one.n_electrons, trace, 1e-2 * trace);
+  for (const std::size_t workers : {2, 4}) {
+    ThreadPool pool(workers);
+    const XcResult other = integrate_xc(bs, grid, xc, d, pool);
+    EXPECT_EQ(std::memcmp(&one.energy, &other.energy, sizeof(double)), 0)
+        << workers << " workers";
+    EXPECT_EQ(std::memcmp(&one.n_electrons, &other.n_electrons,
+                          sizeof(double)),
+              0)
+        << workers << " workers";
+    ASSERT_EQ(one.vxc.size(), other.vxc.size());
+    EXPECT_EQ(std::memcmp(one.vxc.data(), other.vxc.data(),
+                          one.vxc.size() * sizeof(double)),
+              0)
+        << workers << " workers";
+  }
+}
+
+TEST(IntegrateXcTest, TrippedTokenCancelsOnPoolWorkers) {
+  const Molecule w2 = make_water_cluster(2);
+  const BasisSet bs(w2, "sto-3g");
+  const MolecularGrid grid(w2, GridSpec::coarse());
+  const MatrixD d = occupied_density(bs.nbf(), 10);
+  ThreadPool pool(4);
+  CancelToken token;
+  EXPECT_FALSE(integrate_xc(bs, grid, XcFunctional(XcKind::kB3LYP), d, pool,
+                            &token)
+                   .cancelled);
+  token.request(CancelReason::kUser);
+  EXPECT_TRUE(integrate_xc(bs, grid, XcFunctional(XcKind::kB3LYP), d, pool,
+                           &token)
+                  .cancelled);
+}
+
+TEST(IntegrateXcTest, ScreeningChangesVxcOnlyAtTheCutoff) {
+  // Monomer B sits 20 bohr from monomer A and the grid covers A alone, so
+  // the blocks near A's nuclei leave B's shells out.  The screened
+  // quadrature must match an unscreened one over every AO.
+  Molecule a = make_water();
+  Molecule ab = a;
+  for (const Atom& at : a.atoms()) {
+    ab.add_atom(at.z, at.position[0] + 20.0, at.position[1], at.position[2]);
+  }
+  const BasisSet bs(ab, "def2-svp");
+  const MolecularGrid grid(a, GridSpec::coarse());
+  const std::size_t nbf = bs.nbf();
+  const MatrixD d = occupied_density(nbf, 10);
+  const XcFunctional xc(XcKind::kB3LYP);
+  ThreadPool pool(1);
+  const XcResult screened = integrate_xc(bs, grid, xc, d, pool);
+
+  // At least one of B's shells is out of reach of a whole grid block.
+  const auto& pts = grid.points();
+  bool dropped = false;
+  for (const Shell& sh : bs.shells()) {
+    if (sh.atom < a.atoms().size()) continue;
+    const double r = xc_screening_radius(sh);
+    for (std::size_t start = 0; start < pts.size() && !dropped;
+         start += MolecularGrid::kBlock) {
+      bool all_far = true;
+      const std::size_t end =
+          std::min(pts.size(), start + MolecularGrid::kBlock);
+      for (std::size_t p = start; p < end; ++p) {
+        all_far = all_far && distance(pts[p].position, sh.center) > r;
+      }
+      dropped = all_far;
+    }
+  }
+  EXPECT_TRUE(dropped);
+
+  // Unscreened reference: every AO at every point.
+  MatrixD vxc(nbf, nbf, 0.0);
+  double energy = 0.0;
+  MatrixD ao, gx, gy, gz;
+  evaluate_aos(bs, pts.data(), pts.size(), ao, &gx, &gy, &gz);
+  for (std::size_t p = 0; p < pts.size(); ++p) {
+    double rho = 0.0, grad[3] = {0.0, 0.0, 0.0};
+    for (std::size_t m = 0; m < nbf; ++m) {
+      for (std::size_t n = 0; n < nbf; ++n) {
+        rho += d(m, n) * ao(p, m) * ao(p, n);
+        grad[0] += 2.0 * d(m, n) * gx(p, m) * ao(p, n);
+        grad[1] += 2.0 * d(m, n) * gy(p, m) * ao(p, n);
+        grad[2] += 2.0 * d(m, n) * gz(p, m) * ao(p, n);
+      }
+    }
+    if (rho < 1e-12) continue;
+    const XcPoint f = xc.eval(
+        rho, grad[0] * grad[0] + grad[1] * grad[1] + grad[2] * grad[2]);
+    const double w = pts[p].weight;
+    energy += w * f.exc;
+    for (std::size_t m = 0; m < nbf; ++m) {
+      const double bm =
+          w * (0.5 * f.vrho * ao(p, m) +
+               2.0 * f.vsigma *
+                   (grad[0] * gx(p, m) + grad[1] * gy(p, m) +
+                    grad[2] * gz(p, m)));
+      for (std::size_t n = 0; n < nbf; ++n) {
+        vxc(m, n) += bm * ao(p, n);
+      }
+    }
+  }
+  vxc += vxc.transposed();
+  // Every dropped AO and gradient stays below kXcAoCutoff (1e-12) over its
+  // whole block, and D and the weighted potentials here are O(1), so the
+  // screened results may move at that scale (plus summation-order noise).
+  EXPECT_NEAR(screened.energy, energy, 10 * kXcAoCutoff);
+  EXPECT_LT(max_abs_diff(screened.vxc, vxc), 10 * kXcAoCutoff);
 }
 
 }  // namespace
