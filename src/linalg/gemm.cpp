@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <type_traits>
 #include <vector>
 
 #if defined(__AVX512F__)
@@ -124,7 +125,9 @@ PackArena<T>& pack_arena() {
 /// Direct register-blocked kernel for L1-resident problems: the C fragment
 /// stays in registers across the whole K loop, operands are read in place
 /// (the A transpose becomes MR strided streams — cheap at this scale), and
-/// no packing cost is paid.  `alpha` is folded into the writeback.
+/// no packing cost is paid.  `alpha` is folded into the writeback.  Under
+/// AVX-512F only `float` (the quantized fallback) runs here; `double` runs
+/// on fp64_direct, which keeps this kernel's per-element order.
 template <typename T, bool TA>
 void gemm_direct(const T* a, std::size_t lda, const T* b, std::size_t ldb,
                  T* c, std::size_t ldc, std::size_t m, std::size_t n,
@@ -183,6 +186,104 @@ void gemm_direct(const T* a, std::size_t lda, const T* b, std::size_t ldb,
   }
 }
 
+#if defined(__AVX512F__)
+// --- AVX-512 register tiles --------------------------------------------------
+//
+// Both tiles below hold up to kTileRows rows of C in zmm accumulators and
+// read their operands in place: op(A) one broadcast element per row and
+// step, B one (masked) row strip per step.  Column fringes are masked
+// lanes, not a scalar loop, and rows past the last full tile run as one
+// tile of 1-3 rows.  Neither changes any element's arithmetic relative to
+// the scalar kernel it replaces, only which elements share a register.
+
+constexpr int kTileRows = 4;  ///< accumulator rows of both tiles
+
+/// Calls `tile(rows, i0)` over rows [0, m): tiles of kTileRows, then one
+/// tile of the 1-3 leftover rows.  `rows` is a std::integral_constant, so
+/// each tile height is its own instantiation.
+template <typename Tile>
+inline void for_each_row_tile(std::size_t m, Tile&& tile) {
+  std::size_t i0 = 0;
+  for (; i0 + kTileRows <= m; i0 += kTileRows) {
+    tile(std::integral_constant<int, kTileRows>{}, i0);
+  }
+  switch (m - i0) {
+    case 3: tile(std::integral_constant<int, 3>{}, i0); break;
+    case 2: tile(std::integral_constant<int, 2>{}, i0); break;
+    case 1: tile(std::integral_constant<int, 1>{}, i0); break;
+    default: break;
+  }
+}
+
+// --- FP64 kernel of the direct regime ---------------------------------------
+//
+// gemm_packed<double> runs its L1-resident problems here instead of on
+// gemm_direct<double>, with bitwise the same result: every element's sum
+// runs over all of k in order from +0 (the direct regime never restarts at
+// kBlockK), each step a multiply then an add (no FMA intrinsic, and
+// -ffp-contract=off keeps the compiler from fusing), and the writeback is
+// c += alpha*sum over the C that gemm_packed's beta pass left.  A row is one
+// or two zmm wide (8 or 16 columns), the last one masked.
+
+/// Rows [i0, i0 + MR) x columns [j0, j0 + 8*NV) of C += alpha * op(A) * B,
+/// the lanes of the last zmm limited to `tail`.
+template <bool TA, int MR, int NV>
+void fp64_tile(const double* a, std::size_t lda, const double* b,
+               std::size_t ldb, double* c, std::size_t ldc, std::size_t k,
+               std::size_t i0, std::size_t j0, __mmask8 tail, double alpha) {
+  __mmask8 mask[NV];
+  for (int v = 0; v < NV; ++v) mask[v] = v + 1 < NV ? 0xFF : tail;
+  __m512d acc[MR][NV];
+  for (int i = 0; i < MR; ++i) {
+    for (int v = 0; v < NV; ++v) acc[i][v] = _mm512_setzero_pd();
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    __m512d bv[NV];
+    for (int v = 0; v < NV; ++v) {
+      bv[v] = _mm512_maskz_loadu_pd(mask[v], b + p * ldb + j0 + 8 * v);
+    }
+    for (int i = 0; i < MR; ++i) {
+      const __m512d av =
+          _mm512_set1_pd(TA ? a[p * lda + i0 + i] : a[(i0 + i) * lda + p]);
+      for (int v = 0; v < NV; ++v) {
+        acc[i][v] = _mm512_add_pd(acc[i][v], _mm512_mul_pd(av, bv[v]));
+      }
+    }
+  }
+  const __m512d va = _mm512_set1_pd(alpha);
+  for (int i = 0; i < MR; ++i) {
+    double* crow = c + (i0 + i) * ldc + j0;
+    for (int v = 0; v < NV; ++v) {
+      const __m512d cv = _mm512_maskz_loadu_pd(mask[v], crow + 8 * v);
+      _mm512_mask_storeu_pd(crow + 8 * v, mask[v],
+                            _mm512_add_pd(cv, _mm512_mul_pd(va, acc[i][v])));
+    }
+  }
+}
+
+/// C += alpha * op(A) * B for an L1-resident problem, B row-major [k x n].
+template <bool TA>
+void fp64_direct(const double* a, std::size_t lda, const double* b,
+                 std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
+                 std::size_t n, std::size_t k, double alpha) {
+  for (std::size_t j0 = 0; j0 < n; j0 += 16) {
+    const std::size_t nr = std::min<std::size_t>(16, n - j0);
+    const auto tail = static_cast<__mmask8>((1u << ((nr - 1) % 8 + 1)) - 1u);
+    for_each_row_tile(m, [&](auto rows, std::size_t i0) {
+      constexpr int kRows = decltype(rows)::value;
+      if (nr > 8) {
+        fp64_tile<TA, kRows, 2>(a, lda, b, ldb, c, ldc, k, i0, j0, tail,
+                                alpha);
+      } else {
+        fp64_tile<TA, kRows, 1>(a, lda, b, ldb, c, ldc, k, i0, j0, tail,
+                                alpha);
+      }
+    });
+  }
+}
+
+#endif  // __AVX512F__
+
 template <typename T>
 void gemm_packed(const T* a, bool trans_a, const T* b, bool trans_b, T* c,
                  std::size_t m, std::size_t n, std::size_t k, T alpha,
@@ -212,6 +313,16 @@ void gemm_packed(const T* a, bool trans_a, const T* b, bool trans_b, T* c,
       b_eff = arena.b.data();
       ldb_eff = n;
     }
+#if defined(__AVX512F__)
+    if constexpr (std::is_same_v<T, double>) {
+      if (trans_a) {
+        fp64_direct<true>(a, lda, b_eff, ldb_eff, c, n, m, n, k, alpha);
+      } else {
+        fp64_direct<false>(a, lda, b_eff, ldb_eff, c, n, m, n, k, alpha);
+      }
+      return;
+    }
+#endif
     if (trans_a) {
       gemm_direct<T, true>(a, lda, b_eff, ldb_eff, c, n, m, n, k, alpha);
     } else {
@@ -264,11 +375,8 @@ void gemm_packed(const T* a, bool trans_a, const T* b, bool trans_b, T* c,
 // in registers.  Adding the first partial sum to +0 is the identity, since
 // a round-to-nearest sum started at +0 is never -0, so the buffer is not
 // needed: the tile is widened straight into C as c = beta*c + alpha*sum,
-// and the max |c| the next scale needs is taken on the way.  Operands are
-// read in place (packing only changes where values sit) and column fringes
-// are masked lanes, not a scalar loop.
-
-constexpr int kQR = 4;  ///< rows of the FP32 tile, one 16-lane zmm each
+// and the max |c| the next scale needs is taken on the way.  Reading the
+// operands in place instead of packed only changes where values sit.
 
 /// Rows [i0, i0 + MR) x lanes `mask` of columns [j0, j0 + 16), summed in
 /// partial sums of depth kc.
@@ -330,27 +438,10 @@ double quantized_gemm(const float* a, const float* b, double* c,
   for (std::size_t j0 = 0; j0 < n; j0 += 16) {
     const std::size_t nr = std::min<std::size_t>(16, n - j0);
     const auto mask = static_cast<__mmask16>((1u << nr) - 1u);
-    std::size_t i0 = 0;
-    for (; i0 + kQR <= m; i0 += kQR) {
-      quantized_tile<TA, kQR>(a, lda, b, n, k, kc, i0, j0, mask, c, alpha,
-                              beta, vmax);
-    }
-    switch (m - i0) {
-      case 3:
-        quantized_tile<TA, 3>(a, lda, b, n, k, kc, i0, j0, mask, c, alpha,
-                              beta, vmax);
-        break;
-      case 2:
-        quantized_tile<TA, 2>(a, lda, b, n, k, kc, i0, j0, mask, c, alpha,
-                              beta, vmax);
-        break;
-      case 1:
-        quantized_tile<TA, 1>(a, lda, b, n, k, kc, i0, j0, mask, c, alpha,
-                              beta, vmax);
-        break;
-      default:
-        break;
-    }
+    for_each_row_tile(m, [&](auto rows, std::size_t i0) {
+      quantized_tile<TA, decltype(rows)::value>(a, lda, b, n, k, kc, i0, j0,
+                                                mask, c, alpha, beta, vmax);
+    });
   }
   alignas(64) double lanes[8];
   _mm512_store_pd(lanes, vmax);

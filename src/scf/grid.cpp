@@ -80,11 +80,28 @@ void gauss_legendre(int n, std::vector<double>& nodes,
 MolecularGrid::MolecularGrid(const Molecule& mol, GridSpec spec) {
   const auto& atoms = mol.atoms();
   if (atoms.empty()) return;
+  const std::size_t na = atoms.size();
 
   std::vector<double> cos_nodes, cos_weights;
   gauss_legendre(spec.theta_points, cos_nodes, cos_weights);
 
-  for (std::size_t ai = 0; ai < atoms.size(); ++ai) {
+  // Per-pair terms of the Becke partition, fixed by the molecule: the
+  // internuclear distance and the clamped atomic-size adjustment (Becke
+  // Appendix A), row a / column b.
+  std::vector<double> rab(na * na), aab(na * na);
+  for (std::size_t a = 0; a < na; ++a) {
+    for (std::size_t b = 0; b < na; ++b) {
+      if (a == b) continue;
+      rab[a * na + b] = distance(atoms[a].position, atoms[b].position);
+      const double chi =
+          bragg_radius_bohr(atoms[a].z) / bragg_radius_bohr(atoms[b].z);
+      const double uab = (chi - 1.0) / (chi + 1.0);
+      aab[a * na + b] = std::clamp(uab / (uab * uab - 1.0), -0.5, 0.5);
+    }
+  }
+  std::vector<double> dist(na), cell(na);
+
+  for (std::size_t ai = 0; ai < na; ++ai) {
     const Atom& atom = atoms[ai];
     const double rb = bragg_radius_bohr(atom.z);
 
@@ -111,23 +128,16 @@ MolecularGrid::MolecularGrid(const Molecule& mol, GridSpec spec) {
 
           // Becke partition weight of this point w.r.t. atom ai.
           double becke_w = 1.0;
-          if (atoms.size() > 1) {
-            std::vector<double> cell(atoms.size(), 1.0);
-            for (std::size_t a = 0; a < atoms.size(); ++a) {
-              for (std::size_t b = 0; b < atoms.size(); ++b) {
+          if (na > 1) {
+            for (std::size_t a = 0; a < na; ++a) {
+              dist[a] = distance(p, atoms[a].position);
+            }
+            std::fill(cell.begin(), cell.end(), 1.0);
+            for (std::size_t a = 0; a < na; ++a) {
+              for (std::size_t b = 0; b < na; ++b) {
                 if (a == b) continue;
-                const double ra = distance(p, atoms[a].position);
-                const double rbq = distance(p, atoms[b].position);
-                const double rab =
-                    distance(atoms[a].position, atoms[b].position);
-                double mu = (ra - rbq) / rab;
-                // Atomic-size adjustment (Becke Appendix A).
-                const double chi = bragg_radius_bohr(atoms[a].z) /
-                                   bragg_radius_bohr(atoms[b].z);
-                const double uab = (chi - 1.0) / (chi + 1.0);
-                double aab = uab / (uab * uab - 1.0);
-                aab = std::clamp(aab, -0.5, 0.5);
-                mu += aab * (1.0 - mu * mu);
+                double mu = (dist[a] - dist[b]) / rab[a * na + b];
+                mu += aab[a * na + b] * (1.0 - mu * mu);
                 cell[a] *= 0.5 * (1.0 - becke_smooth(mu, spec.becke_k));
               }
             }

@@ -5,6 +5,7 @@
 // is safe to call from pool workers concurrently.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -37,6 +38,13 @@ std::vector<double> random_buffer(std::size_t n, Rng& rng, double lo = -1.0,
   std::vector<double> v(n);
   for (auto& x : v) x = rng.uniform(lo, hi);
   return v;
+}
+
+/// Bitwise equality of two double buffers (EXPECT_EQ on doubles is exact
+/// too, but memcmp also tells -0.0 from 0.0).
+bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
 }
 
 void naive_gemm_ex(const std::vector<double>& a, bool ta,
@@ -210,6 +218,130 @@ TEST(GemmTest, MatrixWrappers) {
   }
 }
 
+// --- The FP64 order contract --------------------------------------------------
+//
+// gemm_fp64_ex is bitwise one order, whichever kernel the build runs (the
+// AVX-512 register tile or the scalar gemm_direct of other builds): C first
+// takes beta (0 stores +0 without reading C, 1 leaves C alone), alpha = 0 or
+// k = 0 stops there, and each element then adds alpha times its sum.  An
+// L1-resident problem sums all of k in order from +0, each step a rounded
+// multiply then a rounded add; a larger one is panel-packed, with alpha
+// folded into op(A) and the sum restarted every 256 steps, each partial sum
+// added into C in order.  The oracles below restate that order and share no
+// code with the kernels.
+
+/// Mirrors the 48 KB operand footprint below which the kernel runs direct.
+bool l1_resident(std::size_t m, std::size_t n, std::size_t k) {
+  return (m * k + k * n + m * n) * sizeof(double) <= 48 * 1024;
+}
+
+void oracle_gemm(const std::vector<double>& a, bool ta,
+                 const std::vector<double>& b, bool tb,
+                 std::vector<double>& c, std::size_t m, std::size_t n,
+                 std::size_t k, double alpha, double beta) {
+  for (double& x : c) {
+    if (beta == 0.0) {
+      x = 0.0;
+    } else if (beta != 1.0) {
+      x = beta * x;
+    }
+  }
+  if (alpha == 0.0 || k == 0) return;
+  const bool direct = l1_resident(m, n, k);
+  const std::size_t block = direct ? k : 256;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double& cij = c[i * n + j];
+      for (std::size_t p0 = 0; p0 < k; p0 += block) {
+        double acc = 0.0;
+        for (std::size_t p = p0; p < std::min(k, p0 + block); ++p) {
+          double av = ta ? a[p * m + i] : a[i * k + p];
+          if (!direct) av = alpha * av;
+          const double bv = tb ? b[j * k + p] : b[p * n + j];
+          const double prod = av * bv;
+          acc = acc + prod;
+        }
+        if (direct) {
+          const double scaled = alpha * acc;
+          cij = cij + scaled;
+        } else {
+          cij = cij + acc;
+        }
+      }
+    }
+  }
+}
+
+/// Random operand with a few exact zeros of both signs, so sums of signed
+/// zeros are exercised too.
+std::vector<double> signed_zero_buffer(std::size_t n, Rng& rng) {
+  std::vector<double> v = random_buffer(n, rng);
+  for (std::size_t i = 0; i < n; i += 7) v[i] = (i / 7) % 2 ? -0.0 : 0.0;
+  return v;
+}
+
+/// Runs gemm_fp64_ex and the oracle on one shape over both transposes,
+/// alpha 1 and -0.75, and beta 0 (over NaN), 1 and -0.75 (over a C that
+/// holds a -0); returns the number of calls whose bits differ.
+int order_mismatches(std::size_t m, std::size_t n, std::size_t k) {
+  Rng rng(m * 7919 + n * 131 + k);
+  const auto a = signed_zero_buffer(m * k, rng);
+  const auto b = signed_zero_buffer(k * n, rng);
+  auto c0 = random_buffer(m * n, rng);
+  c0[0] = -0.0;
+  int mismatches = 0;
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      for (const double alpha : {1.0, -0.75}) {
+        for (const double beta : {0.0, 1.0, -0.75}) {
+          auto c = beta == 0.0 ? std::vector<double>(m * n, std::nan("")) : c0;
+          auto expected = c;
+          gemm_fp64_ex(a.data(), ta, b.data(), tb, c.data(), m, n, k, alpha,
+                       beta);
+          oracle_gemm(a, ta, b, tb, expected, m, n, k, alpha, beta);
+          if (!same_bits(c, expected)) {
+            ADD_FAILURE() << "m=" << m << " n=" << n << " k=" << k
+                          << " trans_a=" << ta << " trans_b=" << tb
+                          << " alpha=" << alpha << " beta=" << beta;
+            ++mismatches;
+          }
+        }
+      }
+    }
+  }
+  return mismatches;
+}
+
+// Every m, n in 1..20 covers each tile height (1-4 rows), one and two zmm
+// per row and every masked column fringe; k = 0 is the early return, and
+// 255-257 straddle the packed regime's restart, which the direct regime
+// must not take.
+TEST(GemmOrderTest, DirectRegimeIsTheOracleBitForBit) {
+  int mismatches = 0;
+  std::size_t shapes = 0;
+  for (std::size_t m = 1; m <= 20 && mismatches < 8; ++m) {
+    for (std::size_t n = 1; n <= 20 && mismatches < 8; ++n) {
+      for (std::size_t k = 0; k <= 24; ++k) {
+        mismatches += order_mismatches(m, n, k);
+        ++shapes;
+      }
+      for (const std::size_t k : {255, 256, 257}) {
+        if (!l1_resident(m, n, k)) continue;
+        mismatches += order_mismatches(m, n, k);
+        ++shapes;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(shapes, 10000u);  // the k >= 255 sweep is not empty
+}
+
+TEST(GemmOrderTest, PackedRegimeIsTheOracleBitForBit) {
+  const std::size_t m = 37, n = 45, k = 300;
+  ASSERT_FALSE(l1_resident(m, n, k));
+  EXPECT_EQ(order_mismatches(m, n, k), 0);
+}
+
 // --- Quantized path ----------------------------------------------------------
 //
 // The double operands are rounded through the precision by quantize_to_float
@@ -291,13 +423,6 @@ TEST(QuantGemmTest, Fp16OverflowsWithoutScaling) {
 // implementation behind it.  Its entry points must therefore be the packed
 // kernels exactly — same bits, not merely close — over the direct and the
 // packed dispatch and every transpose combination.
-
-/// Bitwise equality of two double buffers (EXPECT_EQ on doubles is exact
-/// too, but memcmp also tells -0.0 from 0.0).
-bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
-  return x.size() == y.size() &&
-         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
-}
 
 using TransposePair = std::tuple<bool, bool>;
 

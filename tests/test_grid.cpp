@@ -1,9 +1,13 @@
 // DFT integration grid tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "chem/builders.hpp"
+#include "chem/elements.hpp"
 #include "scf/grid.hpp"
 
 namespace mako {
@@ -104,6 +108,84 @@ TEST(GridTest, FinerSpecGivesMorePoints) {
             MolecularGrid(w, GridSpec::standard()).size());
   EXPECT_LT(MolecularGrid(w, GridSpec::standard()).size(),
             MolecularGrid(w, GridSpec::fine()).size());
+}
+
+// The grid's points and weights, restated point by point as the Becke loop
+// was first written: every pair term and distance recomputed inside the
+// double loop, a fresh cell vector per point.  Point order is left to the
+// grid's blocking, so both sides are compared as sorted bit patterns.
+std::vector<GridPoint> restated_becke_points(const Molecule& mol,
+                                             const GridSpec& spec) {
+  const auto& atoms = mol.atoms();
+  std::vector<double> cos_nodes, cos_weights;
+  gauss_legendre(spec.theta_points, cos_nodes, cos_weights);
+  std::vector<GridPoint> pts;
+  for (std::size_t ai = 0; ai < atoms.size(); ++ai) {
+    const double rb = bragg_radius_bohr(atoms[ai].z);
+    for (int ir = 1; ir <= spec.radial_points; ++ir) {
+      const double np1 = spec.radial_points + 1.0;
+      const double q = static_cast<double>(ir);
+      const double r = rb * (q / (np1 - q)) * (q / (np1 - q));
+      const double wr = 2.0 * rb * rb * rb * np1 * std::pow(q, 5) /
+                        std::pow(np1 - q, 7);
+      for (int it = 0; it < spec.theta_points; ++it) {
+        const double ct = cos_nodes[it];
+        const double st = std::sqrt(std::max(0.0, 1.0 - ct * ct));
+        for (int ip = 0; ip < spec.phi_points; ++ip) {
+          const double phi = 2.0 * kPi * ip / spec.phi_points;
+          const Vec3 p{atoms[ai].position[0] + r * st * std::cos(phi),
+                       atoms[ai].position[1] + r * st * std::sin(phi),
+                       atoms[ai].position[2] + r * ct};
+          const double w_ang = cos_weights[it] * 2.0 * kPi / spec.phi_points;
+          std::vector<double> cell(atoms.size(), 1.0);
+          for (std::size_t a = 0; a < atoms.size(); ++a) {
+            for (std::size_t b = 0; b < atoms.size(); ++b) {
+              if (a == b) continue;
+              const double ra = distance(p, atoms[a].position);
+              const double rbq = distance(p, atoms[b].position);
+              const double rab = distance(atoms[a].position, atoms[b].position);
+              double mu = (ra - rbq) / rab;
+              const double chi = bragg_radius_bohr(atoms[a].z) /
+                                 bragg_radius_bohr(atoms[b].z);
+              const double uab = (chi - 1.0) / (chi + 1.0);
+              double aab = uab / (uab * uab - 1.0);
+              aab = std::clamp(aab, -0.5, 0.5);
+              mu += aab * (1.0 - mu * mu);
+              double s = mu;
+              for (int i = 0; i < spec.becke_k; ++i) {
+                s = 1.5 * s - 0.5 * s * s * s;
+              }
+              cell[a] *= 0.5 * (1.0 - s);
+            }
+          }
+          double total = 0.0;
+          for (double c : cell) total += c;
+          const double becke_w = (total > 0.0) ? cell[ai] / total : 0.0;
+          const double w = wr * w_ang * becke_w;
+          if (w > 1e-16) pts.push_back(GridPoint{p, w});
+        }
+      }
+    }
+  }
+  return pts;
+}
+
+void sort_by_bits(std::vector<GridPoint>& pts) {
+  std::sort(pts.begin(), pts.end(), [](const GridPoint& x, const GridPoint& y) {
+    return std::memcmp(&x, &y, sizeof(GridPoint)) < 0;
+  });
+}
+
+TEST(GridTest, BeckeWeightsMatchThePerPointLoopBitForBit) {
+  const Molecule w3 = make_water_cluster(3);
+  const GridSpec spec = GridSpec::coarse();
+  std::vector<GridPoint> got = MolecularGrid(w3, spec).points();
+  std::vector<GridPoint> want = restated_becke_points(w3, spec);
+  ASSERT_EQ(got.size(), want.size());
+  sort_by_bits(got);
+  sort_by_bits(want);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(GridPoint)),
+            0);
 }
 
 TEST(GridTest, EmptyMoleculeEmptyGrid) {
