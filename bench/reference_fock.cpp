@@ -91,6 +91,9 @@ ReferenceFockStats ReferenceFockBuilder::build_jk(const MatrixD& density,
       ++stats.quartets_computed;
     }
   }
+  // The same half-triangle completion as FockBuilder::build_jk.
+  add_own_transpose(j);
+  add_own_transpose(k);
   stats.quartets_pruned =
       plan_->num_unique_quartets() - stats.quartets_computed;
   stats.seconds = wall.seconds();

@@ -155,15 +155,18 @@ BatchStats BatchedEriEngine::compute_batch(
   // and T; dequantization happens at the FP32->FP64 widening of each GEMM
   // (dual-stage accumulation).
   const GemmBackend& be = GemmBackend::instance();
+  const GemmCallTally tally;  // two GEMMs a quartet, counted once a batch
   const GemmConfig& gc = config_.gemm;
   const bool quant = config_.quantized();
+  const bool ket_first = plan.ket_first && !quant;
   if (quant) {
     scratch.q_ops.resize(mb * nsb + mk * nsk);
     scratch.q_dyn.resize(std::max(pq_size, t_size));
   } else {
     scratch.pq_one.resize(pq_size);
   }
-  scratch.t_one.resize(t_size);
+  // The middle product: T (nsb x mk) bra-first, U (mb x nsk) ket-first.
+  scratch.t_one.resize(ket_first ? mb * nsk : t_size);
 
   // Injection site: corrupt one element of a quantized bra operand tile
   // (models a faulty tensor-core operand tile).  The corruption goes into
@@ -189,8 +192,8 @@ BatchStats BatchedEriEngine::compute_batch(
 
   // --- Stages 2-3: P assembly and the two GEMMs, per quartet --------------
   // Coalesced (Eq. 11): each quartet's P feeds GEMM1 and T feeds GEMM2
-  // while the tiles are hot.  Destinations are zeroed first so beta = 0
-  // never reads stale (possibly non-finite) data.
+  // while the tiles are hot.  Every GEMM runs with beta = 0, which never
+  // reads its destination, so T and the outputs are sized, not zeroed.
   //
   // P[(jp,hp),(kp,hq)] = s * (-1)^{|q~|} R^{jp,kp}_{p~+q~} (Eq. 6), formed
   // in double and stored as T_P: on the quantized route that is float, and
@@ -219,8 +222,7 @@ BatchStats BatchedEriEngine::compute_batch(
     // kernel's native transpose (no copies).
     const PairOperand& bo = bra_op(q);
     const PairOperand& ko = ket_op(q);
-    std::fill(t, t + t_size, 0.0);
-    out[q].assign(out_size, 0.0);
+    out[q].resize(out_size);
     double* o = out[q].data();
     if (quant) {
       // Per-quartet P scale: max|P| is max|r| over the quartet's block,
@@ -244,11 +246,20 @@ BatchStats BatchedEriEngine::compute_batch(
     } else {
       double* pq = scratch.pq_one.data();
       assemble_p(rq, 1.0, pq);
-      be.fp64(bo.e.data(), /*trans_a=*/true, pq, false, t, nsb, mk, mb);
-      be.fp64(t, false, ko.e.data(), false, o, nsb, nsk, mk);
+      if (ket_first) {
+        // U = P x E'_CD,  out = E'_AB^T x U (EriClassPlan::ket_first).
+        be.fp64(pq, false, ko.e.data(), false, t, mb, nsk, mk);
+        be.fp64(bo.e.data(), /*trans_a=*/true, t, false, o, nsb, nsk, mb);
+      } else {
+        be.fp64(bo.e.data(), /*trans_a=*/true, pq, false, t, nsb, mk, mb);
+        be.fp64(t, false, ko.e.data(), false, o, nsb, nsk, mk);
+      }
     }
-    stats.gemm_flops += gemm_flops(nsb, mk, mb) + gemm_flops(nsb, nsk, mk);
   }
+  stats.gemm_flops =
+      static_cast<double>(nq) *
+      (ket_first ? gemm_flops(mb, nsk, mk) + gemm_flops(nsb, nsk, mb)
+                 : gemm_flops(nsb, mk, mb) + gemm_flops(nsb, nsk, mk));
 
   stats.wall_seconds = timer.seconds();
   MAKO_METRIC_OBSERVE("kernel.batch_s", stats.wall_seconds);

@@ -77,6 +77,16 @@ EriClassPlan::EriClassPlan(const EriClassKey& key)
   ltot = key.ltot();
   sph_bra = &cart_to_sph_pair(key.la, key.lb);
   sph_ket = &cart_to_sph_pair(key.lc, key.ld);
+  // Lane work of an (m, n, k) GEMM on the register tile (see ket_first).
+  const auto lanes = [](long m, long n, long k) {
+    return m * k * ((n + 7) / 8);
+  };
+  const int mb = key.kab * nhb;  // rows of E'_AB
+  const int mk = key.kcd * nhk;  // rows of E'_CD
+  // Bra first: T = E'_AB^T P (nsb x mk over mb), then T E'_CD (over mk).
+  // Ket first: U = P E'_CD (mb x nsk over mk), then E'_AB^T U (over mb).
+  ket_first = lanes(mb, nsk, mk) + lanes(nsb, nsk, mb) <
+              lanes(nsb, mk, mb) + lanes(nsb, nsk, mk);
 }
 
 const EriClassPlan& EriPlanCache::get(const EriClassKey& key) {

@@ -56,6 +56,15 @@ class EriClassPlan {
   int nsk = 0;   ///< spherical pair size, ket
   int ltot = 0;  ///< total angular momentum
 
+  /// FP64 association of the chain E'_AB^T x P x E'_CD: true contracts the
+  /// ket first (U = P x E'_CD, then E'_AB^T x U), false the bra first.
+  /// Whichever costs less register-tile lane work, m * k * ceil(n / 8) per
+  /// GEMM (n is the vector width, so the narrow n = nsk of the ket-first
+  /// chain pays for whole 8-lane strips); ties stay bra first.  A pure
+  /// function of the key, so equal keys always agree.  The quantized route
+  /// is bra first regardless: its P and T rounding points define it.
+  bool ket_first = false;
+
   /// (-1)^{|q~|} per ket Hermite component (Eq. 6).
   const std::vector<double>& sign_cd;
   /// combined[hp * nhk + hq] = total-order Hermite index of p~+q~.

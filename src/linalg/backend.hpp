@@ -8,7 +8,8 @@
 //                       exactly one instance (GemmBackend::instance(), which
 //                       ExecutionContext::backend() returns); both entry
 //                       points forward to the packed kernels in
-//                       linalg/gemm.cpp, which count "gemm.calls".
+//                       linalg/gemm.cpp, which count "gemm.calls"
+//                       (GemmCallTally batches the count per thread).
 //   * Matrix wrappers — gemm()/matmul() convenience over MatrixD on the same
 //                       FP64 kernel.
 //
@@ -27,6 +28,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/matrix.hpp"
 #include "util/precision.hpp"
@@ -39,6 +41,23 @@ struct GemmConfig {
   Precision precision = Precision::kFP64;
 };
 
+/// Counts the GEMMs this thread issues while it is alive in a local tally
+/// that reaches "gemm.calls" once, at scope exit, instead of one atomic add
+/// on the shared counter per call.  Hot callers of many small GEMMs (one
+/// KernelMako batch runs two per quartet) hold one.  Scopes nest; trace
+/// spans are unaffected.  Does nothing with MAKO_OBSERVABILITY=OFF.
+class GemmCallTally {
+ public:
+  GemmCallTally() noexcept;
+  ~GemmCallTally();
+  GemmCallTally(const GemmCallTally&) = delete;
+  GemmCallTally& operator=(const GemmCallTally&) = delete;
+
+ private:
+  std::int64_t* outer_;
+  std::int64_t count_ = 0;
+};
+
 /// FLOP count of an (m,n,k) GEMM (2*m*n*k).
 constexpr double gemm_flops(std::size_t m, std::size_t n, std::size_t k) {
   return 2.0 * static_cast<double>(m) * static_cast<double>(n) *
@@ -46,7 +65,8 @@ constexpr double gemm_flops(std::size_t m, std::size_t n, std::size_t k) {
 }
 
 /// The multi-precision GEMM backend.  All matrices are dense row-major;
-/// C = alpha * op(A) * op(B) + beta * C with op(X) = X or X^T.
+/// C = alpha * op(A) * op(B) + beta * C with op(X) = X or X^T.  beta = 0
+/// never reads C, so a destination need not be initialized.
 class GemmBackend {
  public:
   /// The one backend of the process.

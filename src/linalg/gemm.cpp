@@ -217,7 +217,7 @@ inline void for_each_row_tile(std::size_t m, Tile&& tile) {
 
 // --- FP64 kernel of the direct regime ---------------------------------------
 //
-// gemm_packed<double> runs its L1-resident problems here instead of on
+// gemm_packed<double> runs its direct-regime problems here instead of on
 // gemm_direct<double>, with bitwise the same result: every element's sum
 // runs over all of k in order from +0 (the direct regime never restarts at
 // kBlockK), each step a multiply then an add (no FMA intrinsic, and
@@ -261,7 +261,7 @@ void fp64_tile(const double* a, std::size_t lda, const double* b,
   }
 }
 
-/// C += alpha * op(A) * B for an L1-resident problem, B row-major [k x n].
+/// C += alpha * op(A) * B for a direct-regime problem, B row-major [k x n].
 template <bool TA>
 void fp64_direct(const double* a, std::size_t lda, const double* b,
                  std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
@@ -300,7 +300,16 @@ void gemm_packed(const T* a, bool trans_a, const T* b, bool trans_b, T* c,
 
   // L1-resident problems skip packing entirely: panel staging only pays for
   // itself once the working set spills the innermost cache.
-  if (l1_resident(m, n, k, sizeof(T))) {
+  bool direct = l1_resident(m, n, k, sizeof(T));
+#if defined(__AVX512F__)
+  // The FP64 tile also takes any problem the packed path would run as one
+  // k block with alpha = 1: that path's A-pack scales by 1 and its sums
+  // restart only at kBlockK, so both give the same bits.
+  if constexpr (std::is_same_v<T, double>) {
+    direct = direct || (alpha == T{1} && k <= kBlockK);
+  }
+#endif
+  if (direct) {
     const T* b_eff = b;
     std::size_t ldb_eff = ldb;
     if (trans_b) {
@@ -414,7 +423,10 @@ void quantized_tile(const float* a, std::size_t lda, const float* b,
     for (int h = 0; h < 2; ++h) {
       const auto mh = static_cast<__mmask8>(mask >> (8 * h));
       if (mh == 0) break;
-      const __m512d cv = _mm512_maskz_loadu_pd(mh, crow + 8 * h);
+      // beta = 0 never reads C (it may hold stale, even non-finite data);
+      // 0 * (+0) keeps the bits of a zeroed C.
+      const __m512d cv = beta == 0.0 ? _mm512_setzero_pd()
+                                     : _mm512_maskz_loadu_pd(mh, crow + 8 * h);
       const __m512d sum = _mm512_maskz_cvtps_pd(mh, half[h]);
       const __m512d r =
           _mm512_add_pd(_mm512_mul_pd(vb, cv), _mm512_mul_pd(va, sum));
@@ -451,14 +463,38 @@ double quantized_gemm(const float* a, const float* b, double* c,
 }
 #endif  // __AVX512F__
 
+/// The GEMM calls this thread's innermost live GemmCallTally is counting;
+/// null when none is.
+thread_local std::int64_t* tl_gemm_tally = nullptr;
+
+/// Counts one GEMM into "gemm.calls", or into the live tally.
+inline void count_gemm_call() {
+#if MAKO_OBSERVABILITY
+  if (tl_gemm_tally != nullptr) {
+    ++*tl_gemm_tally;
+    return;
+  }
+  MAKO_METRIC_COUNT("gemm.calls", 1);
+#endif
+}
+
 }  // namespace
+
+GemmCallTally::GemmCallTally() noexcept : outer_(tl_gemm_tally) {
+  tl_gemm_tally = &count_;
+}
+
+GemmCallTally::~GemmCallTally() {
+  tl_gemm_tally = outer_;
+  if (count_ > 0) MAKO_METRIC_COUNT("gemm.calls", count_);
+}
 
 void gemm_fp64_ex(const double* a, bool trans_a, const double* b, bool trans_b,
                   double* c, std::size_t m, std::size_t n, std::size_t k,
                   double alpha, double beta) {
   obs::TraceSpan span(obs::TraceCat::kGemm, "gemm_fp64_ex");
   annotate_gemm_span(span, m, n, k);
-  MAKO_METRIC_COUNT("gemm.calls", 1);
+  count_gemm_call();
   gemm_packed<double>(a, trans_a, b, trans_b, c, m, n, k, alpha, beta);
 }
 
@@ -468,7 +504,7 @@ double gemm_quantized_ops(const float* qa, bool trans_a, const float* qb,
                           double beta) {
   obs::TraceSpan span(obs::TraceCat::kGemm, "gemm_quantized_ops");
   annotate_gemm_span(span, m, n, k);
-  MAKO_METRIC_COUNT("gemm.calls", 1);
+  count_gemm_call();
 #if defined(__AVX512F__)
   if (!trans_b) {
     return trans_a ? quantized_gemm<true>(qa, qb, c, m, n, k, alpha, beta)
@@ -481,9 +517,10 @@ double gemm_quantized_ops(const float* qa, bool trans_a, const float* qb,
   acc.resize(m * n);
   gemm_packed<float>(qa, trans_a, qb, trans_b, acc.data(), m, n, k, 1.0f,
                      0.0f);
-  // Stage two: widen into the FP64 destination.
+  // Stage two: widen into the FP64 destination (beta = 0 never reads C).
   for (std::size_t i = 0; i < m * n; ++i) {
-    c[i] = beta * c[i] + alpha * static_cast<double>(acc[i]);
+    const double old = beta == 0.0 ? 0.0 : beta * c[i];
+    c[i] = old + alpha * static_cast<double>(acc[i]);
   }
   return max_abs(c, m * n);
 }

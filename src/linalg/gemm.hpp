@@ -5,8 +5,10 @@
 // (the host counterpart of shared-memory staging) and a register-resident
 // MR x NR micro-kernel keeps the C fragment out of memory for the whole K
 // loop.  L1-resident problems skip the packing and run the same register
-// blocking directly on the operands.  Under AVX-512F the FP32 GEMMs of the
-// quantized route run a 4x16 register tile on the operands in place.
+// blocking directly on the operands (under AVX-512F so do FP64 problems of
+// one k block with alpha = 1, whose packed run has the same order).  Under
+// AVX-512F the FP32 GEMMs of the quantized route run a 4x16 register tile
+// on the operands in place.
 //
 // Precision behaviour mirrors tensor cores: FP16 and TF32 operands are
 // rounded with round-to-nearest-even on entry and all products are

@@ -1,9 +1,29 @@
 #include "obs/metrics.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 
 namespace mako::obs {
+
+namespace {
+
+/// bucket_upper_bound's values, computed once: observe() runs on hot paths
+/// (kernel.batch_s once per ERI batch) and would otherwise call std::pow up
+/// to kBuckets - 1 times per sample.
+const std::array<double, Histogram::kBuckets>& upper_bounds() noexcept {
+  static const std::array<double, Histogram::kBuckets> table = [] {
+    std::array<double, Histogram::kBuckets> t{};
+    // 1e-9, 1e-8, ... 1e5; the last bucket (i == kBuckets-1) is unbounded.
+    for (int i = 0; i < Histogram::kBuckets; ++i) {
+      t[i] = 1e-9 * std::pow(10.0, i);
+    }
+    return t;
+  }();
+  return table;
+}
+
+}  // namespace
 
 void Histogram::observe(double v) noexcept {
   const std::int64_t n = count_.fetch_add(1, std::memory_order_relaxed);
@@ -17,10 +37,11 @@ void Histogram::observe(double v) noexcept {
   detail::atomic_min(min_, v);
   detail::atomic_max(max_, v);
 
+  const std::array<double, kBuckets>& upper = upper_bounds();
   int bucket = kBuckets - 1;
-  if (v < bucket_upper_bound(kBuckets - 2)) {
+  if (v < upper[kBuckets - 2]) {
     bucket = 0;
-    while (bucket < kBuckets - 1 && v >= bucket_upper_bound(bucket)) ++bucket;
+    while (bucket < kBuckets - 1 && v >= upper[bucket]) ++bucket;
   }
   buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
 }
@@ -34,8 +55,7 @@ double Histogram::max() const noexcept {
 }
 
 double Histogram::bucket_upper_bound(int i) noexcept {
-  // 1e-9, 1e-8, ... 1e5; the last bucket (i == kBuckets-1) is unbounded.
-  return 1e-9 * std::pow(10.0, i);
+  return upper_bounds()[i];
 }
 
 void Histogram::reset() noexcept {

@@ -1,10 +1,12 @@
 #include "scf/fock.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <span>
 
+#include "basis/spherical.hpp"
 #include "compilermako/registry.hpp"
 #include "core/execution_context.hpp"
 #include "obs/metrics.hpp"
@@ -61,37 +63,66 @@ void digest_quartet(const MatrixD& d, MatrixD& j, MatrixD& k, const Shell& sa,
                     oc = sc.sph_offset, od = sd.sph_offset;
   const int na = sa.num_sph(), nb = sb.num_sph(), nc = sc.num_sph(),
             nd = sd.num_sph();
-  std::size_t idx = 0;
+  // Each block's sum is held locally over the loops it does not index and
+  // written once: J_ab and K_ac/K_bc in registers across the s/l loops,
+  // K_ad across (n, s), J_cd and K_bd across the whole bra.
+  constexpr int kMaxSph = nsph(kMaxSphL);
+  assert(std::max({na, nb, nc, nd}) <= kMaxSph);
+  double j_cd[kMaxSph * kMaxSph];
+  double k_bd[kMaxSph * kMaxSph];
+  double k_ad[kMaxSph];
+  std::fill_n(j_cd, nc * nd, 0.0);
+  std::fill_n(k_bd, nb * nd, 0.0);
+  const double* vp = v.data();
   for (int m = 0; m < na; ++m) {
+    const std::size_t im = oa + m;
+    const double* d_m = d.row(im);
+    std::fill_n(k_ad, nd, 0.0);
     for (int n = 0; n < nb; ++n) {
-      for (int s = 0; s < nc; ++s) {
-        for (int l = 0; l < nd; ++l, ++idx) {
-          const double val = weight * v[idx];
-          if (val == 0.0) continue;
-          const std::size_t im = oa + m, in = ob + n, is = oc + s,
-                            il = od + l;
-          // Coulomb: both bra and ket pairs, both index orders.
-          const double jbra = 2.0 * d(is, il) * val;
-          const double jket = 2.0 * d(im, in) * val;
-          j(im, in) += jbra;
-          j(in, im) += jbra;
-          j(is, il) += jket;
-          j(il, is) += jket;
-          // Exchange: four pairings plus transposes.
-          const double k1 = d(in, il) * val;
-          const double k2 = d(im, il) * val;
-          const double k3 = d(in, is) * val;
-          const double k4 = d(im, is) * val;
-          k(im, is) += k1;
-          k(is, im) += k1;
-          k(in, is) += k2;
-          k(is, in) += k2;
-          k(im, il) += k3;
-          k(il, im) += k3;
-          k(in, il) += k4;
-          k(il, in) += k4;
+      const std::size_t in = ob + n;
+      const double* d_n = d.row(in);
+      const double d_ab = 2.0 * d_m[in];
+      double j_ab = 0.0;
+      for (int s = 0; s < nc; ++s, vp += nd) {
+        const std::size_t is = oc + s;
+        const double* d_s = d.row(is) + od;
+        const double d_bc = d_n[is], d_ac = d_m[is];
+        double k_ac = 0.0, k_bc = 0.0;
+        for (int l = 0; l < nd; ++l) {
+          const double val = weight * vp[l];
+          j_ab += d_s[l] * val;
+          j_cd[s * nd + l] += d_ab * val;
+          k_ac += d_n[od + l] * val;
+          k_bc += d_m[od + l] * val;
+          k_ad[l] += d_bc * val;
+          k_bd[n * nd + l] += d_ac * val;
         }
+        k(im, is) += k_ac;
+        k(in, is) += k_bc;
       }
+      j(im, in) += 2.0 * j_ab;
+    }
+    double* k_m = k.row(im) + od;
+    for (int l = 0; l < nd; ++l) k_m[l] += k_ad[l];
+  }
+  for (int s = 0; s < nc; ++s) {
+    double* j_s = j.row(oc + s) + od;
+    for (int l = 0; l < nd; ++l) j_s[l] += j_cd[s * nd + l];
+  }
+  for (int n = 0; n < nb; ++n) {
+    double* k_n = k.row(ob + n) + od;
+    for (int l = 0; l < nd; ++l) k_n[l] += k_bd[n * nd + l];
+  }
+}
+
+void add_own_transpose(MatrixD& m) {
+  const std::size_t n = m.rows();
+  for (std::size_t r = 0; r < n; ++r) {
+    m(r, r) += m(r, r);
+    for (std::size_t c = r + 1; c < n; ++c) {
+      const double s = m(r, c) + m(c, r);
+      m(r, c) = s;
+      m(c, r) = s;
     }
   }
 }
@@ -514,6 +545,11 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
       // the fault and the driver hard-faults the iteration (a partial J is
       // symmetric and finite, so sentinel audits would never notice).
     }
+    // The slices digested half-triangle accumulators (digest_quartet):
+    // J = A + A^T once, on the folded sum, which is the same bits for every
+    // rank count.
+    add_own_transpose(j);
+    add_own_transpose(k);
   }
 
   stats.jk_wall_seconds = jk_timer.seconds();

@@ -53,12 +53,19 @@ IntegralClass classify_integral(double weighted_bound, double fp64_threshold,
                                 double prune_threshold);
 
 /// Digests one spherical quartet tensor `v` (row-major [na][nb][nc][nd])
-/// into J and K with the canonical 8-fold permutation weights, scaled by
-/// `weight`.  Shared with the per-quartet bench baseline so both builds
-/// accumulate identically.
+/// into half-triangle J and K accumulators with the canonical 8-fold
+/// permutation weights, scaled by `weight`.  Only one orientation of each
+/// block is written — J_ab, J_cd, K_ac, K_ad, K_bc, K_bd — so the
+/// accumulators hold A with J = A + A^T (and K likewise); add_own_transpose
+/// completes them once, after every quartet is in.  Shared with the
+/// per-quartet bench baseline so both builds accumulate identically.
 void digest_quartet(const MatrixD& d, MatrixD& j, MatrixD& k, const Shell& sa,
                     const Shell& sb, const Shell& sc, const Shell& sd,
                     double weight, const std::vector<double>& v);
+
+/// m = m + m^T for a square m: turns digest_quartet's half-triangle
+/// accumulator into J or K.  Exactly symmetric (x + y == y + x).
+void add_own_transpose(MatrixD& m);
 
 /// Execution statistics of one Fock build.
 ///

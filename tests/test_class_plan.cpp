@@ -4,12 +4,14 @@
 // allocation-freedom contract of compute_batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "chem/builders.hpp"
@@ -221,6 +223,81 @@ TEST(ClassPlanTest, PlanExplicitOverloadMatchesImplicit) {
   ASSERT_EQ(out_implicit.size(), out_explicit.size());
   for (std::size_t q = 0; q < out_implicit.size(); ++q) {
     ASSERT_EQ(out_implicit[q], out_explicit[q]) << "q=" << q;
+  }
+}
+
+// --- FP64 association: bra first vs ket first --------------------------------
+
+/// Largest per-quartet max|a - b| / max|a| of two batch results.
+double association_gap(const std::vector<std::vector<double>>& a,
+                       const std::vector<std::vector<double>>& b) {
+  double worst = 0.0;
+  for (std::size_t q = 0; q < a.size(); ++q) {
+    double scale = 0.0, diff = 0.0;
+    for (std::size_t i = 0; i < a[q].size(); ++i) {
+      scale = std::max(scale, std::fabs(a[q][i]));
+      diff = std::max(diff, std::fabs(a[q][i] - b[q][i]));
+    }
+    if (scale > 0.0) worst = std::max(worst, diff / scale);
+  }
+  return worst;
+}
+
+/// Runs `key`'s FP64 batch under its plan and under the plan with the
+/// other association; returns the association_gap of the two.
+double both_orders_gap(const EriClassKey& key) {
+  const CalibrationBatch batch = make_calibration_batch(key, 3, 19);
+  EriPlanCache plans;
+  const BatchedEriEngine engine({}, nullptr, &plans);
+  EriClassPlan flipped = plans.get(key);
+  flipped.ket_first = !flipped.ket_first;
+  EriScratch scratch;
+  std::vector<std::vector<double>> planned, other;
+  engine.compute_batch(plans.get(key),
+                       std::span<const QuartetRef>(batch.quartets), planned,
+                       scratch);
+  engine.compute_batch(flipped, std::span<const QuartetRef>(batch.quartets),
+                       other, scratch);
+  EXPECT_EQ(planned.size(), other.size());
+  return association_gap(planned, other);
+}
+
+TEST(AssociationTest, BothOrdersAgreeOnWater3Tzvp) {
+  const BasisSet basis(make_water_cluster(3), "def2-tzvp");
+  for (const EriClassKey& key : enumerate_eri_classes(basis)) {
+    EXPECT_LE(both_orders_gap(key), 1e-13) << key.name();
+  }
+}
+
+TEST(AssociationTest, BothOrdersAgreeUpToF) {
+  int ket_first = 0, classes = 0;
+  for (int la = 0; la <= 3; ++la) {
+    for (int lb = 0; lb <= 3; ++lb) {
+      for (int lc = 0; lc <= 3; ++lc) {
+        for (int ld = 0; ld <= 3; ++ld) {
+          for (const auto& [kab, kcd] : {std::pair{1, 1}, std::pair{3, 2}}) {
+            const EriClassKey key{la, lb, lc, ld, kab, kcd};
+            EXPECT_LE(both_orders_gap(key), 1e-13) << key.name();
+            ket_first += EriClassPlan(key).ket_first ? 1 : 0;
+            ++classes;
+          }
+        }
+      }
+    }
+  }
+  // Both associations are in use.
+  EXPECT_GT(ket_first, 0);
+  EXPECT_LT(ket_first, classes);
+}
+
+TEST(AssociationTest, OrderIsAFunctionOfTheKey) {
+  EriPlanCache first, second;
+  for (const EriClassKey& key :
+       enumerate_eri_classes(BasisSet(make_water(), "def2-tzvp"))) {
+    EXPECT_EQ(first.get(key).ket_first, second.get(key).ket_first)
+        << key.name();
+    EXPECT_EQ(first.get(key).ket_first, EriClassPlan(key).ket_first)
+        << key.name();
   }
 }
 

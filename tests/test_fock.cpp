@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
 #include "eri_reference.hpp"
 #include "scf/fock.hpp"
+#include "util/precision.hpp"
 #include "util/rng.hpp"
 
 namespace mako {
@@ -85,6 +87,101 @@ TEST(FockEngineTest, MatchesDenseContraction) {
   dense_jk(bs, d, jref, kref);
   EXPECT_LT(max_abs_diff(j, jref), 1e-9);
   EXPECT_LT(max_abs_diff(k, kref), 1e-9);
+}
+
+/// The digestion before the half-triangle form: all twelve updates per
+/// integral (six blocks and their transposes), zero integrals skipped.
+/// Kept as the oracle of digest_quartet + add_own_transpose.
+void digest_twelve_writes(const MatrixD& d, MatrixD& j, MatrixD& k,
+                          const Shell& sa, const Shell& sb, const Shell& sc,
+                          const Shell& sd, double weight,
+                          const std::vector<double>& v) {
+  std::size_t idx = 0;
+  for (int m = 0; m < sa.num_sph(); ++m) {
+    for (int n = 0; n < sb.num_sph(); ++n) {
+      for (int s = 0; s < sc.num_sph(); ++s) {
+        for (int l = 0; l < sd.num_sph(); ++l, ++idx) {
+          const double val = weight * v[idx];
+          if (val == 0.0) continue;
+          const std::size_t im = sa.sph_offset + m, in = sb.sph_offset + n,
+                            is = sc.sph_offset + s, il = sd.sph_offset + l;
+          const double jbra = 2.0 * d(is, il) * val;
+          const double jket = 2.0 * d(im, in) * val;
+          j(im, in) += jbra;
+          j(in, im) += jbra;
+          j(is, il) += jket;
+          j(il, is) += jket;
+          const double k1 = d(in, il) * val;
+          const double k2 = d(im, il) * val;
+          const double k3 = d(in, is) * val;
+          const double k4 = d(im, is) * val;
+          k(im, is) += k1;
+          k(is, im) += k1;
+          k(in, is) += k2;
+          k(is, in) += k2;
+          k(im, il) += k3;
+          k(il, im) += k3;
+          k(in, il) += k4;
+          k(il, in) += k4;
+        }
+      }
+    }
+  }
+}
+
+bool exactly_symmetric(const MatrixD& m) {
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < r; ++c) {
+      if (m(r, c) != m(c, r)) return false;
+    }
+  }
+  return true;
+}
+
+// Half-triangle digestion then one A + A^T equals the twelve-write loop to
+// rounding, over every quartet of five shells (s, s, p, d, f of
+// water/def2-TZVP): a == b, c == d, ab == cd and all-distinct quartets,
+// random integrals and weights.
+TEST(DigestTest, HalfTriangleMatchesTwelveWriteOracle) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "def2-tzvp");
+  const auto& shells = bs.shells();
+  std::vector<const Shell*> picked;
+  int s_shells = 0;
+  for (int l = 0; l <= 3; ++l) {
+    for (const Shell& sh : shells) {
+      if (sh.l != l) continue;
+      picked.push_back(&sh);
+      if (l != 0 || ++s_shells == 2) break;
+    }
+  }
+  ASSERT_EQ(picked.size(), 5u);
+  const MatrixD d = random_symmetric_density(bs.nbf(), 29);
+  const std::size_t nbf = bs.nbf();
+  MatrixD j(nbf, nbf, 0.0), k(nbf, nbf, 0.0);
+  MatrixD j_ref(nbf, nbf, 0.0), k_ref(nbf, nbf, 0.0);
+  Rng rng(31);
+  std::vector<double> v;
+  for (const Shell* a : picked) {
+    for (const Shell* b : picked) {
+      for (const Shell* c : picked) {
+        for (const Shell* dd : picked) {
+          v.resize(static_cast<std::size_t>(a->num_sph()) * b->num_sph() *
+                   c->num_sph() * dd->num_sph());
+          for (double& x : v) x = rng.uniform(-1.0, 1.0);
+          const double weight = rng.uniform(0.1, 2.0);
+          digest_quartet(d, j, k, *a, *b, *c, *dd, weight, v);
+          digest_twelve_writes(d, j_ref, k_ref, *a, *b, *c, *dd, weight, v);
+        }
+      }
+    }
+  }
+  add_own_transpose(j);
+  add_own_transpose(k);
+  EXPECT_TRUE(exactly_symmetric(j));
+  EXPECT_TRUE(exactly_symmetric(k));
+  EXPECT_LE(max_abs_diff(j, j_ref), 1e-14 * max_abs(j_ref.data(), j_ref.size()));
+  EXPECT_LE(max_abs_diff(k, k_ref), 1e-14 * max_abs(k_ref.data(), k_ref.size()));
 }
 
 TEST(FockTest, OutputsSymmetric) {
